@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corona import corona, corona_laplacian_blocks
-from .corona_spectrum import corona_spectrum, corona_eigenprojectors
+from .corona import corona
+from .corona_spectrum import corona_spectrum
 from .graphs import (
     FAMILIES,
     Graph,

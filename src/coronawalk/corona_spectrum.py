@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corona import common_satellite_order
-from .graphs import Graph, component_count, laplacian
+from .graphs import Graph, component_count, degrees, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
 from .spectral import CLUSTER_TOL_SCALE, SpectralDecomposition, eigendecompose
 
@@ -133,25 +133,32 @@ def lambda_pm(lam: float, m: int) -> tuple[float, float]:
     return plus, minus
 
 
-def _satellite_kernel_index(d: SpectralDecomposition, h: Graph) -> int:
-    """Index of the zero eigenvalue cluster of a satellite Laplacian, with a
-    consistency check against the exact component count."""
-    if abs(float(d.eigenvalues[0])) > _KERNEL_TOL:
-        raise ArithmeticError("satellite Laplacian kernel not found")
-    if d.multiplicities[0] != component_count(h):
-        raise ArithmeticError("satellite kernel multiplicity disagrees with component count")
-    return 0
+def _satellite_decompositions(hs) -> dict:
+    """Decompose the Laplacian of each distinct satellite once.
+
+    Maps every distinct satellite (Graph equality ignores labels) to
+    eigendecompose(laplacian(h)). Each decomposition is checked to hold the
+    zero eigenvalue at index 0 with multiplicity the exact component count.
+    """
+    out = {}
+    for h in hs:
+        if h in out:
+            continue
+        d = eigendecompose(laplacian(h))
+        if abs(float(d.eigenvalues[0])) > _KERNEL_TOL:
+            raise ArithmeticError("satellite Laplacian kernel not found")
+        if d.multiplicities[0] != component_count(h):
+            raise ArithmeticError("satellite kernel multiplicity disagrees with component count")
+        out[h] = d
+    return out
 
 
-def _class_b_pieces(hs, sat_decomps, cluster_tol: float):
+def _class_b_pieces(sat_decomps, cluster_tol: float):
     """Nonzero satellite eigenvalues pooled across cells: list of
     (mu, [(cell, projector_index)], multiplicity), clustered on mu."""
     entries = []
-    for ell, (h, d) in enumerate(zip(hs, sat_decomps)):
-        k0 = _satellite_kernel_index(d, h)
-        for i in range(len(d.eigenvalues)):
-            if i == k0:
-                continue
+    for ell, d in enumerate(sat_decomps):
+        for i in range(1, len(d.eigenvalues)):
             entries.append((float(d.eigenvalues[i]), ell, i, d.multiplicities[i]))
     entries.sort()
     clusters = []
@@ -168,26 +175,27 @@ def _class_b_pieces(hs, sat_decomps, cluster_tol: float):
     return out
 
 
-def _corona_scale(g: Graph, hs) -> float:
-    """Max-norm of the corona Laplacian (its largest degree), from degrees
-    of the factors alone."""
-    m = hs[0].n
-    base = max(g.degree(u) + m for u in range(g.n))
-    sat = max(h.degree(w) + 1 for h in hs for w in range(h.n))
-    return float(max(base, sat))
+def _corona_cluster_tol(g: Graph, satellites, m: int) -> float:
+    """Default cluster tolerance, scaled by the max-norm of the corona
+    Laplacian (its largest degree), from the degrees of the base and of the
+    distinct satellites alone."""
+    base = float(np.max(degrees(g))) + m
+    sat = max(float(np.max(degrees(h))) for h in satellites) + 1.0
+    return CLUSTER_TOL_SCALE * max(1.0, base, sat)
 
 
 def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
     """Enumerate the closed-form corona eigenvalue classes."""
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
-    sat_decomps = [eigendecompose(laplacian(h)) for h in hs]
-    a_mult = sum(component_count(h) - 1 for h in hs)
+    by_graph = _satellite_decompositions(hs)
+    sat_decomps = [by_graph[h] for h in hs]
+    a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
     class_a = ClassA(present=a_mult > 0, multiplicity=a_mult)
 
-    cluster_tol = CLUSTER_TOL_SCALE * max(1.0, _corona_scale(g, hs))
+    cluster_tol = _corona_cluster_tol(g, by_graph, m)
     class_b = []
-    for mu, members, mult in _class_b_pieces(hs, sat_decomps, cluster_tol):
+    for mu, members, mult in _class_b_pieces(sat_decomps, cluster_tol):
         cells = tuple(sorted({ell for ell, _ in members}))
         class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=mult))
 
@@ -225,60 +233,84 @@ def corona_eigenprojectors(g: Graph, hs, cluster_tol: float | None = None) -> Sp
     value lambda_pm. Values that land together within cluster_tol are merged
     into a single eigenspace, so the result is a genuine decomposition into
     distinct eigenvalues.
+
+    The values are clustered first, then the (k, dim, dim) projector stack is
+    allocated once and every piece is written or added into its slab in
+    place, in ascending value order; no dim x dim temporary is formed. Each
+    distinct satellite is eigendecomposed once per call, and nothing is kept
+    between calls.
     """
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
     n = g.n
     stride = m + 1
     dim = n * stride
+    by_graph = _satellite_decompositions(hs)
+    sat_decomps = [by_graph[h] for h in hs]
     if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL_SCALE * max(1.0, _corona_scale(g, hs))
+        cluster_tol = _corona_cluster_tol(g, by_graph, m)
     elif cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
 
-    sat_decomps = [eigendecompose(laplacian(h)) for h in hs]
+    # (value, multiplicity, satellite blocks [(cell, m x m)], class (c) factors)
+    pieces = []
 
-    def sat_slice(ell: int) -> slice:
-        return slice(ell * stride + 1, (ell + 1) * stride)
-
-    pieces = []  # (value, projector, multiplicity)
-
-    a_mult = sum(component_count(h) - 1 for h in hs)
+    a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
     if a_mult > 0:
-        proj = np.zeros((dim, dim))
-        for ell, (h, d) in enumerate(zip(hs, sat_decomps)):
-            if component_count(h) <= 1:
-                continue
-            k0 = _satellite_kernel_index(d, h)
-            proj[sat_slice(ell), sat_slice(ell)] = d.projectors[k0] - np.full((m, m), 1.0 / m)
-        pieces.append((1.0, proj, a_mult))
+        blocks = [
+            (ell, d.projectors[0] - 1.0 / m)
+            for ell, d in enumerate(sat_decomps)
+            if d.multiplicities[0] > 1
+        ]
+        pieces.append((1.0, a_mult, blocks, None))
 
-    for mu, members, mult in _class_b_pieces(hs, sat_decomps, cluster_tol):
-        proj = np.zeros((dim, dim))
+    for mu, members, mult in _class_b_pieces(sat_decomps, cluster_tol):
+        # Sum one cell's projectors before adding them to the slab, so the
+        # additions happen in the same order as summing whole pieces.
+        cells = {}
         for ell, i in members:
-            proj[sat_slice(ell), sat_slice(ell)] += sat_decomps[ell].projectors[i]
-        pieces.append((mu + 1.0, proj, mult))
+            proj = sat_decomps[ell].projectors[i]
+            cells[ell] = cells[ell] + proj if ell in cells else proj
+        pieces.append((mu + 1.0, mult, list(cells.items()), None))
 
     g_decomp = eigendecompose(laplacian(g))
     for lam, mult, f_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.projectors):
         for value in lambda_pm(float(lam), m):
             w = np.ones(stride)
             w[0] = 1.0 - value
-            pieces.append((value, np.kron(f_lam, np.outer(w, w) / (w @ w)), mult))
+            pieces.append((value, mult, (), (f_lam, np.outer(w, w) / (w @ w))))
 
     pieces.sort(key=lambda p: p[0])
-    merged = []
-    for value, proj, mult in pieces:
-        if merged and value - merged[-1][0] <= cluster_tol:
-            prev_v, prev_p, prev_m = merged[-1]
-            total = prev_m + mult
-            merged[-1] = ((prev_v * prev_m + value * mult) / total, prev_p + proj, total)
+    values, mults, slab_of = [], [], []
+    for value, mult, _, _ in pieces:
+        if values and value - values[-1] <= cluster_tol:
+            total = mults[-1] + mult
+            values[-1] = (values[-1] * mults[-1] + value * mult) / total
+            mults[-1] = total
         else:
-            merged.append((value, proj, mult))
+            values.append(value)
+            mults.append(mult)
+        slab_of.append(len(values) - 1)
+
+    projectors = np.zeros((len(values), dim, dim))
+    for j, ((_, _, blocks, factors), k) in enumerate(zip(pieces, slab_of)):
+        slab = projectors[k]
+        for ell, block in blocks:
+            cell = slice(ell * stride + 1, (ell + 1) * stride)
+            slab[cell, cell] += block
+        if factors is None:
+            continue
+        f_lam, ww = factors
+        view = slab.reshape(n, stride, n, stride)
+        if j == 0 or slab_of[j - 1] != k:
+            np.multiply(f_lam[:, None, :, None], ww[None, :, None, :], out=view)
+        else:
+            for u in range(n):  # one base row at a time: no dim x dim temporary
+                view[u] += f_lam[u, None, :, None] * ww[:, None, :]
 
     return SpectralDecomposition(
         dim=dim,
-        eigenvalues=np.array([v for v, _, _ in merged]),
-        projectors=np.array([p for _, p, _ in merged]),
-        multiplicities=tuple(mu for _, _, mu in merged),
+        eigenvalues=np.array(values),
+        projectors=projectors,
+        multiplicities=tuple(mults),
     )

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import random_connected_graph, random_satellites
 from coronawalk import (
     Graph,
     complete_graph,
+    component_count,
     corona,
     corona_eigenprojectors,
     corona_laplacian_blocks,
@@ -20,8 +23,77 @@ from coronawalk import (
     path_graph,
     reconstruct,
 )
+from coronawalk.spectral import CLUSTER_TOL_SCALE
 
 MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
+
+
+def labelled_copies(h, count):
+    """count equal satellites as separate Graph objects with distinct labels."""
+    return [Graph(h.n, h.edges, {0: f"copy{i}"}) for i in range(count)]
+
+
+def kron_assembly(g, hs):
+    """Reference for corona_eigenprojectors: the np.kron + merge assembly it
+    replaced. Every piece is a dense dim x dim matrix, colliding pieces are
+    summed pairwise in ascending value order, and the merged pieces are
+    stacked at the end. Returns (eigenvalues, projectors, multiplicities)."""
+    m = hs[0].n
+    stride = m + 1
+    dim = g.n * stride
+    tol = CLUSTER_TOL_SCALE * max(1.0, float(np.max(np.abs(corona_laplacian_blocks(g, hs)))))
+    sats = [eigendecompose(laplacian(h)) for h in hs]
+    cells = [slice(ell * stride + 1, (ell + 1) * stride) for ell in range(g.n)]
+
+    pieces = []
+    a_mult = sum(component_count(h) - 1 for h in hs)
+    if a_mult > 0:
+        proj = np.zeros((dim, dim))
+        for ell, d in enumerate(sats):
+            if d.multiplicities[0] > 1:
+                proj[cells[ell], cells[ell]] = d.projectors[0] - np.full((m, m), 1.0 / m)
+        pieces.append((1.0, proj, a_mult))
+
+    entries = sorted(
+        (float(d.eigenvalues[i]), ell, i, d.multiplicities[i])
+        for ell, d in enumerate(sats)
+        for i in range(1, len(d.eigenvalues))
+    )
+    groups = []
+    for entry in entries:
+        if groups and entry[0] - groups[-1][-1][0] <= tol:
+            groups[-1].append(entry)
+        else:
+            groups.append([entry])
+    for group in groups:
+        total = sum(mult for _, _, _, mult in group)
+        mu = sum(mu * mult for mu, _, _, mult in group) / total
+        proj = np.zeros((dim, dim))
+        for _, ell, i, _ in group:
+            proj[cells[ell], cells[ell]] += sats[ell].projectors[i]
+        pieces.append((mu + 1.0, proj, total))
+
+    g_decomp = eigendecompose(laplacian(g))
+    for lam, mult, f_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.projectors):
+        for value in lambda_pm(float(lam), m):
+            w = np.ones(stride)
+            w[0] = 1.0 - value
+            pieces.append((value, np.kron(f_lam, np.outer(w, w) / (w @ w)), mult))
+
+    pieces.sort(key=lambda p: p[0])
+    merged = []
+    for value, proj, mult in pieces:
+        if merged and value - merged[-1][0] <= tol:
+            prev_v, prev_p, prev_m = merged[-1]
+            total = prev_m + mult
+            merged[-1] = ((prev_v * prev_m + value * mult) / total, prev_p + proj, total)
+        else:
+            merged.append((value, proj, mult))
+    return (
+        np.array([v for v, _, _ in merged]),
+        np.array([p for _, p, _ in merged]),
+        tuple(mult for _, _, mult in merged),
+    )
 
 
 def mult_at(pairs, value, tol=1e-9):
@@ -198,3 +270,69 @@ def test_cluster_tol_validation():
 def test_satellite_order_mismatch():
     with pytest.raises(ValueError):
         corona_spectrum(complete_graph(2), [empty_graph(1), empty_graph(2)])
+
+
+_RNG = np.random.default_rng(7)
+
+BIT_EXACT_CASES = {
+    # class (a): empty and disconnected satellites
+    "class_a_mixed": (hypercube_graph(2), MIXED3),
+    "class_a_sparse_random": (cycle_graph(8), random_satellites(_RNG, 8, 5, 0.3)),
+    # class (b) value m + 1 meets lambda_plus(0) = m + 1; for K2 and K4 the
+    # two values are equal and (b) sorts first, for K6 (b) lands one ulp above
+    "collision_K2": (complete_graph(2), [complete_graph(2)] * 2),
+    "collision_K4": (cycle_graph(6), [complete_graph(4)] * 6),
+    "collision_K6": (cycle_graph(5), [complete_graph(6)] * 5),
+    "distinct_random": (cycle_graph(7), random_satellites(_RNG, 7, 5)),
+    "random_base_distinct_random": (random_connected_graph(_RNG, 6), random_satellites(_RNG, 6, 4)),
+    # equal satellites as separate objects: decomposed once, by equality
+    "equal_relabelled_P4": (complete_graph(5), labelled_copies(path_graph(4), 5)),
+    "equal_relabelled_disconnected": (cycle_graph(5), labelled_copies(Graph(4, frozenset({(0, 1)})), 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_EXACT_CASES))
+def test_projectors_bit_identical_to_kron_assembly(name):
+    g, hs = BIT_EXACT_CASES[name]
+    d = corona_eigenprojectors(g, hs)
+    values, projectors, mults = kron_assembly(g, hs)
+    assert np.array_equal(d.eigenvalues, values)
+    assert np.array_equal(d.projectors, projectors)
+    assert d.multiplicities == mults
+
+
+@pytest.mark.parametrize(
+    "g, hs",
+    [(cycle_graph(30), [path_graph(10)] * 30), (cycle_graph(20), [complete_graph(6)] * 20)],
+    ids=["C30oP10", "C20oK6"],
+)
+def test_projector_assembly_peak_memory(g, hs):
+    # The stack is allocated once and filled in place: the peak stays near
+    # the size of the result, where a per-piece list plus a final stack
+    # copy needs about twice it.
+    corona_eigenprojectors(g, hs)  # warm-up
+    tracemalloc.start()
+    try:
+        d = corona_eigenprojectors(g, hs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * d.projectors.nbytes
+
+
+def test_one_eigensolve_per_distinct_satellite(monkeypatch):
+    calls = []
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat.shape[0])
+        return eigendecompose(mat, *args, **kwargs)
+
+    # The package's corona_spectrum function shadows the module attribute.
+    module = importlib.import_module("coronawalk.corona_spectrum")
+    monkeypatch.setattr(module, "eigendecompose", counting)
+    g = cycle_graph(6)
+    hs = labelled_copies(path_graph(3), 3) + [complete_graph(3)] * 3
+    for fn in (corona_spectrum, corona_eigenprojectors):
+        calls.clear()
+        fn(g, hs)
+        assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
