@@ -17,7 +17,6 @@ of colliding values are summed into one eigenspace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .corona import common_satellite_order
 from .graphs import Graph, component_count, degrees, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
-from .spectral import CLUSTER_TOL_SCALE, SpectralDecomposition, eigendecompose
+from .spectral import CLUSTER_TOL_SCALE, SpectralDecomposition, _cluster, eigendecompose
 
 # A satellite Laplacian kernel eigenvalue must sit this close to zero.
 _KERNEL_TOL = 1e-7
@@ -75,12 +74,15 @@ class CoronaSpectrum:
     """The three eigenvalue classes of a corona Laplacian.
 
     class_b is ordered by ascending value, class_c by ascending lam.
+    cluster_tol is the gap at which corona_spectrum clustered the satellite
+    eigenvalues; eigenvalue_list merges values with it.
     """
 
     m: int
     class_a: ClassA
     class_b: tuple
     class_c: tuple
+    cluster_tol: float
 
     @property
     def classes(self) -> tuple:
@@ -95,26 +97,29 @@ class CoronaSpectrum:
             + 2 * sum(c.multiplicity for c in self.class_c)
         )
 
-    def eigenvalue_list(self, merge_tol: float = 1e-9) -> list:
-        """(value, multiplicity) pairs ascending, colliding values merged."""
-        raw = []
-        if self.class_a.present:
-            raw.append((1.0, self.class_a.multiplicity))
-        for b in self.class_b:
-            raw.append((b.value, b.multiplicity))
-        for c in self.class_c:
-            raw.append((c.lam_minus, c.multiplicity))
-            raw.append((c.lam_plus, c.multiplicity))
-        raw.sort()
-        merged = []
-        for value, mult in raw:
-            if merged and value - merged[-1][0] <= merge_tol:
-                prev_v, prev_m = merged[-1]
-                total = prev_m + mult
-                merged[-1] = ((prev_v * prev_m + value * mult) / total, total)
-            else:
-                merged.append((value, mult))
-        return merged
+    def eigenvalue_list(self) -> list:
+        """(value, multiplicity) pairs ascending.
+
+        Colliding values are merged by _cluster at cluster_tol (single
+        linkage, multiplicity-weighted mean), from the values in the order
+        corona_eigenprojectors sorts its pieces, so the list equals that
+        decomposition's eigenvalues and multiplicities exactly.
+        """
+        pieces = [(1.0, self.class_a.multiplicity)] if self.class_a.present else []
+        pieces += [(b.value, b.multiplicity) for b in self.class_b]
+        pieces += [(x, c.multiplicity) for c in self.class_c for x in (c.lam_plus, c.lam_minus)]
+        pieces.sort(key=lambda p: p[0])
+        values, mults, _ = _cluster([v for v, _ in pieces], [k for _, k in pieces], self.cluster_tol)
+        return list(zip(values, mults))
+
+
+def _delta(lam, m: int):
+    """Delta = sqrt((m + lam - 1)^2 + 4m) for a float or an array of lam.
+
+    A float squares through float pow and an array through np.square; the
+    two can differ in the last bit, so each caller keeps its arithmetic.
+    """
+    return np.sqrt((m + lam - 1.0) ** 2 + 4.0 * m)
 
 
 def lambda_pm(lam: float, m: int) -> tuple[float, float]:
@@ -127,10 +132,32 @@ def lambda_pm(lam: float, m: int) -> tuple[float, float]:
     if m < 1:
         raise ValueError("satellite order m must be >= 1")
     lam = float(lam)
-    delta = math.sqrt((m + lam - 1.0) ** 2 + 4.0 * m)
+    delta = float(_delta(lam, m))
     plus = 0.5 * (m + lam + 1.0 + delta)
     minus = 2.0 * lam / (m + lam + 1.0 + delta)
     return plus, minus
+
+
+def _class_c(lam: float, m: int, multiplicity: int) -> ClassC:
+    """The class (c) entry of base eigenvalue lam, with delta_sq = (m+lam-1)^2
+    + 4m kept exactly and split square-free when lam is an integer."""
+    plus, minus = lambda_pm(lam, m)
+    lam_int = integer_eigenvalue(lam)
+    if lam_int is None:
+        delta_sq = s = c = None
+    else:
+        delta_sq = (m + lam_int - 1) ** 2 + 4 * m
+        split = squarefree_split(delta_sq)
+        s, c = split.s, split.c
+    return ClassC(
+        lam=lam,
+        lam_plus=plus,
+        lam_minus=minus,
+        multiplicity=multiplicity,
+        delta_sq=delta_sq,
+        s=s,
+        c=c,
+    )
 
 
 def _satellite_decompositions(hs) -> dict:
@@ -155,28 +182,22 @@ def _satellite_decompositions(hs) -> dict:
 
 def _class_b_pieces(sat_decomps, cluster_tol: float):
     """Nonzero satellite eigenvalues pooled across cells: list of
-    (mu, [(cell, projector_index)], multiplicity), clustered on mu."""
-    entries = []
-    for ell, d in enumerate(sat_decomps):
-        for i in range(1, len(d.eigenvalues)):
-            entries.append((float(d.eigenvalues[i]), ell, i, d.multiplicities[i]))
-    entries.sort()
-    clusters = []
-    for mu, ell, i, mult in entries:
-        if clusters and mu - clusters[-1][-1][0] <= cluster_tol:
-            clusters[-1].append((mu, ell, i, mult))
-        else:
-            clusters.append([(mu, ell, i, mult)])
-    out = []
-    for group in clusters:
-        total = sum(mult for _, _, _, mult in group)
-        mu = sum(mu * mult for mu, _, _, mult in group) / total
-        out.append((mu, [(ell, i) for _, ell, i, _ in group], total))
-    return out
+    (mu, [(cell, projector_index)], multiplicity), clustered on mu by
+    _cluster."""
+    entries = sorted(
+        (float(d.eigenvalues[i]), ell, i, d.multiplicities[i])
+        for ell, d in enumerate(sat_decomps)
+        for i in range(1, len(d.eigenvalues))
+    )
+    mus, mults, index = _cluster([e[0] for e in entries], [e[3] for e in entries], cluster_tol)
+    members = [[] for _ in mus]
+    for (_, ell, i, _), k in zip(entries, index):
+        members[k].append((ell, i))
+    return list(zip(mus, members, mults))
 
 
 def _corona_cluster_tol(g: Graph, satellites, m: int) -> float:
-    """Default cluster tolerance, scaled by the max-norm of the corona
+    """The corona cluster tolerance, scaled by the max-norm of the corona
     Laplacian (its largest degree), from the degrees of the base and of the
     distinct satellites alone."""
     base = float(np.max(degrees(g))) + m
@@ -200,39 +221,25 @@ def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
         class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=mult))
 
     g_decomp = eigendecompose(laplacian(g))
-    class_c = []
-    for lam, mult in zip(g_decomp.eigenvalues, g_decomp.multiplicities):
-        plus, minus = lambda_pm(float(lam), m)
-        lam_int = integer_eigenvalue(float(lam))
-        if lam_int is not None:
-            delta_sq = (m + lam_int - 1) ** 2 + 4 * m
-            split = squarefree_split(delta_sq)
-            s, c = split.s, split.c
-        else:
-            delta_sq = s = c = None
-        class_c.append(
-            ClassC(
-                lam=float(lam),
-                lam_plus=plus,
-                lam_minus=minus,
-                multiplicity=mult,
-                delta_sq=delta_sq,
-                s=s,
-                c=c,
-            )
-        )
-    return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=tuple(class_c))
+    class_c = tuple(
+        _class_c(float(lam), m, mult) for lam, mult in zip(g_decomp.eigenvalues, g_decomp.multiplicities)
+    )
+    return CoronaSpectrum(
+        m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c, cluster_tol=cluster_tol
+    )
 
 
-def corona_eigenprojectors(g: Graph, hs, cluster_tol: float | None = None) -> SpectralDecomposition:
+def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     """Closed-form spectral decomposition of the corona Laplacian.
 
     Assembles, per class: (a) blocks F_0(H_l) - J_m/m on each disconnected
     satellite cell at value 1; (b) F_mu(H_l) on its cell at value mu + 1;
     (c) F_lam(G) (x) w w^T/||w||^2 with w = (1 - lambda_pm, 1, ..., 1) at
-    value lambda_pm. Values that land together within cluster_tol are merged
-    into a single eigenspace, so the result is a genuine decomposition into
-    distinct eigenvalues.
+    value lambda_pm. Values are merged by _cluster, the rule eigendecompose
+    uses: single linkage over the ascending piece values with a gap of
+    CLUSTER_TOL_SCALE times the corona Laplacian max-norm, at the
+    multiplicity-weighted mean. Colliding pieces share one eigenspace, so the
+    result is a genuine decomposition into distinct eigenvalues.
 
     The values are clustered first, then the (k, dim, dim) projector stack is
     allocated once and every piece is written or added into its slab in
@@ -247,10 +254,7 @@ def corona_eigenprojectors(g: Graph, hs, cluster_tol: float | None = None) -> Sp
     dim = n * stride
     by_graph = _satellite_decompositions(hs)
     sat_decomps = [by_graph[h] for h in hs]
-    if cluster_tol is None:
-        cluster_tol = _corona_cluster_tol(g, by_graph, m)
-    elif cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
+    cluster_tol = _corona_cluster_tol(g, by_graph, m)
 
     # (value, multiplicity, satellite blocks [(cell, m x m)], class (c) factors)
     pieces = []
@@ -281,16 +285,7 @@ def corona_eigenprojectors(g: Graph, hs, cluster_tol: float | None = None) -> Sp
             pieces.append((value, mult, (), (f_lam, np.outer(w, w) / (w @ w))))
 
     pieces.sort(key=lambda p: p[0])
-    values, mults, slab_of = [], [], []
-    for value, mult, _, _ in pieces:
-        if values and value - values[-1] <= cluster_tol:
-            total = mults[-1] + mult
-            values[-1] = (values[-1] * mults[-1] + value * mult) / total
-            mults[-1] = total
-        else:
-            values.append(value)
-            mults.append(mult)
-        slab_of.append(len(values) - 1)
+    values, mults, slab_of = _cluster([p[0] for p in pieces], [p[1] for p in pieces], cluster_tol)
 
     projectors = np.zeros((len(values), dim, dim))
     for j, ((_, _, blocks, factors), k) in enumerate(zip(pieces, slab_of)):

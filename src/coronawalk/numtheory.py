@@ -16,9 +16,6 @@ INTEGRALITY_TOL = 1e-7
 # Exact-arithmetic range for squarefree_split.
 MAX_EXACT = 2**63 - 1
 
-RATIONAL = "rational"
-IRRATIONAL = "irrational"
-
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
@@ -109,14 +106,8 @@ def support_gcd_and_valuation(support) -> tuple[int, int]:
     return g, r
 
 
-def rationality_class(delta_sq: int) -> str:
-    """Whether sqrt(delta_sq) is rational: "rational" iff delta_sq is a
-    perfect square."""
-    return RATIONAL if is_perfect_square(int(delta_sq)) else IRRATIONAL
-
-
-def integer_eigenvalue(x: float, tol: float = INTEGRALITY_TOL) -> int | None:
+def integer_eigenvalue(x: float) -> int | None:
     """Round a numeric eigenvalue to an exact integer, or None if it is not
-    within tol of one."""
+    within INTEGRALITY_TOL of one."""
     k = round(float(x))
-    return k if abs(float(x) - k) < tol else None
+    return k if abs(float(x) - k) < INTEGRALITY_TOL else None

@@ -59,17 +59,42 @@ class CospectralityReport:
     signs: tuple
 
 
-def default_cluster_tol(mat: np.ndarray) -> float:
-    return CLUSTER_TOL_SCALE * max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
+    """Cluster ascending values by single linkage: neighbours whose gap is at
+    most tol share a cluster, so a chain of small gaps is one cluster however
+    long it gets.
+
+    Returns (means, totals, index): the mults-weighted mean and the total
+    multiplicity of each cluster, ascending, and the cluster index of each
+    input. Each mean is np.add.reduce(values[a:b] * mults[a:b]) / total,
+    which for unit mults is the arithmetic of np.mean. This is the one
+    clustering rule of the package; eigendecompose, the corona projectors and
+    CoronaSpectrum.eigenvalue_list all use it.
+    """
+    values = np.asarray(values, dtype=float)
+    mults = np.asarray(mults, dtype=int)
+    weighted = values * mults
+    vals, counts = values.tolist(), mults.tolist()
+    starts = [i for i in range(len(vals)) if i == 0 or vals[i] - vals[i - 1] > tol]
+    means, totals, index = [], [], []
+    for k, (a, b) in enumerate(zip(starts, starts[1:] + [len(vals)])):
+        total = sum(counts[a:b])
+        # A one-member sum is the member itself: skip the reduction call.
+        head = weighted[a] if b - a == 1 else np.add.reduce(weighted[a:b])
+        means.append(float(head / total))
+        totals.append(total)
+        index += [k] * (b - a)
+    return means, totals, index
 
 
-def eigendecompose(mat: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
+def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     """Decompose a real symmetric matrix into distinct eigenvalues and
     projectors.
 
-    Numerically equal eigenvalues are merged by single-linkage over the
-    ascending list: a gap <= cluster_tol joins two neighbors into one
-    eigenspace. Raises np.linalg.LinAlgError if the eigensolver fails.
+    Numerically equal eigenvalues are merged by _cluster: single linkage over
+    the ascending list, where a gap <= CLUSTER_TOL_SCALE * max(1, max|mat|)
+    joins two neighbours into one eigenspace, whose eigenvalue is the mean of
+    its members. Raises np.linalg.LinAlgError if the eigensolver fails.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -77,31 +102,20 @@ def eigendecompose(mat: np.ndarray, cluster_tol: float | None = None) -> Spectra
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     if mat.size and float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(mat)
-    elif cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
 
     dim = mat.shape[0]
     if dim == 0:
         return SpectralDecomposition(0, np.zeros(0), np.zeros((0, 0, 0)), ())
 
     w, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    splits = [0]
-    for i in range(1, dim):
-        if w[i] - w[i - 1] > cluster_tol:
-            splits.append(i)
-    splits.append(dim)
-
-    values = []
+    values, mults, _ = _cluster(w, [1] * dim, CLUSTER_TOL_SCALE * scale)
     projectors = []
-    mults = []
-    for a, b in zip(splits[:-1], splits[1:]):
-        block = vecs[:, a:b]
+    stop = 0
+    for mult in mults:
+        block = vecs[:, stop : stop + mult]
+        stop += mult
         proj = block @ block.T
         projectors.append((proj + proj.T) / 2.0)
-        values.append(float(np.mean(w[a:b])))
-        mults.append(b - a)
     return SpectralDecomposition(
         dim=dim,
         eigenvalues=np.array(values),

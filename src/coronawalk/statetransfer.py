@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum, corona_spectrum, lambda_pm
+from .corona_spectrum import CoronaSpectrum, _class_c, _delta, corona_spectrum
 from .graphs import Graph, cocktail_party_graph, complete_graph, is_connected, laplacian
-from .numtheory import integer_eigenvalue, is_perfect_square, support_gcd_and_valuation
+from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
     SpectralDecomposition,
@@ -32,7 +32,7 @@ from .spectral import (
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import PHASE_FLOOR, corona_transition_values, evolve_element
+from .walk import _element, corona_transition_values, evolve_element
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -89,6 +89,15 @@ class TransferVerdict:
     witness: str | None
 
 
+def _joint_support(d: SpectralDecomposition, *vertices) -> tuple[list, list, list]:
+    """The joint eigenvalue support of the vertices: its eigenvalue indices
+    ascending, their eigenvalues, and each eigenvalue as an exact integer or
+    None when it is not one."""
+    joint = sorted(set().union(*(eigenvalue_support(d, x).support for x in vertices)))
+    values = [float(d.eigenvalues[i]) for i in joint]
+    return joint, values, [integer_eigenvalue(x) for x in values]
+
+
 def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     """Decide Laplacian PST between u and v from a spectral decomposition.
 
@@ -100,9 +109,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     if u == v:
         raise ValueError("PST is a property of distinct vertices")
     report = strongly_cospectral(d, u, v)
-    joint = sorted(set(eigenvalue_support(d, u).support) | set(eigenvalue_support(d, v).support))
-    values = [float(d.eigenvalues[i]) for i in joint]
-    ints = [integer_eigenvalue(x) for x in values]
+    joint, values, ints = _joint_support(d, u, v)
     integer_support = all(k is not None for k in ints)
     support = tuple(ints) if integer_support else tuple(values)
 
@@ -195,27 +202,24 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
     for idx in eigenvalue_support(d, base_vertex).support:
         if idx == 0:
             continue  # the zero eigenvalue of the connected base
-        lam = float(d.eigenvalues[idx])
         weight = float(d.projectors[idx, base_vertex, base_vertex])
-        plus, minus = lambda_pm(lam, m)
+        pair = _class_c(float(d.eigenvalues[idx]), m, 1)
+        lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
         weights = tuple(
             (1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * weight for x in (plus, minus)
         )
         if min(weights) <= SUPPORT_TOL**2:
             continue
 
-        lam_int = integer_eigenvalue(lam)
-        if lam_int is not None:
-            delta_sq = (m + lam_int - 1) ** 2 + 4 * m
-            if is_perfect_square(delta_sq):
-                raise ArithmeticError(f"unexpected perfect square {delta_sq}")
+        if pair.delta_sq is not None:
+            if pair.c == 1:
+                raise ArithmeticError(f"unexpected perfect square {pair.delta_sq}")
             reason = (
-                f"(m+lam-1)^2 + 4m = {delta_sq} is not a perfect square, so "
-                f"lambda_pm = ({m + lam_int + 1} +/- sqrt({delta_sq}))/2 are irrational "
+                f"(m+lam-1)^2 + 4m = {pair.delta_sq} is not a perfect square, so "
+                f"lambda_pm = ({m + round(lam) + 1} +/- sqrt({pair.delta_sq}))/2 are irrational "
                 f"support eigenvalues of ({base_vertex},0)"
             )
         else:
-            delta_sq = None
             bad = [x for x in (plus, minus) if integer_eigenvalue(x) is None]
             reason = (
                 f"base eigenvalue {lam:.12g} is not an integer, so the support "
@@ -228,7 +232,7 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
             lam=lam,
             lam_plus=plus,
             lam_minus=minus,
-            delta_sq=delta_sq,
+            delta_sq=pair.delta_sq,
             support_weights=weights,
             reason=reason,
         )
@@ -255,15 +259,6 @@ class PgstSearchResult:
     best: PgstRecord
     history: tuple
     target_met: bool
-
-
-def _integer_support_values(g_decomp: SpectralDecomposition, u: int, v: int) -> list | None:
-    """Joint-support eigenvalues as exact integers, or None if any is not."""
-    joint = sorted(set(eigenvalue_support(g_decomp, u).support) | set(eigenvalue_support(g_decomp, v).support))
-    ints = [integer_eigenvalue(float(g_decomp.eigenvalues[i])) for i in joint]
-    if any(k is None for k in ints):
-        return None
-    return ints
 
 
 def pgst_search(
@@ -298,8 +293,8 @@ def pgst_search(
     m = cs.m
 
     if family == "shifted":
-        ints = _integer_support_values(g_decomp, u, v)
-        if ints is None:
+        _, _, ints = _joint_support(g_decomp, u, v)
+        if None in ints:
             raise ValueError("shifted family needs an all-integer eigenvalue support")
         _, r_support = support_gcd_and_valuation(ints)
         if r is None:
@@ -312,7 +307,7 @@ def pgst_search(
         r = None
 
     lam = g_decomp.eigenvalues
-    delta = np.sqrt((m + lam - 1.0) ** 2 + 4.0 * m)
+    delta = _delta(lam, m)
     pair_weights = g_decomp.projectors[:, u, v]
     if family == "shifted":
         targets = [1.0 if abs(float(w)) > SIGN_TOL else None for w in pair_weights]
@@ -328,14 +323,14 @@ def pgst_search(
         return (4.0 * ells + 2.0 ** (1 - r)) * math.pi
 
     def make_record(ell: int, t: float, value: complex) -> PgstRecord:
-        fidelity = float(abs(value) ** 2)
-        phase = complex(value / abs(value)) if fidelity >= PHASE_FLOOR else None
+        element = _element(t, u, v, value)
         residuals = tuple(
             None if tgt is None else float(abs(math.cos(0.5 * t * dl) - tgt))
             for dl, tgt in zip(delta, targets)
         )
         return PgstRecord(
-            family=family, r=r, ell=ell, t=t, fidelity=fidelity, phase=phase, residuals=residuals
+            family=family, r=r, ell=ell, t=t, fidelity=element.fidelity, phase=element.phase,
+            residuals=residuals,
         )
 
     best_fidelity = -1.0
@@ -376,11 +371,10 @@ def check_pgst_hypothesis(g_decomp: SpectralDecomposition, u: int, m: int) -> Pg
         if v != u and check_pst(g_decomp, u, v).pst:
             pst_pair = v
             break
-    support = eigenvalue_support(g_decomp, u).support
-    ints = [integer_eigenvalue(float(g_decomp.eigenvalues[i])) for i in support]
+    _, _, ints = _joint_support(g_decomp, u)
     r = None
     divisibility_ok = False
-    if all(k is not None for k in ints) and any(k != 0 for k in ints):
+    if None not in ints and any(ints):
         _, r = support_gcd_and_valuation(ints)
         divisibility_ok = (m + 1) % (2 ** (r + 1)) == 0
     return PgstHypothesis(pst_pair=pst_pair, r=r, divisibility_ok=divisibility_ok)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum
+from .corona_spectrum import CoronaSpectrum, _delta
 from .graphs import Graph, adjacency, laplacian
 from .spectral import SpectralDecomposition
 
@@ -101,7 +101,7 @@ def corona_transition_values(
     ts = np.asarray(ts, dtype=float)
     lam = g_decomp.eigenvalues
     weights = g_decomp.projectors[:, u, v]
-    delta = np.sqrt((m + lam - 1.0) ** 2 + 4.0 * m)
+    delta = _delta(lam, m)
     coef = (m + lam - 1.0) / delta
     half_t = 0.5 * ts
     osc = np.cos(np.outer(half_t, delta)) - 1j * coef[None, :] * np.sin(np.outer(half_t, delta))

@@ -7,6 +7,9 @@ import pytest
 from conftest import random_connected_graph, random_satellites
 
 from coronawalk import (
+    ClassA,
+    ClassB,
+    CoronaSpectrum,
     Graph,
     complete_graph,
     component_count,
@@ -262,9 +265,24 @@ def test_collision_merges_into_single_projector():
     assert abs(np.trace(proj) - 3.0) < 1e-10
 
 
-def test_cluster_tol_validation():
-    with pytest.raises(ValueError):
-        corona_eigenprojectors(complete_graph(2), [empty_graph(1)] * 2, cluster_tol=0.0)
+def test_eigenvalue_list_links_a_chain_like_eigendecompose():
+    # Class (b) values 0.9 * cluster_tol apart: single linkage joins all
+    # three; comparing each value with its cluster's running mean would
+    # split off the third.
+    tol = CLUSTER_TOL_SCALE * 3.0
+    chain = [3.0, 3.0 + 0.9 * tol, 3.0 + 1.8 * tol]
+    cs = CoronaSpectrum(
+        m=2,
+        class_a=ClassA(present=False, multiplicity=0),
+        class_b=tuple(ClassB(mu=x - 1.0, value=x, satellites=(0,), multiplicity=1) for x in chain),
+        class_c=(),
+        cluster_tol=tol,
+    )
+    listed = cs.eigenvalue_list()
+    assert [k for _, k in listed] == [3]
+    d = eigendecompose(np.diag(chain))
+    assert d.multiplicities == (3,)
+    assert abs(listed[0][0] - d.eigenvalues[0]) <= 1e-15
 
 
 def test_satellite_order_mismatch():
@@ -299,6 +317,10 @@ def test_projectors_bit_identical_to_kron_assembly(name):
     assert np.array_equal(d.eigenvalues, values)
     assert np.array_equal(d.projectors, projectors)
     assert d.multiplicities == mults
+    # The closed-form eigenvalue list clusters like the projectors, exactly.
+    listed = corona_spectrum(g, hs).eigenvalue_list()
+    assert [v for v, _ in listed] == list(d.eigenvalues)
+    assert tuple(k for _, k in listed) == d.multiplicities
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from coronawalk import (
     INTEGRALITY_TOL,
     integer_eigenvalue,
     is_perfect_square,
-    rationality_class,
     squarefree_split,
     support_gcd_and_valuation,
 )
@@ -85,13 +84,6 @@ def test_support_gcd_rejects_bad_input():
         support_gcd_and_valuation([0, 0])
     with pytest.raises(ValueError):
         support_gcd_and_valuation([])
-
-
-def test_rationality_class():
-    assert rationality_class(4) == "rational"
-    assert rationality_class(8) == "irrational"
-    for m in range(1, 51):
-        assert rationality_class((m + 1) ** 2 + 4 * m) == "irrational"
 
 
 def test_integer_eigenvalue_threshold():

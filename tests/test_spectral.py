@@ -72,8 +72,6 @@ def test_input_validation():
         eigendecompose(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigendecompose(np.zeros((2, 2)), cluster_tol=0.0)
 
 
 def test_near_degenerate_merging():
