@@ -28,7 +28,6 @@ from .graphs import (
     FAMILIES,
     Graph,
     build_named,
-    graph_from_dict,
     graph_to_dict,
     load_graph,
 )
@@ -38,7 +37,7 @@ from .statetransfer import (
     corona_no_pst_witness,
     pgst_search,
 )
-from .walk import evolve_element, fidelity_curve, transition_values, walk_matrix
+from .walk import fidelity_curve, transition_values, walk_matrix
 
 OUTDIR_ENV = "CORONAWALK_OUTDIR"
 

@@ -12,7 +12,9 @@ vertex keeps both lambda_pm in its support, and at least one of them is
 never an integer (exact arithmetic when the base eigenvalue is integral).
 PGST can survive; the searches here scan the time families t = 4*pi*ell
 and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
-target.
+target. A phase-table screen bounds each chunk of the scan and skips the
+chunks that cannot hold a record or a hit; the rest run the exact kernel
+as a whole, so every result keeps the bits of an unscreened scan.
 """
 
 from __future__ import annotations
@@ -281,8 +283,14 @@ def pgst_search(
     two dividing the support gcd; it needs integer support, a PST pair in
     the base, and 2^(r+1) | m+1, and its cosine targets are all +1.
 
-    Evaluation is sequential in ell with early exit at the first hit;
-    history records the strictly improving fidelities along the way.
+    The scan runs in chunks of _SEARCH_CHUNK consecutive ell and stops at
+    the first hit; history records the strictly improving fidelities along
+    the way. Past the first chunk a phase-table screen (_fidelity_screen)
+    bounds every fidelity of a chunk to within tol, and a chunk is skipped
+    when no value in it can be a record or a hit. Every other chunk goes
+    through corona_transition_values whole, exactly as in an unscreened
+    scan, so the records keep their bits: a product over a subset of rows
+    would round differently.
     """
     if family not in PGST_FAMILIES:
         raise ValueError(f"family must be one of {PGST_FAMILIES}, got {family!r}")
@@ -303,8 +311,8 @@ def pgst_search(
             raise ValueError(f"r={r} disagrees with the support value {r_support}")
         if (m + 1) % (2 ** (r + 1)) != 0:
             raise ValueError(f"shifted family needs 2^(r+1)={2 ** (r + 1)} to divide m+1={m + 1}")
-    else:
-        r = None
+    elif r is not None:
+        raise ValueError("r only applies to the shifted family")
 
     lam = g_decomp.eigenvalues
     delta = _delta(lam, m)
@@ -335,21 +343,65 @@ def pgst_search(
 
     best_fidelity = -1.0
     history: list[PgstRecord] = []
+    screen = None
     for start in range(1, ell_max + 1, _SEARCH_CHUNK):
-        ells = np.arange(start, min(start + _SEARCH_CHUNK, ell_max + 1))
+        stop = min(start + _SEARCH_CHUNK, ell_max + 1)
+        if start > 1:
+            # Built on reaching a second chunk: most searches end in the first.
+            if screen is None:
+                screen, tol = _fidelity_screen(lam, delta, pair_weights, m, time_of(ell_max))
+            if screen(time_of(start), stop - start).max() < min(best_fidelity, target) - tol:
+                continue
+        ells = np.arange(start, stop)
         ts = time_of(ells.astype(float))
         values = corona_transition_values(cs, g_decomp, u, v, ts)
         fidelities = np.abs(values) ** 2
         hits = np.nonzero(fidelities >= target)[0]
-        stop = int(hits[0]) if hits.size else None
-        last = stop + 1 if stop is not None else len(ells)
-        for i in range(last):
-            if fidelities[i] > best_fidelity:
-                best_fidelity = float(fidelities[i])
-                history.append(make_record(int(ells[i]), float(ts[i]), complex(values[i])))
-        if stop is not None:
+        last = int(hits[0]) + 1 if hits.size else len(ells)
+        running = np.maximum.accumulate(np.concatenate(([best_fidelity], fidelities[:last])))
+        for i in np.nonzero(fidelities[:last] > running[:-1])[0]:
+            history.append(make_record(int(ells[i]), float(ts[i]), complex(values[i])))
+        best_fidelity = float(running[-1])
+        if hits.size:
             return PgstSearchResult(best=history[-1], history=tuple(history), target_met=True)
     return PgstSearchResult(best=history[-1], history=tuple(history), target_met=False)
+
+
+def _fidelity_screen(lam, delta, weights, m: int, t_max: float):
+    """A cheap stand-in for |corona_transition_values|^2 along a PGST time
+    family up to t_max, and the bound tol on its distance from the exact
+    fidelity.
+
+    Splitting cos(x) - i c sin(x) = ((1+c) e^{-ix} + (1-c) e^{ix})/2 turns
+    the element into e^{-it(m+1)/2} sum_j a_j e^{-it omega_j}, with
+    omega = (lam +/- Delta)/2 and a = w (1 +/- (m+lam-1)/Delta)/2. The
+    fidelity drops the prefactor, and t advances by exactly 4*pi per ell on
+    both families, so screen(t0, n) reads the n fidelities from t0 on as
+    |T[:n] @ (a e^{-i t0 omega})|^2 with one table T[i, j] = e^{-i 4 pi i omega_j}.
+
+    Bound: the kernel builds a term's phase from the angles t*lam/2 and
+    t*Delta/2, the screen from t0*omega_j and 4*pi*i*omega_j. Each angle is
+    at most t_max*max|omega| and carries at most three roundings (Delta
+    itself is shared), so a term's two phases differ by under
+    4*eps*t_max*max|omega|. S = sum|a_j| = sum|w| bounds |value| on both
+    sides (|c| < 1), and ||z|^2 - |z'|^2| <= 2S|z - z'|, so the fidelities
+    differ by under 8*eps*S^2*t_max*max|omega|, plus O(k*eps*S^2) from the
+    trig calls, products and the 2k-term sum. That remainder is negligible:
+    a screen runs only past the first chunk, where t_max*max|omega| >
+    4*pi*2048 (max|omega| >= Delta/2 >= sqrt(m) >= 1).
+    tol takes 64 for the 8.
+    """
+    coef = (m + lam - 1.0) / delta
+    omega = 0.5 * np.concatenate((lam + delta, lam - delta))
+    amps = 0.5 * np.concatenate((weights * (1.0 + coef), weights * (1.0 - coef)))
+    size = float(np.sum(np.abs(amps)))
+    tol = 64.0 * np.finfo(float).eps * size * size * t_max * float(np.max(np.abs(omega)))
+    table = np.exp(-1j * np.outer(4.0 * math.pi * np.arange(_SEARCH_CHUNK), omega))
+
+    def screen(t0: float, n: int) -> np.ndarray:
+        return np.abs(table[:n] @ (amps * np.exp(-1j * t0 * omega))) ** 2
+
+    return screen, tol
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,39 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and the frozen PGST fixture coronas shared by
+the test modules."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from coronawalk import Graph, is_connected
+from coronawalk import (
+    Graph,
+    cocktail_party_graph,
+    complete_graph,
+    empty_graph,
+    hypercube_graph,
+    is_connected,
+    path_graph,
+)
+
+PGST_BOUNDS = json.loads((Path(__file__).parent / "fixtures" / "pgst_bounds.json").read_text())
+
+MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
+
+
+def fixture_corona(name: str):
+    """(base, satellites) of a case in fixtures/pgst_bounds.json."""
+    if name.startswith("k2_empty"):
+        m = int(name[len("k2_empty"):])
+        return complete_graph(2), [empty_graph(m)] * 2
+    if name == "q2_mixed3":
+        return hypercube_graph(2), MIXED3
+    if name.startswith("cocktail") and name.endswith("_k1"):
+        n = int(name[len("cocktail"):-len("_k1")])
+        return cocktail_party_graph(n), [complete_graph(1)] * (2 * n)
+    raise ValueError(f"unknown fixture case {name!r}")
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:

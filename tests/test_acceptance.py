@@ -4,15 +4,19 @@ Run with `pytest tests/test_acceptance.py` (output capture is disabled in the
 project config so the lines appear inline).
 """
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
-from conftest import random_connected_graph, random_graph, random_satellites
+from conftest import (
+    MIXED3,
+    PGST_BOUNDS,
+    fixture_corona,
+    random_connected_graph,
+    random_graph,
+    random_satellites,
+)
 
 from coronawalk import (
-    Graph,
     antipodal_sign_check,
     check_pst,
     cocktail_party_graph,
@@ -37,10 +41,6 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -170,24 +170,11 @@ def test_criterion_4_no_pst_in_coronas():
     )
 
 
-def _build_fixture_corona(name: str):
-    if name.startswith("k2_empty"):
-        m = int(name[len("k2_empty"):])
-        return complete_graph(2), [empty_graph(m)] * 2
-    if name == "q2_mixed3":
-        return hypercube_graph(2), MIXED3
-    if name.startswith("cocktail") and name.endswith("_k1"):
-        n = int(name[len("cocktail"):-len("_k1")])
-        return cocktail_party_graph(n), [complete_graph(1)] * (2 * n)
-    raise ValueError(f"unknown fixture case {name!r}")
-
-
 def test_criterion_5_pgst_frozen_bounds():
-    doc = json.loads((FIXTURES / "pgst_bounds.json").read_text())
     ok = True
     names = []
-    for case in doc["cases"]:
-        g, hs = _build_fixture_corona(case["name"])
+    for case in PGST_BOUNDS["cases"]:
+        g, hs = fixture_corona(case["name"])
         cs = corona_spectrum(g, hs)
         g_decomp = eigendecompose(laplacian(g))
         result = pgst_search(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph
 
 from coronawalk import (
     Graph,
@@ -27,8 +28,8 @@ from coronawalk import (
     pgst_search,
     squarefree_split,
 )
-
-MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
+from coronawalk import statetransfer
+from coronawalk.walk import _element, corona_transition_values
 
 
 def decomp(g):
@@ -263,6 +264,118 @@ def test_search_validation():
         pgst_search(cs, gd, 0, 1, "four_pi_ell", target=1.0)
     with pytest.raises(ValueError):
         pgst_search(cs, gd, 0, 1, "four_pi_ell", target=-0.1)
+    with pytest.raises(ValueError):
+        pgst_search(cs, gd, 0, 1, "four_pi_ell", r=2)  # r belongs to the shifted family
+
+
+def plain_scan(cs, gd, u, v, family, r, ell_max, target):
+    """Reference for pgst_search: the unscreened scan it replaced. Every
+    chunk of 2048 ell goes through the exact kernel and a per-ell loop picks
+    the records. Returns ((ell, t, fidelity, phase) per record, target met)."""
+    best, records = -1.0, []
+    for start in range(1, ell_max + 1, 2048):
+        ells = np.arange(start, min(start + 2048, ell_max + 1)).astype(float)
+        if family == "four_pi_ell":
+            ts = 4.0 * math.pi * ells
+        else:
+            ts = (4.0 * ells + 2.0 ** (1 - r)) * math.pi
+        values = corona_transition_values(cs, gd, u, v, ts)
+        fidelities = np.abs(values) ** 2
+        for i in range(len(ells)):
+            if fidelities[i] > best:
+                best = float(fidelities[i])
+                element = _element(float(ts[i]), u, v, complex(values[i]))
+                records.append((int(ells[i]), float(ts[i]), element.fidelity, element.phase))
+            if fidelities[i] >= target:
+                return records, True
+    return records, False
+
+
+def _screen_cases():
+    """name -> (base, satellites, u, v, family, r, ell_max, target)."""
+    cases = {}
+    for case in PGST_BOUNDS["cases"]:
+        g, hs = fixture_corona(case["name"])
+        cases[case["name"]] = (g, hs, case["u"], case["v"], case["family"], case["r"], 20_000, 0.9999)
+    rng = np.random.default_rng(5)
+    k2 = complete_graph(2)
+    cases.update(
+        # irrational Laplacian eigenvalues 2 -/+ sqrt(2)
+        p4_random_sats=(path_graph(4), [random_graph(rng, 3) for _ in range(4)], 0, 3, "four_pi_ell", None,
+                        20_000, 0.9999),
+        q2_shifted_deep=(hypercube_graph(2), MIXED3, 0, 3, "shifted", 1, 30_000, 0.999999),
+        one_row_last_chunk=(k2, [empty_graph(1)] * 2, 0, 1, "four_pi_ell", None, 2 * 2048 + 1, 0.999999999),
+        below_one_chunk=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 2000, 0.9999999),
+        target_zero=(cocktail_party_graph(3), [complete_graph(1)] * 6, 0, 3, "four_pi_ell", None, 20_000, 0.0),
+    )
+    return cases
+
+
+SCREEN_CASES = _screen_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_screened_search_equals_plain_scan(name):
+    g, hs, u, v, family, r, ell_max, target = SCREEN_CASES[name]
+    cs, gd = search_setup(g, hs)
+    result = pgst_search(cs, gd, u, v, family, r=r, ell_max=ell_max, target=target)
+    records, met = plain_scan(cs, gd, u, v, family, r, ell_max, target)
+    assert [(rec.ell, rec.t, rec.fidelity, rec.phase) for rec in result.history] == records
+    assert result.target_met == met
+    assert result.best == result.history[-1]
+
+
+def test_screen_skips_chunks_without_records(monkeypatch):
+    # The unscreened scan runs all 98 chunks of this search through the
+    # exact kernel; the screen leaves the first chunk and the few that hold
+    # a record.
+    calls = []
+
+    def counted(cs, gd, u, v, ts):
+        calls.append(len(ts))
+        return corona_transition_values(cs, gd, u, v, ts)
+
+    monkeypatch.setattr(statetransfer, "corona_transition_values", counted)
+    cs, gd = search_setup(hypercube_graph(2), MIXED3)
+    pgst_search(cs, gd, 0, 3, "shifted", r=1, ell_max=200_000, target=0.999999)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("name", ["q2_mixed3", "cocktail3_k1", "cocktail5_k1"])
+def test_screen_stays_within_its_bound(monkeypatch, name):
+    case = next(c for c in PGST_BOUNDS["cases"] if c["name"] == name)
+    g, hs = fixture_corona(name)
+    cs, gd = search_setup(g, hs)
+    screened = {}
+    bounds = []
+    make_screen = statetransfer._fidelity_screen
+
+    def recording_screen(*args):
+        screen, tol = make_screen(*args)
+        bounds.append(tol)
+
+        def recorded(t0, n):
+            screened[t0] = screen(t0, n)
+            return screened[t0]
+
+        return recorded, tol
+
+    exact = {}
+
+    def recording_kernel(cs, gd, u, v, ts):
+        values = corona_transition_values(cs, gd, u, v, ts)
+        exact[float(ts[0])] = np.abs(values) ** 2
+        return values
+
+    monkeypatch.setattr(statetransfer, "_fidelity_screen", recording_screen)
+    monkeypatch.setattr(statetransfer, "corona_transition_values", recording_kernel)
+    pgst_search(cs, gd, case["u"], case["v"], case["family"], r=case["r"], ell_max=300_000, target=0.999999)
+    (tol,) = bounds
+    evaluated = sorted(set(screened) & set(exact))
+    assert evaluated, "no chunk was both screened and evaluated"
+    gap = max(float(np.max(np.abs(screened[t0] - exact[t0]))) for t0 in evaluated)
+    # tol / 8 is the rounding bound itself, before the screen's headroom.
+    assert gap < tol / 8
 
 
 def test_vanishing_pair_entry_gets_no_residual_target():
