@@ -13,8 +13,6 @@ irrational, and the integrality condition fails before anything else is
 asked. This script shows the witness machinery and the exact arithmetic.
 """
 
-import numpy as np
-
 from coronawalk import (
     build_named,
     corona_laplacian_blocks,

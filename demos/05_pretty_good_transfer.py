@@ -22,7 +22,6 @@ from coronawalk import (
     check_pgst_hypothesis,
     cocktail_pgst,
     corona,
-    corona_laplacian_blocks,
     corona_spectrum,
     eigendecompose,
     fidelity_curve,

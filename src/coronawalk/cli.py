@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ _SHORTHAND = {
     "p": "path",
     "c": "cycle",
     "q": "hypercube",
+    "cocktail": "cocktail_party",
 }
 
 _FAMILY_ALIASES = {
@@ -54,36 +54,6 @@ _FAMILY_ALIASES = {
     "four_pi_ell": "four_pi_ell",
     "shifted": "shifted",
 }
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed run parameters, embedded in every output header."""
-
-    command: str
-    flags: dict
-    seed: int
-    output: str
-    format: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "flags": dict(self.flags),
-            "seed": self.seed,
-            "output": self.output,
-            "format": self.format,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            command=d["command"],
-            flags=dict(d["flags"]),
-            seed=int(d["seed"]),
-            output=d["output"],
-            format=d["format"],
-        )
 
 
 def _fmt(x: float) -> float:
@@ -116,17 +86,18 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _config_from(args: argparse.Namespace, fmt: str) -> ExperimentConfig:
-    skip = {"func", "seed", "output"}
+def _config_from(args: argparse.Namespace, fmt: str) -> dict:
+    """The run header embedded in every output: the command, its flags, seed,
+    output target and format."""
+    skip = {"func", "command", "seed", "output"}
     flags = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    flags.pop("command", None)
-    return ExperimentConfig(
-        command=args.command,
-        flags=_jsonable(flags),
-        seed=args.seed,
-        output=args.output,
-        format=fmt,
-    )
+    return {
+        "command": args.command,
+        "flags": _jsonable(flags),
+        "seed": args.seed,
+        "output": args.output,
+        "format": fmt,
+    }
 
 
 def _write_text(target: str, text: str) -> None:
@@ -136,15 +107,15 @@ def _write_text(target: str, text: str) -> None:
         Path(target).write_text(text)
 
 
-def _emit_json(config: ExperimentConfig, payload: dict) -> None:
-    doc = {"config": config.to_dict()}
+def _emit_json(config: dict, payload: dict) -> None:
+    doc = {"config": config}
     doc.update(_jsonable(payload))
-    _write_text(config.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(config["output"], json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(config: ExperimentConfig, elements) -> str:
+def _csv_text(config: dict, elements) -> str:
     lines = [
-        "# config " + json.dumps(_jsonable(config.to_dict()), sort_keys=True),
+        "# config " + json.dumps(config, sort_keys=True),
         "t,fidelity,phase_re,phase_im",
     ]
     for el in elements:
@@ -171,8 +142,6 @@ def parse_graph_spec(spec: str) -> Graph:
         family, _, arg = spec.partition(":")
         family = family.strip().lower()
         family = _SHORTHAND.get(family, family)
-        if family == "cocktail":
-            family = "cocktail_party"
         try:
             size = int(arg)
         except ValueError:
@@ -182,8 +151,6 @@ def parse_graph_spec(spec: str) -> Graph:
     if match:
         name, size = match.group(1), int(match.group(2))
         family = _SHORTHAND.get(name, name)
-        if family == "cocktail":
-            family = "cocktail_party"
         if family in FAMILIES:
             return build_named(family, size)
     raise ValueError(f"cannot parse graph spec {spec!r}")
@@ -211,6 +178,14 @@ def _record_dict(record) -> dict:
     d = dataclasses.asdict(record)
     d["t_over_pi"] = d["t"] / math.pi
     return d
+
+
+def _search_dict(result) -> dict:
+    return {
+        "target_met": result.target_met,
+        "best": _record_dict(result.best),
+        "history": [_record_dict(rec) for rec in result.history],
+    }
 
 
 def cmd_build(args) -> int:
@@ -284,7 +259,7 @@ def cmd_fidelity(args) -> int:
         g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
         elements = fidelity_curve(cs, args.from_vertex, args.to_vertex, ts, g_decomp=g_decomp)
     config = _config_from(args, "csv")
-    _write_text(config.output, _csv_text(config, elements))
+    _write_text(config["output"], _csv_text(config, elements))
     return 0
 
 
@@ -322,25 +297,22 @@ def cmd_pgst_search(args) -> int:
         ell_max=args.ell_max,
         target=args.target,
     )
-    config = _config_from(args, "json")
-    _emit_json(
-        config,
-        {
-            "target_met": result.target_met,
-            "best": _record_dict(result.best),
-            "history": [_record_dict(rec) for rec in result.history],
-        },
-    )
+    _emit_json(_config_from(args, "json"), _search_dict(result))
     return 0 if result.target_met else 2
 
 
-def _figure_curve(cs, g_decomp, u, v, t_end, path, config) -> None:
-    ts = np.linspace(0.0, t_end, 2001)
-    elements = fidelity_curve(cs, u, v, ts, g_decomp=g_decomp)
-    _write_text(str(path), _csv_text(config, elements))
+def _figure_search(g, hs, u, v, family, r, target, path, config):
+    """PGST search on G corona hs between base vertices u and v, with the
+    closed-form fidelity curve up to the best time written to path as CSV."""
+    cs = corona_spectrum(g, hs)
+    g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
+    result = pgst_search(cs, g_decomp, u, v, family, r=r, ell_max=10_000, target=target)
+    ts = np.linspace(0.0, result.best.t, 2001)
+    _write_text(str(path), _csv_text(config, fidelity_curve(cs, u, v, ts, g_decomp=g_decomp)))
+    return result
 
 
-def _fig2(outdir: Path, config: ExperimentConfig) -> tuple:
+def _fig2(outdir: Path, config: dict) -> tuple:
     """Hypercube Q2 with the four distinct 3-vertex satellites; shifted-family
     PGST between antipodal base vertices."""
     g = build_named("hypercube", 2)
@@ -350,28 +322,17 @@ def _fig2(outdir: Path, config: ExperimentConfig) -> tuple:
         build_named("path", 3),
         build_named("complete", 3),
     ]
-    cs = corona_spectrum(g, hs)
-    g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
-    result = pgst_search(cs, g_decomp, 0, 3, "shifted", r=1, ell_max=10_000, target=0.99)
-    _figure_curve(cs, g_decomp, 0, 3, result.best.t, outdir / "fig2_curve.csv", config)
-    summary = {
-        "target": 0.99,
-        "target_met": result.target_met,
-        "best": _record_dict(result.best),
-        "history": [_record_dict(rec) for rec in result.history],
-    }
-    return summary, ["fig2_curve.csv"], result.target_met
+    result = _figure_search(g, hs, 0, 3, "shifted", 1, 0.99, outdir / "fig2_curve.csv", config)
+    return {"target": 0.99, **_search_dict(result)}, ["fig2_curve.csv"], result.target_met
 
 
-def _fig3(outdir: Path, config: ExperimentConfig) -> tuple:
+def _fig3(outdir: Path, config: dict) -> tuple:
     """Double star K2 corona O6: Laplacian PGST at t = 4*pi*ell versus the
     adjacency walk's best fidelity over a dense grid."""
     g = build_named("complete", 2)
     hs = [build_named("empty", 6)] * 2
-    cs = corona_spectrum(g, hs)
-    g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
-    result = pgst_search(cs, g_decomp, 0, 1, "four_pi_ell", ell_max=10_000, target=0.999)
-    _figure_curve(cs, g_decomp, 0, 1, result.best.t, outdir / "fig3_laplacian_curve.csv", config)
+    path = outdir / "fig3_laplacian_curve.csv"
+    result = _figure_search(g, hs, 0, 1, "four_pi_ell", None, 0.999, path, config)
 
     flat = corona(g, hs).flat
     adj = eigendecompose(walk_matrix(flat, "adjacency"))
@@ -395,22 +356,13 @@ def _fig3(outdir: Path, config: ExperimentConfig) -> tuple:
     return summary, files, result.target_met
 
 
-def _fig4(outdir: Path, config: ExperimentConfig) -> tuple:
+def _fig4(outdir: Path, config: dict) -> tuple:
     """Cocktail party graph on 6 vertices with one pendant per site; PGST
     between an antipodal base pair at t = 4*pi*ell."""
     g = build_named("cocktail_party", 3)
     hs = [build_named("complete", 1)] * g.n
-    cs = corona_spectrum(g, hs)
-    g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
-    result = pgst_search(cs, g_decomp, 0, 3, "four_pi_ell", ell_max=10_000, target=0.99)
-    _figure_curve(cs, g_decomp, 0, 3, result.best.t, outdir / "fig4_curve.csv", config)
-    summary = {
-        "target": 0.99,
-        "target_met": result.target_met,
-        "best": _record_dict(result.best),
-        "history": [_record_dict(rec) for rec in result.history],
-    }
-    return summary, ["fig4_curve.csv"], result.target_met
+    result = _figure_search(g, hs, 0, 3, "four_pi_ell", None, 0.99, outdir / "fig4_curve.csv", config)
+    return {"target": 0.99, **_search_dict(result)}, ["fig4_curve.csv"], result.target_met
 
 
 _FIGURES = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
@@ -431,7 +383,7 @@ def cmd_figures(args) -> int:
         all_met = all_met and met
     for name in names:
         path = outdir / f"{name}_summary.json"
-        doc = {"config": config.to_dict(), "summary": _jsonable(summaries[name])}
+        doc = {"config": config, "summary": _jsonable(summaries[name])}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         written.append(str(path))
     _emit_json(config, {"summaries": summaries, "files": written})

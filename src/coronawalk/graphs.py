@@ -60,10 +60,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return sum(1 for a, b in self.edges if a == u or b == u)
 
-    def neighbors(self, u: int) -> list[int]:
-        out = [b if a == u else a for a, b in self.edges if a == u or b == u]
-        return sorted(out)
-
 
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix (float entries, exact values)."""

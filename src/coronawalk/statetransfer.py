@@ -298,6 +298,8 @@ def pgst_search(
         raise ValueError("ell_max must be >= 1")
     if not (0.0 <= target < 1.0):
         raise ValueError("target must lie in [0, 1)")
+    if u == v:
+        raise ValueError("PGST is a property of distinct vertices")
     m = cs.m
 
     if family == "shifted":

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from coronawalk import Graph, graph_from_dict, save_graph
-from coronawalk.cli import ExperimentConfig, main, parse_graph_spec, parse_satellites
+from coronawalk.cli import main, parse_graph_spec, parse_satellites
 
 
 def run(capsys, *argv):
@@ -35,12 +35,16 @@ def test_spectrum_projectors_and_kind(capsys):
     assert doc["projectors"][0] == [[0.5, -0.5], [-0.5, 0.5]]
 
 
-def test_config_round_trips(capsys):
+def test_config_header(capsys):
     rc, doc = run_json(capsys, "spectrum", "--graph", "p4")
-    config = ExperimentConfig.from_dict(doc["config"])
-    assert config.to_dict() == doc["config"]
-    assert config.command == "spectrum"
-    assert config.seed == 0 and config.output == "-" and config.format == "json"
+    assert rc == 0
+    assert doc["config"] == {
+        "command": "spectrum",
+        "flags": {"graph": "p4", "kind": "laplacian", "projectors": False},
+        "seed": 0,
+        "output": "-",
+        "format": "json",
+    }
 
 
 def test_build_and_file_round_trip(capsys, tmp_path):
@@ -184,6 +188,9 @@ def test_pgst_search_default_pair_and_satellite_file(capsys, tmp_path):
     assert doc["best"]["r"] == 1
     assert "from_vertex" not in doc["config"]["flags"]  # None flags are omitted
     assert doc["best"]["t_over_pi"] == 4 * doc["best"]["ell"] + 1
+
+    # on a one-vertex base the default pair (0, n-1) is one vertex: no transfer to search
+    assert run(capsys, "pgst-search", "--g", "k1", "--h", "o3", "--family", "4pi")[0] == 1
 
 
 def test_parse_errors_exit_1(capsys):

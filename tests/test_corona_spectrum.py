@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_connected_graph, random_satellites
+from conftest import MIXED3, random_connected_graph, random_satellites
 
 from coronawalk import (
     ClassA,
@@ -13,7 +13,6 @@ from coronawalk import (
     Graph,
     complete_graph,
     component_count,
-    corona,
     corona_eigenprojectors,
     corona_laplacian_blocks,
     corona_spectrum,
@@ -27,8 +26,6 @@ from coronawalk import (
     reconstruct,
 )
 from coronawalk.spectral import CLUSTER_TOL_SCALE
-
-MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
 
 
 def labelled_copies(h, count):

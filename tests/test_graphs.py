@@ -44,11 +44,9 @@ def test_edge_normalization_and_validation():
         Graph(2, frozenset(), labels={5: "x"})
 
 
-def test_degree_and_neighbors():
+def test_degree():
     g = path_graph(4)
     assert [g.degree(i) for i in range(4)] == [1, 2, 2, 1]
-    assert g.neighbors(1) == [0, 2]
-    assert g.neighbors(0) == [1]
 
 
 def test_laplacian_small_cases():

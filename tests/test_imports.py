@@ -1,12 +1,15 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a module imports is used in that module: the library, the
+tests, the demos and the tools."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parents[1] / "src" / "coronawalk"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "coronawalk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for folder in ("tests", "demos", "tools") for p in (ROOT / folder).glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -22,7 +25,11 @@ def imported_names(tree: ast.Module) -> dict:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [str(p.relative_to(ROOT)) for p in SCRIPTS],
+)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -6,7 +6,6 @@ import pytest
 from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph
 
 from coronawalk import (
-    Graph,
     IndeterminateVerdictError,
     SpectralDecomposition,
     antipodal_sign_check,
@@ -266,6 +265,8 @@ def test_search_validation():
         pgst_search(cs, gd, 0, 1, "four_pi_ell", target=-0.1)
     with pytest.raises(ValueError):
         pgst_search(cs, gd, 0, 1, "four_pi_ell", r=2)  # r belongs to the shifted family
+    with pytest.raises(ValueError):
+        pgst_search(cs, gd, 0, 0, "four_pi_ell")  # a return probability, not a transfer
 
 
 def plain_scan(cs, gd, u, v, family, r, ell_max, target):

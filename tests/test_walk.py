@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_connected_graph, random_graph
+from conftest import MIXED3, random_graph
 
 from coronawalk import (
-    Graph,
     adjacency,
     cocktail_party_graph,
     complete_graph,
@@ -25,8 +24,6 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
-
-MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
 
 
 def test_walk_matrix_kinds():
