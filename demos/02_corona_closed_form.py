@@ -4,8 +4,8 @@ Corona products and their closed-form Laplacian spectrum
 
 The corona G o (H_1, ..., H_n) hangs one satellite graph off each vertex of
 a base graph. Its Laplacian spectrum never needs a dense eigensolver: the
-eigenvalues come in three explicit classes, and the eigenprojectors are
-assembled from the factors. This script builds a mixed-satellite corona and
+eigenvalues come in three explicit classes, and the eigenvectors are built
+from those of the factors. This script builds a mixed-satellite corona and
 checks the closed form against the dense oracle.
 """
 

@@ -11,8 +11,8 @@ vertices), the corona Laplacian eigenvalues split into three classes:
       lam of L(G), where Delta = sqrt((m + lam - 1)^2 + 4m).
 
 Multiplicities always total n(m+1). Distinct classes can land on the same
-value (e.g. mu = m from class (b) meets lambda_plus(0) = m + 1); projectors
-of colliding values are summed into one eigenspace.
+value (e.g. mu = m from class (b) meets lambda_plus(0) = m + 1); the
+eigenvectors of colliding values span one eigenspace.
 """
 
 from __future__ import annotations
@@ -232,18 +232,17 @@ def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
 def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     """Closed-form spectral decomposition of the corona Laplacian.
 
-    Assembles, per class: (a) blocks F_0(H_l) - J_m/m on each disconnected
-    satellite cell at value 1; (b) F_mu(H_l) on its cell at value mu + 1;
-    (c) F_lam(G) (x) w w^T/||w||^2 with w = (1 - lambda_pm, 1, ..., 1) at
-    value lambda_pm. Values are merged by _cluster, the rule eigendecompose
-    uses: single linkage over the ascending piece values with a gap of
-    CLUSTER_TOL_SCALE times the corona Laplacian max-norm, at the
-    multiplicity-weighted mean. Colliding pieces share one eigenspace, so the
-    result is a genuine decomposition into distinct eigenvalues.
-
-    The values are clustered first, then the (k, dim, dim) projector stack is
-    allocated once and every piece is written or added into its slab in
-    place, in ascending value order; no dim x dim temporary is formed. Each
+    Writes the eigenvector columns of each class into one zeroed dim x dim
+    array: (a) per disconnected satellite cell, an orthonormal basis of its
+    satellite kernel with the all-ones direction projected out, at value 1;
+    (b) the eigenvector block of F_mu(H_l) in its cell's rows, at value
+    mu + 1; (c) B_lam (x) w/||w|| with B_lam the base eigenvector block of
+    lam and w = (1 - lambda_pm, 1, ..., 1), at value lambda_pm. Values are
+    merged by _cluster, the rule eigendecompose uses: single linkage over the
+    ascending piece values with a gap of CLUSTER_TOL_SCALE times the corona
+    Laplacian max-norm, at the multiplicity-weighted mean. Colliding pieces
+    share one eigenspace, so the result is a genuine decomposition into
+    distinct eigenvalues, and its projectors are built only when read. Each
     distinct satellite is eigendecomposed once per call, and nothing is kept
     between calls.
     """
@@ -254,58 +253,55 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     dim = n * stride
     by_graph = _satellite_decompositions(hs)
     sat_decomps = [by_graph[h] for h in hs]
+    sat_blocks = {h: d.blocks() for h, d in by_graph.items()}
     cluster_tol = _corona_cluster_tol(g, by_graph, m)
 
-    # (value, multiplicity, satellite blocks [(cell, m x m)], class (c) factors)
+    # (value, multiplicity, satellite column blocks [(cell, m x k)], class (c) columns)
     pieces = []
 
     a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
     if a_mult > 0:
-        blocks = [
-            (ell, d.projectors[0] - 1.0 / m)
-            for ell, d in enumerate(sat_decomps)
-            if d.multiplicities[0] > 1
-        ]
+        blocks = []
+        for ell, h in enumerate(hs):
+            kernel = sat_blocks[h][0]
+            if kernel.shape[1] > 1:
+                # The ones direction in kernel coordinates; complete it to an
+                # orthonormal basis and keep the other columns.
+                ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
+                basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
+                blocks.append((ell, kernel @ basis))
         pieces.append((1.0, a_mult, blocks, None))
 
     for mu, members, mult in _class_b_pieces(sat_decomps, cluster_tol):
-        # Sum one cell's projectors before adding them to the slab, so the
-        # additions happen in the same order as summing whole pieces.
-        cells = {}
-        for ell, i in members:
-            proj = sat_decomps[ell].projectors[i]
-            cells[ell] = cells[ell] + proj if ell in cells else proj
-        pieces.append((mu + 1.0, mult, list(cells.items()), None))
+        blocks = [(ell, sat_blocks[hs[ell]][i]) for ell, i in members]
+        pieces.append((mu + 1.0, mult, blocks, None))
 
     g_decomp = eigendecompose(laplacian(g))
-    for lam, mult, f_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.projectors):
+    for lam, mult, b_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.blocks()):
         for value in lambda_pm(float(lam), m):
             w = np.ones(stride)
             w[0] = 1.0 - value
-            pieces.append((value, mult, (), (f_lam, np.outer(w, w) / (w @ w))))
+            pieces.append((value, mult, (), np.kron(b_lam, (w / np.linalg.norm(w))[:, None])))
 
     pieces.sort(key=lambda p: p[0])
-    values, mults, slab_of = _cluster([p[0] for p in pieces], [p[1] for p in pieces], cluster_tol)
+    values, mults, _ = _cluster([p[0] for p in pieces], [p[1] for p in pieces], cluster_tol)
 
-    projectors = np.zeros((len(values), dim, dim))
-    for j, ((_, _, blocks, factors), k) in enumerate(zip(pieces, slab_of)):
-        slab = projectors[k]
+    # Clusters are runs of the sorted pieces, so each piece's columns follow
+    # the previous piece's.
+    vectors = np.zeros((dim, dim))
+    col = 0
+    for _, mult, blocks, columns in pieces:
         for ell, block in blocks:
-            cell = slice(ell * stride + 1, (ell + 1) * stride)
-            slab[cell, cell] += block
-        if factors is None:
-            continue
-        f_lam, ww = factors
-        view = slab.reshape(n, stride, n, stride)
-        if j == 0 or slab_of[j - 1] != k:
-            np.multiply(f_lam[:, None, :, None], ww[None, :, None, :], out=view)
-        else:
-            for u in range(n):  # one base row at a time: no dim x dim temporary
-                view[u] += f_lam[u, None, :, None] * ww[:, None, :]
+            k = block.shape[1]
+            vectors[ell * stride + 1 : (ell + 1) * stride, col : col + k] = block
+            col += k
+        if columns is not None:
+            vectors[:, col : col + mult] = columns
+            col += mult
 
     return SpectralDecomposition(
         dim=dim,
         eigenvalues=np.array(values),
-        projectors=projectors,
+        vectors=vectors,
         multiplicities=tuple(mults),
     )

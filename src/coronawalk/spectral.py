@@ -1,6 +1,6 @@
-"""Symmetric eigendecomposition into distinct eigenvalues and orthogonal
-eigenprojectors, plus eigenvalue supports and strong cospectrality of vertex
-pairs."""
+"""Symmetric eigendecomposition into distinct eigenvalues and blocks of
+orthonormal eigenvectors (eigenprojectors on demand), plus eigenvalue
+supports and strong cospectrality of vertex pairs."""
 
 from __future__ import annotations
 
@@ -20,18 +20,53 @@ STRONG_COSPECTRAL_TOL = 1e-8
 CLUSTER_TOL_SCALE = 1e-8
 
 
+class _Projectors:
+    """The projectors field of SpectralDecomposition: a stack passed to the
+    constructor (or to dataclasses.replace) is kept as given; otherwise the
+    first read builds it from the eigenvector blocks and caches it."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return None  # the field default: build on first read
+        stack = obj.__dict__[self.slot]
+        if stack is None:
+            stack = np.empty((len(obj.multiplicities), obj.dim, obj.dim))
+            for proj, block in zip(stack, obj.blocks()):
+                full = block @ block.T
+                proj[...] = (full + full.T) / 2.0
+            obj.__dict__[self.slot] = stack
+        return stack
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct ascending eigenvalues with their orthogonal eigenprojectors.
+    """Distinct ascending eigenvalues with orthonormal eigenvectors.
 
-    projectors[i] is the dim x dim symmetric projector onto the eigenspace of
-    eigenvalues[i]; multiplicities[i] is its rank.
+    vectors is dim x dim; its columns are grouped by ascending eigenvalue,
+    multiplicities[i] of them spanning the eigenspace of eigenvalues[i].
+    projectors[i] is the dim x dim symmetric projector onto that eigenspace;
+    the (k, dim, dim) stack is built from vectors on first read unless one
+    was passed in. dataclasses.replace reads it, so the copy carries this
+    stack (built if need be) unless projectors=None is passed as well.
     """
 
     dim: int
     eigenvalues: np.ndarray
-    projectors: np.ndarray
+    vectors: np.ndarray
     multiplicities: tuple
+    projectors: np.ndarray = _Projectors()
+
+    def blocks(self) -> list:
+        """Per eigenvalue, its dim x multiplicity block of eigenvector
+        columns, as views of vectors."""
+        stops = np.cumsum(self.multiplicities, dtype=int)
+        return [self.vectors[:, stop - mult : stop] for mult, stop in zip(self.multiplicities, stops)]
 
 
 @dataclass(frozen=True)
@@ -89,7 +124,7 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
 
 def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     """Decompose a real symmetric matrix into distinct eigenvalues and
-    projectors.
+    their eigenvector blocks.
 
     Numerically equal eigenvalues are merged by _cluster: single linkage over
     the ascending list, where a gap <= CLUSTER_TOL_SCALE * max(1, max|mat|)
@@ -105,28 +140,22 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
 
     dim = mat.shape[0]
     if dim == 0:
-        return SpectralDecomposition(0, np.zeros(0), np.zeros((0, 0, 0)), ())
+        return SpectralDecomposition(0, np.zeros(0), np.zeros((0, 0)), ())
 
     w, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
     values, mults, _ = _cluster(w, [1] * dim, CLUSTER_TOL_SCALE * scale)
-    projectors = []
-    stop = 0
-    for mult in mults:
-        block = vecs[:, stop : stop + mult]
-        stop += mult
-        proj = block @ block.T
-        projectors.append((proj + proj.T) / 2.0)
     return SpectralDecomposition(
         dim=dim,
         eigenvalues=np.array(values),
-        projectors=np.array(projectors),
+        vectors=vecs,
         multiplicities=tuple(mults),
     )
 
 
 def reconstruct(d: SpectralDecomposition) -> np.ndarray:
-    """Sum of eigenvalue * projector; recovers the decomposed matrix."""
-    return np.tensordot(d.eigenvalues, d.projectors, axes=1)
+    """V diag(eigenvalue) V^T; recovers the decomposed matrix."""
+    lam = np.repeat(d.eigenvalues, d.multiplicities)
+    return (d.vectors * lam) @ d.vectors.T
 
 
 def eigenvalue_support(d: SpectralDecomposition, u: int) -> SupportInfo:

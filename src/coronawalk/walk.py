@@ -2,8 +2,10 @@
 decomposition, plus the closed-form corona transition element.
 
 M is either the Laplacian (XYZ model) or the adjacency matrix (XY model).
-Everything is evaluated through eigenprojectors, never a series matrix
-exponential, so unitarity holds to the quality of the projector algebra.
+Everything is evaluated through the spectral decomposition, never a series
+matrix exponential: matrix elements through projector entries, the full
+operator as V diag(e^{-i lam t}) V^T from the eigenvectors, so unitarity
+holds to their orthonormality.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ def evolve_element(d: SpectralDecomposition, u: int, v: int, t: float) -> Transi
 
 
 def evolve_operator(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """The full unitary U(t) = sum_lam e^{-i lam t} F_lam."""
-    phases = np.exp(-1j * float(t) * d.eigenvalues)
-    return np.tensordot(phases, d.projectors.astype(complex), axes=1)
+    """The full unitary U(t) = sum_lam e^{-i lam t} F_lam = V diag(e^{-i lam t}) V^T."""
+    phases = np.exp(-1j * float(t) * np.repeat(d.eigenvalues, d.multiplicities))
+    return (d.vectors * phases) @ d.vectors.T
 
 
 def _check_base_consistency(cs: CoronaSpectrum, g_decomp: SpectralDecomposition) -> None:

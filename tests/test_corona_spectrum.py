@@ -312,8 +312,11 @@ def test_projectors_bit_identical_to_kron_assembly(name):
     d = corona_eigenprojectors(g, hs)
     values, projectors, mults = kron_assembly(g, hs)
     assert np.array_equal(d.eigenvalues, values)
-    assert np.array_equal(d.projectors, projectors)
     assert d.multiplicities == mults
+    # The projectors are built from the eigenvector columns, not summed from
+    # pieces, so they match the assembly to rounding, not bit for bit.
+    assert np.max(np.abs(d.projectors - projectors)) <= 1e-14
+    assert np.max(np.abs(d.vectors.T @ d.vectors - np.eye(d.dim))) <= 1e-13
     # The closed-form eigenvalue list clusters like the projectors, exactly.
     listed = corona_spectrum(g, hs).eigenvalue_list()
     assert [v for v, _ in listed] == list(d.eigenvalues)
@@ -326,9 +329,9 @@ def test_projectors_bit_identical_to_kron_assembly(name):
     ids=["C30oP10", "C20oK6"],
 )
 def test_projector_assembly_peak_memory(g, hs):
-    # The stack is allocated once and filled in place: the peak stays near
-    # the size of the result, where a per-piece list plus a final stack
-    # copy needs about twice it.
+    # One dim x dim array of eigenvector columns and no projector stack: the
+    # traced peak stays within twice the size of the vectors, where building
+    # the (k, dim, dim) stack needs about k times it.
     corona_eigenprojectors(g, hs)  # warm-up
     tracemalloc.start()
     try:
@@ -336,7 +339,7 @@ def test_projector_assembly_peak_memory(g, hs):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * d.projectors.nbytes
+    assert peak <= 2 * d.vectors.nbytes
 
 
 def test_one_eigensolve_per_distinct_satellite(monkeypatch):

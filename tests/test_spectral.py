@@ -1,17 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from conftest import random_symmetric_int_matrix
+from conftest import random_graph, random_symmetric_int_matrix
 
 from coronawalk import (
     Graph,
+    SpectralDecomposition,
     cocktail_party_graph,
     complete_graph,
+    corona,
     eigendecompose,
     eigenvalue_support,
+    empty_graph,
+    hypercube_graph,
     laplacian,
     path_graph,
     reconstruct,
     strongly_cospectral,
+    walk_matrix,
 )
 
 
@@ -65,6 +72,56 @@ def test_projector_algebra_random():
                 expect = fi if i == j else np.zeros_like(fi)
                 assert np.max(np.abs(prod - expect)) < 1e-9
         assert np.max(np.abs(reconstruct(d) - mat)) < 1e-9
+
+
+def loop_projectors(mat):
+    """Reference for the dense projector stack: the loop eigendecompose ran
+    when it built the stack eagerly, over the same eigensolve and grouping."""
+    d = eigendecompose(mat)
+    _, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    projectors = []
+    stop = 0
+    for mult in d.multiplicities:
+        block = vecs[:, stop : stop + mult]
+        stop += mult
+        proj = block @ block.T
+        projectors.append((proj + proj.T) / 2.0)
+    return np.array(projectors)
+
+
+def criterion_8_matrices():
+    """The walk matrices of the acceptance criterion 8 loop, replaying its
+    draws from the same seed."""
+    rng = np.random.default_rng(2034)
+    mats = []
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.9)))
+        mats.append(walk_matrix(g, "laplacian" if rng.integers(2) else "adjacency"))
+        rng.uniform(0.0, 50.0)
+        rng.integers(0, n, size=2)
+        rng.uniform(0.0, 12.0)
+        rng.integers(1, 9)
+    return mats
+
+
+def test_lazy_projectors_equal_the_eager_loop():
+    figure_bases = [hypercube_graph(2), complete_graph(2), cocktail_party_graph(3)]
+    mats = [laplacian(g) for g in figure_bases]
+    mats.append(walk_matrix(corona(complete_graph(2), [empty_graph(6)] * 2).flat, "adjacency"))
+    mats += criterion_8_matrices()
+    for mat in mats:
+        assert np.array_equal(eigendecompose(mat).projectors, loop_projectors(mat))
+
+    # A stack passed in is kept as given, never rebuilt from the vectors.
+    d = eigendecompose(laplacian(path_graph(4)))
+    stack = d.projectors.copy()
+    stack[0, 0, 0] += 1e-6
+    given = SpectralDecomposition(d.dim, d.eigenvalues, d.vectors, d.multiplicities, projectors=stack)
+    assert given.projectors is stack
+    assert dataclasses.replace(d, projectors=stack).projectors is stack
+    # None asks for the stack to be built from the vectors again.
+    assert np.array_equal(dataclasses.replace(given, projectors=None).projectors, d.projectors)
 
 
 def test_input_validation():

@@ -111,11 +111,10 @@ def test_tiny_projector_entry_is_indeterminate():
     x1 = np.array([eps, eps, math.sqrt(1.0 - 2.0 * eps * eps)])
     x2 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     x3 = np.cross(x1, x2)
-    projectors = np.array([np.outer(x, x) for x in (x1, x2, x3)])
     d = SpectralDecomposition(
         dim=3,
         eigenvalues=np.array([0.0, 2.0, 4.0]),
-        projectors=projectors,
+        vectors=np.column_stack([x1, x2, x3]),
         multiplicities=(1, 1, 1),
     )
     with pytest.raises(IndeterminateVerdictError) as exc:
