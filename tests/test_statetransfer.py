@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,19 +7,24 @@ import pytest
 from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph
 
 from coronawalk import (
+    CospectralityReport,
     IndeterminateVerdictError,
+    PstConditions,
     SpectralDecomposition,
+    SupportInfo,
     antipodal_sign_check,
     check_pgst_hypothesis,
     check_pst,
     cocktail_party_graph,
     cocktail_pgst,
     complete_graph,
+    corona,
     corona_eigenprojectors,
     corona_no_pst_witness,
     corona_spectrum,
     cycle_graph,
     eigendecompose,
+    eigenvalue_support,
     empty_graph,
     hypercube_graph,
     integer_eigenvalue,
@@ -26,8 +32,11 @@ from coronawalk import (
     path_graph,
     pgst_search,
     squarefree_split,
+    strongly_cospectral,
+    support_gcd_and_valuation,
 )
 from coronawalk import statetransfer
+from coronawalk.spectral import STRONG_COSPECTRAL_TOL, SUPPORT_TOL
 from coronawalk.walk import _element, corona_transition_values
 
 
@@ -120,6 +129,92 @@ def test_tiny_projector_entry_is_indeterminate():
     with pytest.raises(IndeterminateVerdictError) as exc:
         check_pst(d, 0, 1)
     assert exc.value.lam == 0
+
+
+def loop_eigenvalue_support(d, u):
+    """Reference for eigenvalue_support: its weights read one entry at a
+    time."""
+    norms = np.linalg.norm(d.projectors[:, :, u], axis=1)
+    support = tuple(int(i) for i in np.nonzero(norms > SUPPORT_TOL)[0])
+    weights = tuple(float(d.projectors[i, u, u]) for i in range(len(d.eigenvalues)))
+    return SupportInfo(vertex=u, support=support, weights=weights)
+
+
+def loop_strongly_cospectral(d, u, v):
+    """Reference for strongly_cospectral: the per-eigenvalue loop it ran,
+    plus min(res+, res-) per eigenvalue (None outside the joint support)."""
+    signs, residuals, ok = [], [], True
+    for proj in d.projectors:
+        a, b = proj[:, u], proj[:, v]
+        if np.linalg.norm(a) <= SUPPORT_TOL and np.linalg.norm(b) <= SUPPORT_TOL:
+            signs.append(None)
+            residuals.append(None)
+            continue
+        res_plus, res_minus = float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b))
+        signs.append(1 if res_plus <= res_minus else -1)
+        residuals.append(min(res_plus, res_minus))
+        ok = ok and residuals[-1] <= STRONG_COSPECTRAL_TOL
+    return CospectralityReport(u=u, v=v, strongly_cospectral=ok, signs=tuple(signs)), residuals
+
+
+def loop_check_pst(d, u, v):
+    """Reference for check_pst's conditions, support and g: the loop pieces
+    above, the joint support as the union of the two vertex supports, and
+    one projector read per support eigenvalue."""
+    report, _ = loop_strongly_cospectral(d, u, v)
+    joint = sorted(set(loop_eigenvalue_support(d, u).support) | set(loop_eigenvalue_support(d, v).support))
+    values = [float(d.eigenvalues[i]) for i in joint]
+    ints = [integer_eigenvalue(x) for x in values]
+    integer_support = None not in ints
+    g = support_gcd_and_valuation(ints)[0] if integer_support and any(ints) else None
+    sign_ok = report.strongly_cospectral and g is not None
+    if sign_ok:
+        for idx, lam in zip(joint, ints):
+            w = float(d.projectors[idx, u, v])
+            if abs(w) < statetransfer.SIGN_TOL:
+                raise IndeterminateVerdictError(lam, u, v)
+            if (w > 0) != ((lam // g) % 2 == 0):
+                sign_ok = False
+                break
+    conditions = PstConditions(report.strongly_cospectral, integer_support, sign_ok)
+    return conditions, tuple(ints) if integer_support else tuple(values), g
+
+
+def oracle_graphs():
+    rng = np.random.default_rng(4242)
+    graphs = [hypercube_graph(k) for k in (1, 2, 3, 4)]
+    graphs += [cocktail_party_graph(n) for n in (2, 3, 4, 5)]
+    graphs += [random_graph(rng, int(rng.integers(3, 10))) for _ in range(8)]
+    graphs += [
+        corona(base, sats).flat
+        for base, sats in [
+            (complete_graph(2), [empty_graph(3)] * 2),
+            (path_graph(3), [complete_graph(2)] * 3),
+            (cycle_graph(4), [path_graph(2)] * 4),
+            (hypercube_graph(2), MIXED3),
+        ]
+    ]
+    return graphs
+
+
+def test_whole_stack_reads_equal_the_loops():
+    for g in oracle_graphs():
+        d = decomp(g)
+        for u in range(g.n):
+            assert eigenvalue_support(d, u) == loop_eigenvalue_support(d, u)
+            for v in range(u + 1, g.n):
+                report = strongly_cospectral(d, u, v)
+                want, residuals = loop_strongly_cospectral(d, u, v)
+                assert report.strongly_cospectral == want.strongly_cospectral
+                assert [x is None for x in report.signs] == [x is None for x in want.signs]
+                # Elsewhere the sign may be a rounding tie (F e_u orthogonal to F e_v).
+                for got, sign, res in zip(report.signs, want.signs, residuals):
+                    if res is not None and res <= STRONG_COSPECTRAL_TOL:
+                        assert got == sign
+                verdict = check_pst(d, u, v)
+                conditions, support, gcd = loop_check_pst(d, u, v)
+                assert (verdict.conditions, verdict.support, verdict.g) == (conditions, support, gcd)
+                assert verdict.pst == all(dataclasses.astuple(conditions))
 
 
 # ------------------------------------------------- corona_no_pst_witness
