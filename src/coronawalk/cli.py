@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -36,7 +37,13 @@ from .statetransfer import (
     corona_no_pst_witness,
     pgst_search,
 )
-from .walk import fidelity_curve, transition_values, walk_matrix
+from .walk import (
+    PHASE_FLOOR,
+    _fidelity_phase,
+    corona_transition_values,
+    transition_values,
+    walk_matrix,
+)
 
 OUTDIR_ENV = "CORONAWALK_OUTDIR"
 
@@ -113,17 +120,17 @@ def _emit_json(config: dict, payload: dict) -> None:
     _write_text(config["output"], json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(config: dict, elements) -> str:
+def _csv_text(config: dict, ts: np.ndarray, values: np.ndarray) -> str:
+    """The fidelity CSV of transition values on the times ts; the phase
+    fields are empty below PHASE_FLOOR."""
+    fidelity, phase = _fidelity_phase(values)
     lines = [
         "# config " + json.dumps(config, sort_keys=True),
         "t,fidelity,phase_re,phase_im",
     ]
-    for el in elements:
-        if el.phase is None:
-            pre = pim = ""
-        else:
-            pre, pim = f"{el.phase.real:.12g}", f"{el.phase.imag:.12g}"
-        lines.append(f"{el.t:.12g},{el.fidelity:.12g},{pre},{pim}")
+    for t, f, pre, pim in zip(ts.tolist(), fidelity.tolist(), phase.real.tolist(), phase.imag.tolist()):
+        tail = f"{pre:.12g},{pim:.12g}" if f >= PHASE_FLOOR else ","
+        lines.append(f"{t:.12g},{f:.12g},{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,11 +250,15 @@ def cmd_corona_spectrum(args) -> int:
 def cmd_fidelity(args) -> int:
     if (args.g is None) == (args.graph is None):
         raise ValueError("give exactly one of --graph or --g/--h")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if not math.isfinite(args.t_max):
+        raise ValueError(f"--t-max must be finite, got {args.t_max}")
     ts = np.linspace(0.0, args.t_max, args.steps)
+    u, v = args.from_vertex, args.to_vertex
     if args.graph is not None:
         g = parse_graph_spec(args.graph)
-        d = eigendecompose(walk_matrix(g, args.kind))
-        elements = fidelity_curve(d, args.from_vertex, args.to_vertex, ts)
+        values = transition_values(eigendecompose(walk_matrix(g, args.kind)), u, v, ts)
     else:
         if args.h is None:
             raise ValueError("--g needs --h")
@@ -257,9 +268,9 @@ def cmd_fidelity(args) -> int:
         hs = parse_satellites(args.h, g.n)
         cs = corona_spectrum(g, hs)
         g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
-        elements = fidelity_curve(cs, args.from_vertex, args.to_vertex, ts, g_decomp=g_decomp)
+        values = corona_transition_values(cs, g_decomp, u, v, ts)
     config = _config_from(args, "csv")
-    _write_text(config["output"], _csv_text(config, elements))
+    _write_text(config["output"], _csv_text(config, ts, values))
     return 0
 
 
@@ -308,7 +319,7 @@ def _figure_search(g, hs, u, v, family, r, target, path, config):
     g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
     result = pgst_search(cs, g_decomp, u, v, family, r=r, ell_max=10_000, target=target)
     ts = np.linspace(0.0, result.best.t, 2001)
-    _write_text(str(path), _csv_text(config, fidelity_curve(cs, u, v, ts, g_decomp=g_decomp)))
+    _write_text(str(path), _csv_text(config, ts, corona_transition_values(cs, g_decomp, u, v, ts)))
     return result
 
 
@@ -340,8 +351,9 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     grid = np.linspace(0.0, 2000.0, 200_000)
     fidelities = np.abs(transition_values(adj, u, v, grid)) ** 2
     best_idx = int(np.argmax(fidelities))
-    curve = fidelity_curve(adj, u, v, np.linspace(0.0, 2000.0, 2001))
-    _write_text(str(outdir / "fig3_adjacency_curve.csv"), _csv_text(config, curve))
+    ts = np.linspace(0.0, 2000.0, 2001)
+    curve = _csv_text(config, ts, transition_values(adj, u, v, ts))
+    _write_text(str(outdir / "fig3_adjacency_curve.csv"), curve)
 
     summary = {
         "target": 0.999,
@@ -370,6 +382,8 @@ _FIGURES = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
 
 def cmd_figures(args) -> int:
     names = list(_FIGURES) if args.which == "all" else [args.which]
+    if args.outdir is None:
+        args.outdir = os.environ.get(OUTDIR_ENV, ".")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_from(args, "json")
@@ -454,15 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("figures", cmd_figures, "reproduce the three experiment figures (CSV + JSON)")
     p.add_argument("which", choices=["fig2", "fig3", "fig4", "all"])
-    p.add_argument("--outdir", default=os.environ.get(OUTDIR_ENV, "."))
+    p.add_argument("--outdir", help=f"default ${OUTDIR_ENV} or the current directory")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call reuses, built on the first one: importing
+    the module builds nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return 1

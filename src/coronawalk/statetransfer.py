@@ -34,7 +34,7 @@ from .spectral import (
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _element, corona_transition_values, evolve_element
+from .walk import TransitionElement, _records, corona_transition_values, evolve_element
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -336,8 +336,8 @@ def pgst_search(
             return 4.0 * math.pi * ells
         return (4.0 * ells + 2.0 ** (1 - r)) * math.pi
 
-    def make_record(ell: int, t: float, value: complex) -> PgstRecord:
-        element = _element(t, u, v, value)
+    def make_record(ell: int, element: TransitionElement) -> PgstRecord:
+        t = element.t
         residuals = tuple(
             None if tgt is None else float(abs(math.cos(0.5 * t * dl) - tgt))
             for dl, tgt in zip(delta, targets)
@@ -365,8 +365,9 @@ def pgst_search(
         hits = np.nonzero(fidelities >= target)[0]
         last = int(hits[0]) + 1 if hits.size else len(ells)
         running = np.maximum.accumulate(np.concatenate(([best_fidelity], fidelities[:last])))
-        for i in np.nonzero(fidelities[:last] > running[:-1])[0]:
-            history.append(make_record(int(ells[i]), float(ts[i]), complex(values[i])))
+        new = np.nonzero(fidelities[:last] > running[:-1])[0]
+        for ell, element in zip(ells[new].tolist(), _records(ts[new], u, v, values[new])):
+            history.append(make_record(ell, element))
         best_fidelity = float(running[-1])
         if hits.size:
             return PgstSearchResult(best=history[-1], history=tuple(history), target_met=True)

@@ -6,6 +6,10 @@ Everything is evaluated through the spectral decomposition, never a series
 matrix exponential: matrix elements through projector entries, the full
 operator as V diag(e^{-i lam t}) V^T from the eigenvectors, so unitarity
 holds to their orthonormality.
+
+Fidelity and phase follow one rule, `_fidelity_phase`, for records and for
+the CLI's CSV rows alike: fidelity hypot(re, im)**2, phase value/hypot(re, im),
+and no phase below PHASE_FLOOR.
 """
 
 from __future__ import annotations
@@ -37,10 +41,32 @@ class TransitionElement:
     phase: complex | None
 
 
+def _fidelity_phase(values) -> tuple:
+    """Fidelity |value|^2 and unit phase value/|value| of an array of
+    transition values; a phase is meaningful only where its fidelity is at
+    least PHASE_FLOOR (an exact zero gives nan).
+
+    The modulus is np.hypot and the square np.float_power: these give the
+    bits of the scalar abs(value) ** 2 on numpy scalars, where np.abs on a
+    complex array and ** 2 on a float array round differently in some entries.
+    """
+    values = np.asarray(values, dtype=complex)
+    modulus = np.hypot(values.real, values.imag)
+    with np.errstate(invalid="ignore"):
+        phase = values / modulus
+    return np.float_power(modulus, 2.0), phase
+
+
+def _records(ts: np.ndarray, u: int, v: int, values: np.ndarray) -> list:
+    fidelity, phase = _fidelity_phase(values)
+    return [
+        TransitionElement(t=t, u=u, v=v, value=value, fidelity=f, phase=p if f >= PHASE_FLOOR else None)
+        for t, value, f, p in zip(ts.tolist(), values.tolist(), fidelity.tolist(), phase.tolist())
+    ]
+
+
 def _element(t: float, u: int, v: int, value: complex) -> TransitionElement:
-    fidelity = float(abs(value) ** 2)
-    phase = complex(value / abs(value)) if fidelity >= PHASE_FLOOR else None
-    return TransitionElement(t=float(t), u=u, v=v, value=complex(value), fidelity=fidelity, phase=phase)
+    return _records(np.array([float(t)]), u, v, np.array([value], dtype=complex))[0]
 
 
 def walk_matrix(g: Graph, kind: str = "laplacian") -> np.ndarray:
@@ -138,4 +164,4 @@ def fidelity_curve(source, u: int, v: int, t_grid, *, g_decomp: SpectralDecompos
         values = transition_values(source, u, v, ts)
     else:
         raise TypeError(f"expected SpectralDecomposition or CoronaSpectrum, got {type(source).__name__}")
-    return [_element(t, u, v, value) for t, value in zip(ts, values)]
+    return _records(ts, u, v, values)

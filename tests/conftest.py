@@ -1,5 +1,5 @@
-"""Seeded random generators and the frozen PGST fixture coronas shared by
-the test modules."""
+"""Seeded random generators, the frozen PGST fixture coronas and the scalar
+fidelity/phase reference shared by the test modules."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from coronawalk import (
     is_connected,
     path_graph,
 )
+from coronawalk.walk import PHASE_FLOOR
 
 PGST_BOUNDS = json.loads((Path(__file__).parent / "fixtures" / "pgst_bounds.json").read_text())
 
@@ -61,3 +62,12 @@ def random_symmetric_int_matrix(rng: np.random.Generator, dim: int, bound: int =
     iu = np.triu_indices(dim)
     mat[iu] = rng.integers(-bound, bound + 1, size=len(iu[0]))
     return mat + np.triu(mat, 1).T
+
+
+def scalar_fidelity_phase(value):
+    """Reference for the fidelity/phase rule: the scalar arithmetic records
+    were built with, one numpy scalar at a time, before the rule went to
+    arrays. Returns (fidelity, phase), phase None below PHASE_FLOOR."""
+    fidelity = float(abs(value) ** 2)
+    phase = complex(value / abs(value)) if fidelity >= PHASE_FLOOR else None
+    return fidelity, phase

@@ -2,10 +2,25 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from conftest import MIXED3, random_connected_graph, scalar_fidelity_phase
 
-from coronawalk import Graph, graph_from_dict, save_graph
-from coronawalk.cli import main, parse_graph_spec, parse_satellites
+from coronawalk import (
+    Graph,
+    build_named,
+    corona,
+    corona_spectrum,
+    corona_transition_values,
+    eigendecompose,
+    graph_from_dict,
+    hypercube_graph,
+    laplacian,
+    save_graph,
+    transition_values,
+    walk_matrix,
+)
+from coronawalk.cli import _csv_text, main, parse_graph_spec, parse_satellites
 
 
 def run(capsys, *argv):
@@ -118,6 +133,62 @@ def test_fidelity_csv(capsys, tmp_path):
     assert again.read_bytes().replace(str(again).encode(), b"X") == out.read_bytes().replace(
         str(out).encode(), b"X"
     )
+
+
+def loop_csv_text(config, ts, values):
+    """Reference for _csv_text: the writer the CLI ran on one TransitionElement
+    record per time, before rows were written from arrays."""
+    lines = [
+        "# config " + json.dumps(config, sort_keys=True),
+        "t,fidelity,phase_re,phase_im",
+    ]
+    for t, value in zip(ts, values):
+        fidelity, phase = scalar_fidelity_phase(value)
+        if phase is None:
+            pre = pim = ""
+        else:
+            pre, pim = f"{phase.real:.12g}", f"{phase.imag:.12g}"
+        lines.append(f"{float(t):.12g},{fidelity:.12g},{pre},{pim}")
+    return "\n".join(lines) + "\n"
+
+
+def relabelled(g, rng):
+    perm = rng.permutation(g.n)
+    return Graph(g.n, frozenset(tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in g.edges))
+
+
+def test_csv_text_equals_the_record_writer():
+    rng = np.random.default_rng(4242)
+    config = {"command": "fidelity", "format": "csv"}
+    graphs = [relabelled(hypercube_graph(d), rng) for d in (3, 3, 4, 4)]
+    graphs += [random_connected_graph(rng, n, 0.4) for n in (6, 10, 13, 16)]
+    curves = []
+    for g in graphs:
+        u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        ts = np.linspace(0.0, float(rng.uniform(5.0, 20.0)), 1001)
+        curves.append((ts, transition_values(eigendecompose(laplacian(g)), u, v, ts)))
+    base = hypercube_graph(2)
+    ts = np.linspace(0.0, 200.0, 2001)
+    cs = corona_spectrum(base, MIXED3)
+    curves.append((ts, corona_transition_values(cs, eigendecompose(laplacian(base)), 0, 3, ts)))
+    double_star = corona(build_named("complete", 2), [build_named("empty", 6)] * 2).flat
+    ts = np.linspace(0.0, 2000.0, 2001)
+    curves.append((ts, transition_values(eigendecompose(walk_matrix(double_star, "adjacency")), 0, 7, ts)))
+
+    for ts, values in curves:
+        text = _csv_text(config, ts, values)
+        assert text == loop_csv_text(config, ts, values)
+        assert ",,\n" in text  # t = 0 lies below the phase floor
+
+
+def test_fidelity_grid_guards(capsys):
+    argv = ["fidelity", "--graph", "k2", "--from", "0", "--to", "1"]
+    for bad in (["--t-max", "nan"], ["--t-max", "inf"], ["--t-max", "-inf"],
+                ["--t-max", "1", "--steps", "0"], ["--t-max", "1", "--steps", "-3"]):
+        rc, out = run(capsys, *argv, *bad)
+        assert (rc, out) == (1, "")
+    rc, out = run(capsys, *argv, "--t-max", "1", "--steps", "1")
+    assert rc == 0 and out.splitlines()[2] == "0,0,,"
 
 
 def test_fidelity_corona_and_errors(capsys):
@@ -245,9 +316,37 @@ def test_figures_all(capsys, tmp_path):
 
 def test_figures_outdir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CORONAWALK_OUTDIR", str(tmp_path))
-    rc, _ = run_json(capsys, "figures", "fig4")
+    rc, doc = run_json(capsys, "figures", "fig4")
     assert rc == 0
     assert (tmp_path / "fig4_summary.json").exists()
+    assert doc["config"]["flags"]["outdir"] == str(tmp_path)
+
+
+def test_parser_reused_across_calls(capsys, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    rc, fig = run_json(capsys, "figures", "fig4", "--outdir", str(first))
+    assert rc == 0
+    files = {path.name: path.read_bytes() for path in first.iterdir()}
+    rc, other = run_json(capsys, "figures", "fig4", "--outdir", str(second), "--seed", "3")
+    assert rc == 0
+    curve = tmp_path / "curve.csv"
+    assert main(["fidelity", "--graph", "q3", "--from", "0", "--to", "7", "--t-max", "2",
+                 "--steps", "5", "--kind", "adjacency", "--output", str(curve)]) == 0
+    rc, pst = run_json(capsys, "pst-check", "--graph", "q3", "--from", "0", "--to", "7")
+    assert rc == 0
+    rc, again = run_json(capsys, "figures", "fig4", "--outdir", str(first))
+    assert rc == 0
+
+    assert (fig["config"]["flags"], fig["config"]["seed"]) == ({"which": "fig4", "outdir": str(first)}, 0)
+    assert (other["config"]["flags"], other["config"]["seed"]) == ({"which": "fig4", "outdir": str(second)}, 3)
+    header = json.loads(curve.read_text().splitlines()[0][len("# config "):])
+    assert header["flags"] == {
+        "graph": "q3", "from_vertex": 0, "to_vertex": 7, "t_max": 2.0, "steps": 5, "kind": "adjacency",
+    }
+    assert (header["output"], header["seed"]) == (str(curve), 0)
+    assert pst["config"]["flags"] == {"graph": "q3", "from_vertex": 0, "to_vertex": 7}
+    assert again == fig
+    assert {path.name: path.read_bytes() for path in first.iterdir()} == files
 
 
 def test_module_entry_point():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import MIXED3, random_graph
+from conftest import MIXED3, random_graph, scalar_fidelity_phase
 
 from coronawalk import (
     adjacency,
@@ -24,6 +24,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
+from coronawalk.walk import PHASE_FLOOR, _element, _fidelity_phase
 
 
 def test_walk_matrix_kinds():
@@ -179,6 +180,32 @@ def test_fidelity_curve_dispatch():
         fidelity_curve(d, 0, 1, ts, g_decomp=d)
     with pytest.raises(TypeError):
         fidelity_curve(laplacian(g), 0, 1, ts)
+
+
+def test_fidelity_phase_matches_the_scalar_rule():
+    rng = np.random.default_rng(808)
+    n = 100_000
+    scale = 10.0 ** rng.uniform(-14.0, 1.0, n)
+    values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    values[::500] = 0.0
+    values[1::500] = complex(-0.0, -0.0)
+    values[2::500] = 1e-12 * rng.uniform(0.999, 1.001, len(values[2::500]))  # at the phase floor
+    values[3::500] = values[3::500].real  # pure real, pure imaginary
+    values[4::500] = 1j * values[4::500].imag
+    fidelity, phase = _fidelity_phase(values)
+
+    reference = [scalar_fidelity_phase(value) for value in values]
+    assert np.array_equal(fidelity, [f for f, _ in reference])
+    has_phase = np.array([p is not None for _, p in reference])
+    assert np.array_equal(has_phase, fidelity >= PHASE_FLOOR)
+    assert 1_000 < np.count_nonzero(~has_phase) < n // 2
+    expected = np.array([p for _, p in reference if p is not None])
+    assert np.array_equal(phase[has_phase].view(np.uint64), expected.view(np.uint64))  # signed zeros too
+
+    # Records take their fields from the same rule.
+    for value, (f, p) in zip(values[:2_000], reference[:2_000]):
+        el = _element(1.5, 0, 1, value)
+        assert (el.fidelity, el.phase, el.value, el.t) == (f, p, complex(value), 1.5)
 
 
 def test_vertex_range_validation():
