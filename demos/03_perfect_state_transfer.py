@@ -16,8 +16,8 @@ from coronawalk import (
     build_named,
     check_pst,
     eigendecompose,
-    evolve_element,
     laplacian,
+    transition_values,
 )
 
 
@@ -59,5 +59,5 @@ print(f"C5: pst={verdict.pst}  witness: {verdict.witness}")
 # re-verify by hand for Q3.
 d = decomp("hypercube", 3)
 verdict = check_pst(d, 0, 7)
-element = evolve_element(d, 0, 7, verdict.t0)
-print(f"Q3 direct evolution at t0: fidelity={element.fidelity:.15f}  phase={element.phase:.6f}")
+value = transition_values(d, 0, 7, [verdict.t0])[0]
+print(f"Q3 direct evolution at t0: fidelity={abs(value) ** 2:.15f}  phase={value / abs(value):.6f}")

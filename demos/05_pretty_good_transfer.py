@@ -23,8 +23,8 @@ from coronawalk import (
     cocktail_pgst,
     corona,
     corona_spectrum,
+    corona_transition_values,
     eigendecompose,
-    fidelity_curve,
     laplacian,
     pgst_search,
     transition_values,
@@ -86,7 +86,8 @@ fidelities = np.abs(transition_values(adj, 0, 7, grid)) ** 2
 print(f"\nadjacency walk max fidelity on [0, 2000]: {float(np.max(fidelities)):.9f} "
       f"(at t = {float(grid[np.argmax(fidelities)]):.2f})")
 
-lap_curve = fidelity_curve(star_cs, 0, 1, np.linspace(0.0, 50.0, 6), g_decomp=star_gd)
+ts = np.linspace(0.0, 50.0, 6)
+lap_curve = np.abs(corona_transition_values(star_cs, star_gd, 0, 1, ts)) ** 2
 print("closed-form Laplacian curve samples on the double star (t, fidelity):")
-for el in lap_curve:
-    print(f"  {el.t:6.2f}  {el.fidelity:.9f}")
+for t, fidelity in zip(ts, lap_curve):
+    print(f"  {t:6.2f}  {fidelity:.9f}")

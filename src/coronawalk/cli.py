@@ -38,7 +38,6 @@ from .statetransfer import (
     pgst_search,
 )
 from .walk import (
-    PHASE_FLOOR,
     _fidelity_phase,
     corona_transition_values,
     transition_values,
@@ -122,14 +121,14 @@ def _emit_json(config: dict, payload: dict) -> None:
 
 def _csv_text(config: dict, ts: np.ndarray, values: np.ndarray) -> str:
     """The fidelity CSV of transition values on the times ts; the phase
-    fields are empty below PHASE_FLOOR."""
+    fields are empty where _fidelity_phase gives no phase."""
     fidelity, phase = _fidelity_phase(values)
     lines = [
         "# config " + json.dumps(config, sort_keys=True),
         "t,fidelity,phase_re,phase_im",
     ]
-    for t, f, pre, pim in zip(ts.tolist(), fidelity.tolist(), phase.real.tolist(), phase.imag.tolist()):
-        tail = f"{pre:.12g},{pim:.12g}" if f >= PHASE_FLOOR else ","
+    for t, f, p in zip(ts.tolist(), fidelity, phase):
+        tail = "," if p is None else f"{p.real:.12g},{p.imag:.12g}"
         lines.append(f"{t:.12g},{f:.12g},{tail}")
     return "\n".join(lines) + "\n"
 

@@ -9,6 +9,7 @@ pairs (i, i+n)) so that matrices and labels are bit-exact reproducible.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -197,13 +198,21 @@ def graph_to_dict(g: Graph) -> dict:
     return out
 
 
+def _index(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"vertex counts and ids must be integers, got {x!r}") from None
+
+
 def graph_from_dict(data: dict) -> Graph:
+    """Inverse of graph_to_dict; n and the vertex ids must be integers."""
     labels = data.get("labels")
     if labels is not None:
         labels = {int(k): str(v) for k, v in labels.items()}
     return Graph(
-        int(data["n"]),
-        frozenset((int(u), int(v)) for u, v in data["edges"]),
+        _index(data["n"]),
+        frozenset((_index(u), _index(v)) for u, v in data["edges"]),
         labels,
     )
 

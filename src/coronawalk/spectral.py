@@ -132,12 +132,16 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     Numerically equal eigenvalues are merged by _cluster: single linkage over
     the ascending list, where a gap <= CLUSTER_TOL_SCALE * max(1, max|mat|)
     joins two neighbours into one eigenspace, whose eigenvalue is the mean of
-    its members. Raises np.linalg.LinAlgError if the eigensolver fails.
+    its members. Raises ValueError on a NaN or infinite entry, and
+    np.linalg.LinAlgError if the eigensolver fails.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+    norm = float(np.max(np.abs(mat))) if mat.size else 1.0
+    if not np.isfinite(norm):  # max(1.0, nan) would read 1.0
+        raise ValueError("matrix has a NaN or infinite entry")
+    scale = max(1.0, norm)
     if mat.size and float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
 

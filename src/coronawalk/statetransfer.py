@@ -34,7 +34,7 @@ from .spectral import (
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import TransitionElement, _records, corona_transition_values, evolve_element
+from .walk import _check_vertex, _fidelity_phase, corona_transition_values, transition_values
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -142,9 +142,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     t0 = phase = fidelity = None
     if pst:
         t0 = math.pi / g
-        element = evolve_element(d, u, v, t0)
-        fidelity = element.fidelity
-        phase = element.phase
+        (fidelity,), (phase,) = _fidelity_phase(transition_values(d, u, v, [t0]))
         if fidelity < 1.0 - PST_FIDELITY_TOL:
             raise ArithmeticError(
                 f"conditions certify PST but fidelity at t0 is {fidelity:.15f}"
@@ -302,6 +300,8 @@ def pgst_search(
         raise ValueError("ell_max must be >= 1")
     if not (0.0 <= target < 1.0):
         raise ValueError("target must lie in [0, 1)")
+    _check_vertex(g_decomp, u)
+    _check_vertex(g_decomp, v)
     if u == v:
         raise ValueError("PGST is a property of distinct vertices")
     m = cs.m
@@ -336,17 +336,6 @@ def pgst_search(
             return 4.0 * math.pi * ells
         return (4.0 * ells + 2.0 ** (1 - r)) * math.pi
 
-    def make_record(ell: int, element: TransitionElement) -> PgstRecord:
-        t = element.t
-        residuals = tuple(
-            None if tgt is None else float(abs(math.cos(0.5 * t * dl) - tgt))
-            for dl, tgt in zip(delta, targets)
-        )
-        return PgstRecord(
-            family=family, r=r, ell=ell, t=t, fidelity=element.fidelity, phase=element.phase,
-            residuals=residuals,
-        )
-
     best_fidelity = -1.0
     history: list[PgstRecord] = []
     screen = None
@@ -366,8 +355,14 @@ def pgst_search(
         last = int(hits[0]) + 1 if hits.size else len(ells)
         running = np.maximum.accumulate(np.concatenate(([best_fidelity], fidelities[:last])))
         new = np.nonzero(fidelities[:last] > running[:-1])[0]
-        for ell, element in zip(ells[new].tolist(), _records(ts[new], u, v, values[new])):
-            history.append(make_record(ell, element))
+        for ell, t, f, p in zip(ells[new].tolist(), ts[new].tolist(), *_fidelity_phase(values[new])):
+            residuals = tuple(
+                None if tgt is None else float(abs(math.cos(0.5 * t * dl) - tgt))
+                for dl, tgt in zip(delta, targets)
+            )
+            history.append(
+                PgstRecord(family=family, r=r, ell=ell, t=t, fidelity=f, phase=p, residuals=residuals)
+            )
         best_fidelity = float(running[-1])
         if hits.size:
             return PgstSearchResult(best=history[-1], history=tuple(history), target_met=True)

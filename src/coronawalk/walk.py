@@ -1,5 +1,5 @@
 """Continuous-time walk evolution U(t) = exp(-itM) from a spectral
-decomposition, plus the closed-form corona transition element.
+decomposition, plus the closed-form corona transition values.
 
 M is either the Laplacian (XYZ model) or the adjacency matrix (XY model).
 Everything is evaluated through the spectral decomposition, never a series
@@ -7,14 +7,13 @@ matrix exponential: matrix elements through projector entries, the full
 operator as V diag(e^{-i lam t}) V^T from the eigenvectors, so unitarity
 holds to their orthonormality.
 
-Fidelity and phase follow one rule, `_fidelity_phase`, for records and for
-the CLI's CSV rows alike: fidelity hypot(re, im)**2, phase value/hypot(re, im),
-and no phase below PHASE_FLOOR.
+Transition values <u|U(t)|v> come only as arrays over a time array, from
+`transition_values` and `corona_transition_values`. Fidelity and phase
+follow one rule, `_fidelity_phase`, for every caller: fidelity
+hypot(re, im)**2, phase value/hypot(re, im), and no phase below PHASE_FLOOR.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +27,10 @@ WALK_KINDS = ("laplacian", "adjacency")
 PHASE_FLOOR = 1e-24
 
 
-@dataclass(frozen=True)
-class TransitionElement:
-    """One matrix element <u|U(t)|v> with its fidelity |value|^2 and unit
-    phase value/|value| (None when the fidelity is numerically zero)."""
-
-    t: float
-    u: int
-    v: int
-    value: complex
-    fidelity: float
-    phase: complex | None
-
-
-def _fidelity_phase(values) -> tuple:
+def _fidelity_phase(values) -> tuple[list, list]:
     """Fidelity |value|^2 and unit phase value/|value| of an array of
-    transition values; a phase is meaningful only where its fidelity is at
-    least PHASE_FLOOR (an exact zero gives nan).
+    transition values, as lists of Python floats and complexes; the phase is
+    None where the fidelity is below PHASE_FLOOR.
 
     The modulus is np.hypot and the square np.float_power: these give the
     bits of the scalar abs(value) ** 2 on numpy scalars, where np.abs on a
@@ -52,21 +38,10 @@ def _fidelity_phase(values) -> tuple:
     """
     values = np.asarray(values, dtype=complex)
     modulus = np.hypot(values.real, values.imag)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # an exact zero gives nan, below the floor
         phase = values / modulus
-    return np.float_power(modulus, 2.0), phase
-
-
-def _records(ts: np.ndarray, u: int, v: int, values: np.ndarray) -> list:
-    fidelity, phase = _fidelity_phase(values)
-    return [
-        TransitionElement(t=t, u=u, v=v, value=value, fidelity=f, phase=p if f >= PHASE_FLOOR else None)
-        for t, value, f, p in zip(ts.tolist(), values.tolist(), fidelity.tolist(), phase.tolist())
-    ]
-
-
-def _element(t: float, u: int, v: int, value: complex) -> TransitionElement:
-    return _records(np.array([float(t)]), u, v, np.array([value], dtype=complex))[0]
+    fidelity = np.float_power(modulus, 2.0).tolist()
+    return fidelity, [p if f >= PHASE_FLOOR else None for f, p in zip(fidelity, phase.tolist())]
 
 
 def walk_matrix(g: Graph, kind: str = "laplacian") -> np.ndarray:
@@ -88,11 +63,6 @@ def transition_values(d: SpectralDecomposition, u: int, v: int, ts) -> np.ndarra
     ts = np.asarray(ts, dtype=float)
     weights = d.projectors[:, u, v]
     return np.exp(-1j * np.outer(ts, d.eigenvalues)) @ weights
-
-
-def evolve_element(d: SpectralDecomposition, u: int, v: int, t: float) -> TransitionElement:
-    value = transition_values(d, u, v, np.array([float(t)]))[0]
-    return _element(t, u, v, value)
 
 
 def evolve_operator(d: SpectralDecomposition, t: float) -> np.ndarray:
@@ -135,33 +105,3 @@ def corona_transition_values(
     osc = np.cos(np.outer(half_t, delta)) - 1j * coef[None, :] * np.sin(np.outer(half_t, delta))
     terms = np.exp(-1j * np.outer(half_t, lam)) * osc
     return np.exp(-1j * (m + 1.0) * half_t) * (terms @ weights)
-
-
-def corona_transition_element(
-    cs: CoronaSpectrum, g_decomp: SpectralDecomposition, u: int, v: int, t: float
-) -> TransitionElement:
-    value = corona_transition_values(cs, g_decomp, u, v, np.array([float(t)]))[0]
-    return _element(t, u, v, value)
-
-
-def fidelity_curve(source, u: int, v: int, t_grid, *, g_decomp: SpectralDecomposition | None = None) -> list:
-    """TransitionElement records over a time grid, in grid order.
-
-    source is either a SpectralDecomposition (any walk matrix) or a
-    CoronaSpectrum, in which case g_decomp (the base decomposition) is
-    required and the closed-form corona element is used.
-    """
-    ts = np.asarray(list(t_grid), dtype=float)
-    if ts.size == 0:
-        raise ValueError("time grid must be nonempty")
-    if isinstance(source, CoronaSpectrum):
-        if g_decomp is None:
-            raise ValueError("a CoronaSpectrum source needs the base decomposition")
-        values = corona_transition_values(source, g_decomp, u, v, ts)
-    elif isinstance(source, SpectralDecomposition):
-        if g_decomp is not None:
-            raise ValueError("g_decomp only applies to a CoronaSpectrum source")
-        values = transition_values(source, u, v, ts)
-    else:
-        raise TypeError(f"expected SpectralDecomposition or CoronaSpectrum, got {type(source).__name__}")
-    return _records(ts, u, v, values)

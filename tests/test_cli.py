@@ -136,8 +136,8 @@ def test_fidelity_csv(capsys, tmp_path):
 
 
 def loop_csv_text(config, ts, values):
-    """Reference for _csv_text: the writer the CLI ran on one TransitionElement
-    record per time, before rows were written from arrays."""
+    """Reference for _csv_text: the writer the CLI ran on one scalar value
+    per time, before rows were written from arrays."""
     lines = [
         "# config " + json.dumps(config, sort_keys=True),
         "t,fidelity,phase_re,phase_im",
@@ -270,6 +270,24 @@ def test_parse_errors_exit_1(capsys):
     assert run(capsys, "spectrum", "--graph", "z9")[0] == 1
     assert run(capsys, "pgst-search", "--g", "k2", "--h", "o1", "--family", "6pi")[0] == 1
     assert run(capsys, "spectrum", "--graph", "p0")[0] == 1
+
+
+def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
+    # Each is one error line on stderr and exit 1, not a traceback or an
+    # answer for a truncated graph.
+    bad_n = tmp_path / "bad_n.json"
+    bad_n.write_text(json.dumps({"n": 2.9, "edges": [[0, 1]]}))
+    bad_edge = tmp_path / "bad_edge.json"
+    bad_edge.write_text(json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2]]}))
+    for argv in (
+        ("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "0", "--to", "5"),
+        ("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "-1", "--to", "1"),
+        ("pst-check", "--graph", f"@{bad_edge}", "--from", "0", "--to", "2"),
+        ("pst-check", "--graph", f"@{bad_n}", "--from", "0", "--to", "1"),
+    ):
+        assert main(list(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_parse_graph_spec_units(tmp_path):

@@ -143,3 +143,11 @@ def test_json_round_trip(tmp_path):
     # extra keys (e.g. embedded run config) are ignored on load
     d["config"] = {"command": "build"}
     assert graph_from_dict(d) == g
+
+
+def test_graph_from_dict_rejects_non_integers():
+    assert graph_from_dict({"n": 3, "edges": [[0, 1], [1, 2]]}) == path_graph(3)
+    for bad in ({"n": 3, "edges": [[0, 1.7], [1, 2]]}, {"n": 2.9, "edges": [[0, 1]]},
+                {"n": 3.0, "edges": [[0, 1]]}, {"n": 3, "edges": [["0", 1]]}):
+        with pytest.raises(ValueError, match="must be integers"):
+            graph_from_dict(bad)

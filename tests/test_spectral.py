@@ -129,6 +129,11 @@ def test_input_validation():
         eigendecompose(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eigendecompose(np.array([[bad]]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eigendecompose(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_near_degenerate_merging():

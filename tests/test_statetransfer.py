@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph
+from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph, scalar_fidelity_phase
 
 from coronawalk import (
     CospectralityReport,
@@ -37,7 +37,7 @@ from coronawalk import (
 )
 from coronawalk import statetransfer
 from coronawalk.spectral import STRONG_COSPECTRAL_TOL, SUPPORT_TOL
-from coronawalk.walk import _element, corona_transition_values
+from coronawalk.walk import corona_transition_values
 
 
 def decomp(g):
@@ -361,6 +361,9 @@ def test_search_validation():
         pgst_search(cs, gd, 0, 1, "four_pi_ell", r=2)  # r belongs to the shifted family
     with pytest.raises(ValueError):
         pgst_search(cs, gd, 0, 0, "four_pi_ell")  # a return probability, not a transfer
+    for u, v in ((0, 5), (5, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range for dim 2"):
+            pgst_search(cs, gd, u, v, "four_pi_ell")
 
 
 def plain_scan(cs, gd, u, v, family, r, ell_max, target):
@@ -379,8 +382,7 @@ def plain_scan(cs, gd, u, v, family, r, ell_max, target):
         for i in range(len(ells)):
             if fidelities[i] > best:
                 best = float(fidelities[i])
-                element = _element(float(ts[i]), u, v, complex(values[i]))
-                records.append((int(ells[i]), float(ts[i]), element.fidelity, element.phase))
+                records.append((int(ells[i]), float(ts[i]), *scalar_fidelity_phase(values[i])))
             if fidelities[i] >= target:
                 return records, True
     return records, False

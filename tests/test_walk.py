@@ -11,20 +11,17 @@ from coronawalk import (
     corona,
     corona_laplacian_blocks,
     corona_spectrum,
-    corona_transition_element,
     corona_transition_values,
     eigendecompose,
     empty_graph,
-    evolve_element,
     evolve_operator,
-    fidelity_curve,
     hypercube_graph,
     laplacian,
     path_graph,
     transition_values,
     walk_matrix,
 )
-from coronawalk.walk import PHASE_FLOOR, _element, _fidelity_phase
+from coronawalk.walk import _fidelity_phase
 
 
 def test_walk_matrix_kinds():
@@ -38,8 +35,9 @@ def test_walk_matrix_kinds():
 def test_identity_at_t_zero():
     d = eigendecompose(laplacian(path_graph(4)))
     assert np.max(np.abs(evolve_operator(d, 0.0) - np.eye(4))) < 1e-12
-    el = evolve_element(d, 2, 2, 0.0)
-    assert abs(el.value - 1.0) < 1e-12 and abs(el.fidelity - 1.0) < 1e-12
+    values = transition_values(d, 2, 2, [0.0])
+    (fidelity,), _ = _fidelity_phase(values)
+    assert abs(values[0] - 1.0) < 1e-12 and abs(fidelity - 1.0) < 1e-12
 
 
 def test_k2_closed_form():
@@ -48,10 +46,11 @@ def test_k2_closed_form():
         u = evolve_operator(d, t)
         assert abs(u[0, 0] - 0.5 * (1 + np.exp(-2j * t))) < 1e-12
         assert abs(u[0, 1] - 0.5 * (1 - np.exp(-2j * t))) < 1e-12
-    el = evolve_element(d, 0, 1, math.pi / 2)
-    assert abs(el.value - 1.0) < 1e-12
-    assert abs(el.fidelity - 1.0) < 1e-12
-    assert abs(el.phase - 1.0) < 1e-12
+    values = transition_values(d, 0, 1, [math.pi / 2])
+    (fidelity,), (phase,) = _fidelity_phase(values)
+    assert abs(values[0] - 1.0) < 1e-12
+    assert abs(fidelity - 1.0) < 1e-12
+    assert abs(phase - 1.0) < 1e-12
 
 
 def test_k2_fidelity_is_sin_squared():
@@ -75,18 +74,18 @@ def test_unitarity_and_symmetry():
 
 def test_empty_graph_is_stationary():
     d = eigendecompose(laplacian(empty_graph(3)))
-    el = evolve_element(d, 0, 0, 17.2)
-    assert abs(el.value - 1.0) < 1e-12
-    off = evolve_element(d, 0, 1, 17.2)
-    assert off.fidelity == 0.0
-    assert off.phase is None
+    assert abs(transition_values(d, 0, 0, [17.2])[0] - 1.0) < 1e-12
+    (fidelity,), (phase,) = _fidelity_phase(transition_values(d, 0, 1, [17.2]))
+    assert fidelity == 0.0
+    assert phase is None
 
 
 def test_phase_is_unit_modulus():
     d = eigendecompose(laplacian(path_graph(4)))
-    for el in fidelity_curve(d, 0, 3, np.linspace(0.1, 20.0, 25)):
-        if el.phase is not None:
-            assert abs(abs(el.phase) - 1.0) < 1e-12
+    _, phases = _fidelity_phase(transition_values(d, 0, 3, np.linspace(0.1, 20.0, 25)))
+    for phase in phases:
+        if phase is not None:
+            assert abs(abs(phase) - 1.0) < 1e-12
 
 
 def test_corona_element_matches_direct_evolution():
@@ -135,8 +134,8 @@ def test_pendant_pair_element_at_revival_times():
                 0.5 - 0.5 * math.cos(2 * math.pi * ell * delta),
                 (m + 1) / (2 * delta) * math.sin(2 * math.pi * ell * delta),
             )
-            got = corona_transition_element(cs, g_decomp, 0, 1, t)
-            assert abs(got.value - expect) < 1e-10
+            got = corona_transition_values(cs, g_decomp, 0, 1, [t])[0]
+            assert abs(got - expect) < 1e-10
             direct = transition_values(oracle, 0, m + 1, np.array([t]))[0]
             assert abs(direct - expect) < 1e-10
 
@@ -160,28 +159,6 @@ def test_base_consistency_guard():
         corona_transition_values(cs, wrong, 0, 1, [1.0])
 
 
-def test_fidelity_curve_dispatch():
-    g = complete_graph(2)
-    d = eigendecompose(laplacian(g))
-    ts = np.linspace(0.0, 5.0, 11)
-    records = fidelity_curve(d, 0, 1, ts)
-    assert len(records) == 11
-    assert records[0].t == 0.0 and records[0].u == 0 and records[0].v == 1
-
-    cs = corona_spectrum(g, [empty_graph(3)] * 2)
-    corona_records = fidelity_curve(cs, 0, 1, ts, g_decomp=d)
-    assert len(corona_records) == 11
-
-    with pytest.raises(ValueError):
-        fidelity_curve(d, 0, 1, [])
-    with pytest.raises(ValueError):
-        fidelity_curve(cs, 0, 1, ts)  # missing base decomposition
-    with pytest.raises(ValueError):
-        fidelity_curve(d, 0, 1, ts, g_decomp=d)
-    with pytest.raises(TypeError):
-        fidelity_curve(laplacian(g), 0, 1, ts)
-
-
 def test_fidelity_phase_matches_the_scalar_rule():
     rng = np.random.default_rng(808)
     n = 100_000
@@ -195,17 +172,13 @@ def test_fidelity_phase_matches_the_scalar_rule():
     fidelity, phase = _fidelity_phase(values)
 
     reference = [scalar_fidelity_phase(value) for value in values]
-    assert np.array_equal(fidelity, [f for f, _ in reference])
-    has_phase = np.array([p is not None for _, p in reference])
-    assert np.array_equal(has_phase, fidelity >= PHASE_FLOOR)
-    assert 1_000 < np.count_nonzero(~has_phase) < n // 2
+    assert fidelity == [f for f, _ in reference]
+    no_phase = [p is None for _, p in reference]
+    assert [p is None for p in phase] == no_phase
+    assert 1_000 < sum(no_phase) < n // 2
+    got = np.array([p for p in phase if p is not None])
     expected = np.array([p for _, p in reference if p is not None])
-    assert np.array_equal(phase[has_phase].view(np.uint64), expected.view(np.uint64))  # signed zeros too
-
-    # Records take their fields from the same rule.
-    for value, (f, p) in zip(values[:2_000], reference[:2_000]):
-        el = _element(1.5, 0, 1, value)
-        assert (el.fidelity, el.phase, el.value, el.t) == (f, p, complex(value), 1.5)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))  # signed zeros too
 
 
 def test_vertex_range_validation():
