@@ -13,6 +13,10 @@ vertices), the corona Laplacian eigenvalues split into three classes:
 Multiplicities always total n(m+1). Distinct classes can land on the same
 value (e.g. mu = m from class (b) meets lambda_plus(0) = m + 1); the
 eigenvectors of colliding values span one eigenspace.
+
+corona_spectrum and corona_eigenprojectors share one setup, _corona_parts;
+eigenvalue_list and corona_eigenprojectors merge values by one rule,
+_merge_pieces, so the two agree exactly.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from .corona import common_satellite_order
 from .graphs import Graph, component_count, degrees, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
 from .spectral import CLUSTER_TOL_SCALE, SpectralDecomposition, _cluster, eigendecompose
-
-# A satellite Laplacian kernel eigenvalue must sit this close to zero.
-_KERNEL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,6 @@ class CoronaSpectrum:
     class_c: tuple
     cluster_tol: float
 
-    @property
-    def classes(self) -> tuple:
-        """All contributing entries: class (a) when present, then (b), (c)."""
-        head = (self.class_a,) if self.class_a.present else ()
-        return head + self.class_b + self.class_c
-
     def total_multiplicity(self) -> int:
         return (
             self.class_a.multiplicity
@@ -98,18 +93,12 @@ class CoronaSpectrum:
         )
 
     def eigenvalue_list(self) -> list:
-        """(value, multiplicity) pairs ascending.
-
-        Colliding values are merged by _cluster at cluster_tol (single
-        linkage, multiplicity-weighted mean), from the values in the order
-        corona_eigenprojectors sorts its pieces, so the list equals that
-        decomposition's eigenvalues and multiplicities exactly.
-        """
-        pieces = [(1.0, self.class_a.multiplicity)] if self.class_a.present else []
-        pieces += [(b.value, b.multiplicity) for b in self.class_b]
-        pieces += [(x, c.multiplicity) for c in self.class_c for x in (c.lam_plus, c.lam_minus)]
-        pieces.sort(key=lambda p: p[0])
-        values, mults, _ = _cluster([v for v, _ in pieces], [k for _, k in pieces], self.cluster_tol)
+        """(value, multiplicity) pairs ascending, merged by _merge_pieces at
+        cluster_tol: the rule corona_eigenprojectors uses, so the list equals
+        that decomposition's eigenvalues and multiplicities exactly."""
+        b = [(x.value, x.multiplicity) for x in self.class_b]
+        c = [(x.lam_plus, x.lam_minus, x.multiplicity) for x in self.class_c]
+        _, values, mults = _merge_pieces(self.class_a.multiplicity, b, c, self.cluster_tol)
         return list(zip(values, mults))
 
 
@@ -172,7 +161,7 @@ def _satellite_decompositions(hs) -> dict:
         if h in out:
             continue
         d = eigendecompose(laplacian(h))
-        if abs(float(d.eigenvalues[0])) > _KERNEL_TOL:
+        if integer_eigenvalue(d.eigenvalues[0]) != 0:
             raise ArithmeticError("satellite Laplacian kernel not found")
         if d.multiplicities[0] != component_count(h):
             raise ArithmeticError("satellite kernel multiplicity disagrees with component count")
@@ -205,25 +194,47 @@ def _corona_cluster_tol(g: Graph, satellites, m: int) -> float:
     return CLUSTER_TOL_SCALE * max(1.0, base, sat)
 
 
-def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
-    """Enumerate the closed-form corona eigenvalue classes."""
+def _corona_parts(g: Graph, hs):
+    """The setup of both corona functions, each step run once: the satellites,
+    their order m, the distinct satellite decompositions, the class (a)
+    multiplicity, the cluster tolerance, the class (b) pieces and g_decomp."""
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
     by_graph = _satellite_decompositions(hs)
     sat_decomps = [by_graph[h] for h in hs]
     a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
-    class_a = ClassA(present=a_mult > 0, multiplicity=a_mult)
-
     cluster_tol = _corona_cluster_tol(g, by_graph, m)
-    class_b = []
-    for mu, members, mult in _class_b_pieces(sat_decomps, cluster_tol):
-        cells = tuple(sorted({ell for ell, _ in members}))
-        class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=mult))
-
+    b_pieces = _class_b_pieces(sat_decomps, cluster_tol)
     g_decomp = eigendecompose(laplacian(g))
+    return hs, m, by_graph, a_mult, cluster_tol, b_pieces, g_decomp
+
+
+def _merge_pieces(a_mult: int, b, c, tol: float) -> tuple[list, list, list]:
+    """The one merge rule for corona eigenvalues. The pieces, in canonical
+    order, are (1, a_mult) if a_mult > 0, each (value, mult) of b, then
+    (plus, mult) and (minus, mult) per (plus, minus, mult) of c. They are
+    sorted stably by value and merged by _cluster at tol. Returns (order,
+    values, mults): the piece indices in sorted order, and the merged values
+    and multiplicities ascending."""
+    pieces = [(1.0, a_mult)] if a_mult > 0 else []
+    pieces += b
+    pieces += [(x, k) for plus, minus, k in c for x in (plus, minus)]
+    order = sorted(range(len(pieces)), key=lambda i: pieces[i][0])
+    values, mults, _ = _cluster([pieces[i][0] for i in order], [pieces[i][1] for i in order], tol)
+    return order, values, mults
+
+
+def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
+    """Enumerate the closed-form corona eigenvalue classes."""
+    _, m, _, a_mult, cluster_tol, b_pieces, g_decomp = _corona_parts(g, hs)
+    class_b = []
+    for mu, members, k in b_pieces:
+        cells = tuple(sorted({ell for ell, _ in members}))
+        class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=k))
     class_c = tuple(
-        _class_c(float(lam), m, mult) for lam, mult in zip(g_decomp.eigenvalues, g_decomp.multiplicities)
+        _class_c(float(lam), m, k) for lam, k in zip(g_decomp.eigenvalues, g_decomp.multiplicities)
     )
+    class_a = ClassA(present=a_mult > 0, multiplicity=a_mult)
     return CoronaSpectrum(
         m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c, cluster_tol=cluster_tol
     )
@@ -237,29 +248,22 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     satellite kernel with the all-ones direction projected out, at value 1;
     (b) the eigenvector block of F_mu(H_l) in its cell's rows, at value
     mu + 1; (c) B_lam (x) w/||w|| with B_lam the base eigenvector block of
-    lam and w = (1 - lambda_pm, 1, ..., 1), at value lambda_pm. Values are
-    merged by _cluster, the rule eigendecompose uses: single linkage over the
-    ascending piece values with a gap of CLUSTER_TOL_SCALE times the corona
-    Laplacian max-norm, at the multiplicity-weighted mean. Colliding pieces
-    share one eigenspace, so the result is a genuine decomposition into
-    distinct eigenvalues, and its projectors are built only when read. Each
-    distinct satellite is eigendecomposed once per call, and nothing is kept
-    between calls.
+    lam and w = (1 - lambda_pm, 1, ..., 1), at value lambda_pm. The parts
+    come from _corona_parts, the setup of corona_spectrum, and the values
+    are merged by _merge_pieces, the rule of CoronaSpectrum.eigenvalue_list,
+    at a gap of CLUSTER_TOL_SCALE times the corona Laplacian max-norm.
+    Colliding pieces share one eigenspace, so the result is a genuine
+    decomposition into distinct eigenvalues; its projectors are built only
+    when read. Nothing is kept between calls.
     """
-    hs = tuple(hs)
-    m = common_satellite_order(g, hs)
-    n = g.n
+    hs, m, by_graph, a_mult, cluster_tol, b_pieces, g_decomp = _corona_parts(g, hs)
     stride = m + 1
-    dim = n * stride
-    by_graph = _satellite_decompositions(hs)
-    sat_decomps = [by_graph[h] for h in hs]
+    dim = g.n * stride
     sat_blocks = {h: d.blocks() for h, d in by_graph.items()}
-    cluster_tol = _corona_cluster_tol(g, by_graph, m)
+    cells = [slice(ell * stride + 1, (ell + 1) * stride) for ell in range(g.n)]
 
-    # (value, multiplicity, satellite column blocks [(cell, m x k)], class (c) columns)
+    # Per piece in the canonical order of _merge_pieces: (rows, columns) blocks.
     pieces = []
-
-    a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
     if a_mult > 0:
         blocks = []
         for ell, h in enumerate(hs):
@@ -269,35 +273,29 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
                 # orthonormal basis and keep the other columns.
                 ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
                 basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
-                blocks.append((ell, kernel @ basis))
-        pieces.append((1.0, a_mult, blocks, None))
-
-    for mu, members, mult in _class_b_pieces(sat_decomps, cluster_tol):
-        blocks = [(ell, sat_blocks[hs[ell]][i]) for ell, i in members]
-        pieces.append((mu + 1.0, mult, blocks, None))
-
-    g_decomp = eigendecompose(laplacian(g))
+                blocks.append((cells[ell], kernel @ basis))
+        pieces.append(blocks)
+    pieces += [[(cells[ell], sat_blocks[hs[ell]][i]) for ell, i in members] for _, members, _ in b_pieces]
+    c_values = []
     for lam, mult, b_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.blocks()):
-        for value in lambda_pm(float(lam), m):
+        pair = lambda_pm(float(lam), m)
+        c_values.append((*pair, mult))
+        for value in pair:
             w = np.ones(stride)
             w[0] = 1.0 - value
-            pieces.append((value, mult, (), np.kron(b_lam, (w / np.linalg.norm(w))[:, None])))
+            pieces.append([(slice(None), np.kron(b_lam, (w / np.linalg.norm(w))[:, None]))])
 
-    pieces.sort(key=lambda p: p[0])
-    values, mults, _ = _cluster([p[0] for p in pieces], [p[1] for p in pieces], cluster_tol)
-
+    b_values = [(mu + 1.0, mult) for mu, _, mult in b_pieces]
+    order, values, mults = _merge_pieces(a_mult, b_values, c_values, cluster_tol)
     # Clusters are runs of the sorted pieces, so each piece's columns follow
     # the previous piece's.
     vectors = np.zeros((dim, dim))
     col = 0
-    for _, mult, blocks, columns in pieces:
-        for ell, block in blocks:
+    for i in order:
+        for rows, block in pieces[i]:
             k = block.shape[1]
-            vectors[ell * stride + 1 : (ell + 1) * stride, col : col + k] = block
+            vectors[rows, col : col + k] = block
             col += k
-        if columns is not None:
-            vectors[:, col : col + mult] = columns
-            col += mult
 
     return SpectralDecomposition(
         dim=dim,

@@ -15,25 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FAMILIES = (
-    "complete",
-    "empty",
-    "path",
-    "cycle",
-    "hypercube",
-    "cocktail_party",
-    "matching",
-)
+
+def _index(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"vertex counts and ids must be integers, got {x!r}") from None
 
 
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as a frozenset of (u, v) pairs normalized to u < v; no
-    self-loops or duplicates. ``labels`` is an optional vertex -> string map
-    (corona constructions use it for "(l,w)" provenance labels). Instances
-    are immutable and safe to share across threads.
+    Edges (any iterable of integer pairs) are stored as a frozenset of (u, v)
+    pairs normalized to u < v; no self-loops or duplicates. ``labels`` is an
+    optional vertex -> string map (corona constructions use it for "(l,w)"
+    provenance labels). n and the label keys are integers too (ValueError
+    otherwise). Instances are immutable and safe to share across threads.
     """
 
     n: int
@@ -41,22 +39,21 @@ class Graph:
     labels: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n))
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
         for e in self.edges:
-            u, v = e
-            u, v = int(u), int(v)
+            u, v = map(_index, e)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {e} out of range for n={self.n}")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
-        if self.labels is not None:
-            for k in self.labels:
-                if not (0 <= int(k) < self.n):
-                    raise ValueError(f"label key {k} out of range")
+        for k in self.labels or ():
+            if not (0 <= _index(k) < self.n):
+                raise ValueError(f"label key {k} out of range")
 
     def degree(self, u: int) -> int:
         return sum(1 for a, b in self.edges if a == u or b == u)
@@ -172,6 +169,7 @@ _BUILDERS = {
     "cocktail_party": cocktail_party_graph,
     "matching": matching_graph,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 def build_named(family: str, size_param: int) -> Graph:
@@ -183,7 +181,7 @@ def build_named(family: str, size_param: int) -> Graph:
     """
     if family not in _BUILDERS:
         raise ValueError(f"unknown graph family {family!r}; known: {FAMILIES}")
-    size_param = int(size_param)
+    size_param = _index(size_param)
     if size_param < 1:
         raise ValueError(f"size_param must be >= 1, got {size_param}")
     return _BUILDERS[family](size_param)
@@ -198,23 +196,13 @@ def graph_to_dict(g: Graph) -> dict:
     return out
 
 
-def _index(x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"vertex counts and ids must be integers, got {x!r}") from None
-
-
 def graph_from_dict(data: dict) -> Graph:
-    """Inverse of graph_to_dict; n and the vertex ids must be integers."""
+    """Inverse of graph_to_dict; n and the vertex ids must be integers. JSON
+    label keys are strings and are read through int()."""
     labels = data.get("labels")
     if labels is not None:
         labels = {int(k): str(v) for k, v in labels.items()}
-    return Graph(
-        _index(data["n"]),
-        frozenset((_index(u), _index(v)) for u, v in data["edges"]),
-        labels,
-    )
+    return Graph(data["n"], data["edges"], labels)
 
 
 def save_graph(g: Graph, path) -> None:

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _index
+
 # Membership threshold for ||F_lambda e_u||: projector entries of desk-scale
 # graphs are rationals or quadratic irrationals bounded well away from 0.
 SUPPORT_TOL = 1e-8
@@ -106,8 +108,8 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
     multiplicity of each cluster, ascending, and the cluster index of each
     input. Each mean is np.add.reduce(values[a:b] * mults[a:b]) / total,
     which for unit mults is the arithmetic of np.mean. This is the one
-    clustering rule of the package; eigendecompose, the corona projectors and
-    CoronaSpectrum.eigenvalue_list all use it.
+    clustering rule of the package; eigendecompose, the class (b) pooling and
+    the corona merge rule (corona_spectrum._merge_pieces) use it.
     """
     values = np.asarray(values, dtype=float)
     mults = np.asarray(mults, dtype=int)
@@ -123,6 +125,13 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
         totals.append(total)
         index += [k] * (b - a)
     return means, totals, index
+
+
+def _check_vertices(d: SpectralDecomposition, *vertices) -> None:
+    """ValueError unless every vertex is an integer vertex id of d."""
+    for x in vertices:
+        if not (0 <= _index(x) < d.dim):
+            raise ValueError(f"vertex {x} out of range for dim {d.dim}")
 
 
 def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
@@ -171,8 +180,7 @@ def eigenvalue_support(d: SpectralDecomposition, u: int) -> SupportInfo:
     For the Laplacian of a connected graph the support always contains the
     eigenvalue 0 (its projector is the all-ones matrix / n).
     """
-    if not (0 <= u < d.dim):
-        raise ValueError(f"vertex {u} out of range for dim {d.dim}")
+    _check_vertices(d, u)
     stack = d.projectors
     norms = np.linalg.norm(stack[:, :, u], axis=1)
     support = tuple(np.flatnonzero(norms > SUPPORT_TOL).tolist())
@@ -189,9 +197,7 @@ def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> Cospectrali
     """
     if u == v:
         raise ValueError("strong cospectrality is a property of distinct vertices")
-    for x in (u, v):
-        if not (0 <= x < d.dim):
-            raise ValueError(f"vertex {x} out of range for dim {d.dim}")
+    _check_vertices(d, u, v)
     stack = d.projectors
     a = stack[:, :, u]
     b = stack[:, :, v]

@@ -25,16 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corona_spectrum import CoronaSpectrum, _class_c, _delta, corona_spectrum
-from .graphs import Graph, cocktail_party_graph, complete_graph, is_connected, laplacian
+from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
     SpectralDecomposition,
+    _check_vertices,
     eigendecompose,
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _check_vertex, _fidelity_phase, corona_transition_values, transition_values
+from .walk import _fidelity_phase, corona_transition_values, transition_values
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -194,6 +195,7 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
     ((m+lam-1)^2 + 4m is never a perfect square), and follows from
     lambda_plus + lambda_minus = m + lam + 1 otherwise.
     """
+    m, base_vertex = _index(m), _index(base_vertex)
     if g.n < 2 or not is_connected(g):
         raise ValueError("witness needs a connected base graph on >= 2 vertices")
     if m < 1:
@@ -300,8 +302,7 @@ def pgst_search(
         raise ValueError("ell_max must be >= 1")
     if not (0.0 <= target < 1.0):
         raise ValueError("target must lie in [0, 1)")
-    _check_vertex(g_decomp, u)
-    _check_vertex(g_decomp, v)
+    _check_vertices(g_decomp, u, v)
     if u == v:
         raise ValueError("PGST is a property of distinct vertices")
     m = cs.m
@@ -447,12 +448,11 @@ def antipodal_sign_check(g: Graph) -> list:
     n = g.n // 2
     if g.edges != cocktail_party_graph(n).edges:
         raise ValueError("not a cocktail party graph (antipode map is i <-> i+n)")
-    matching = np.zeros((g.n, g.n))
-    for i in range(n):
-        matching[i, i + n] = matching[i + n, i] = 1.0
+    # The matching acts on a projector as the row permutation i <-> i+n.
+    antipode = np.r_[n : 2 * n, 0:n]
     d = eigendecompose(laplacian(g))
     return [
-        bool(np.max(np.abs(matching @ proj - ((-1) ** j) * proj)) <= ANTIPODAL_TOL)
+        bool(np.max(np.abs(proj[antipode] - ((-1) ** j) * proj)) <= ANTIPODAL_TOL)
         for j, proj in enumerate(d.projectors)
     ]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corona_spectrum import CoronaSpectrum, _delta
 from .graphs import Graph, adjacency, laplacian
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _check_vertices
 
 WALK_KINDS = ("laplacian", "adjacency")
 
@@ -51,15 +51,9 @@ def walk_matrix(g: Graph, kind: str = "laplacian") -> np.ndarray:
     return laplacian(g) if kind == "laplacian" else adjacency(g)
 
 
-def _check_vertex(d: SpectralDecomposition, x: int) -> None:
-    if not (0 <= x < d.dim):
-        raise ValueError(f"vertex {x} out of range for dim {d.dim}")
-
-
 def transition_values(d: SpectralDecomposition, u: int, v: int, ts) -> np.ndarray:
     """<u|U(t)|v> = sum_lam e^{-i lam t} <u|F_lam|v> on an array of times."""
-    _check_vertex(d, u)
-    _check_vertex(d, v)
+    _check_vertices(d, u, v)
     ts = np.asarray(ts, dtype=float)
     weights = d.projectors[:, u, v]
     return np.exp(-1j * np.outer(ts, d.eigenvalues)) @ weights
@@ -93,8 +87,7 @@ def corona_transition_values(
     the element between base vertices never sees their structure.
     """
     _check_base_consistency(cs, g_decomp)
-    _check_vertex(g_decomp, u)
-    _check_vertex(g_decomp, v)
+    _check_vertices(g_decomp, u, v)
     m = cs.m
     ts = np.asarray(ts, dtype=float)
     lam = g_decomp.eigenvalues

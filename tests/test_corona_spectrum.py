@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import tracemalloc
@@ -169,10 +170,6 @@ def test_mixed_satellite_class_structure():
 
     # class (b) value 4 meets lambda_plus(0) = m + 1 = 4
     assert mult_at(cs.eigenvalue_list(), 4.0) == 4
-
-    # classes property: class (a) entry first, then (b), then (c)
-    assert len(cs.classes) == 1 + 3 + 3
-    assert cs.classes[0] is cs.class_a
 
 
 def test_homogeneous_satellites_pool_all_cells():
@@ -358,3 +355,29 @@ def test_one_eigensolve_per_distinct_satellite(monkeypatch):
         calls.clear()
         fn(g, hs)
         assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"eigenvalues": np.array([1e-6, 2.0])}, "kernel not found"),
+        ({"multiplicities": (1, 2)}, "disagrees with component count"),
+    ],
+    ids=["kernel_shifted", "kernel_multiplicity"],
+)
+def test_satellite_kernel_checks(monkeypatch, fault, message):
+    # The satellite O1 + K2 has eigenvalues 0 (twice) and 2. A decomposition
+    # of it whose lowest eigenvalue sits 1e-6 off zero, or whose kernel
+    # multiplicity is not the component count, is rejected by both corona
+    # functions.
+    module = importlib.import_module("coronawalk.corona_spectrum")
+
+    def faulty(mat):
+        d = eigendecompose(mat)
+        return dataclasses.replace(d, **fault) if d.dim == 3 else d
+
+    monkeypatch.setattr(module, "eigendecompose", faulty)
+    hs = [Graph(3, frozenset({(0, 1)}))] * 2
+    for fn in (corona_spectrum, corona_eigenprojectors):
+        with pytest.raises(ArithmeticError, match=message):
+            fn(complete_graph(2), hs)

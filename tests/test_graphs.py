@@ -42,6 +42,14 @@ def test_edge_normalization_and_validation():
         Graph(-1, frozenset())
     with pytest.raises(ValueError):
         Graph(2, frozenset(), labels={5: "x"})
+    # Non-integers used to be truncated, or to fail later inside numpy.
+    for n, edges, labels in ((3, {(0, 1.7), (1, 2)}, None), (2.9, {(0, 1)}, None), (3, (), {1.7: "x"})):
+        with pytest.raises(ValueError, match="must be integers"):
+            Graph(n, frozenset(edges), labels)
+    # numpy integers are integers, stored as ints
+    g = Graph(np.int64(3), frozenset({(np.int64(0), np.int64(1)), (1, 2)}), {np.int64(2): "x"})
+    assert g == path_graph(3) and type(g.n) is int
+    assert all(type(x) is int for e in g.edges for x in e)
 
 
 def test_degree():
@@ -127,6 +135,10 @@ def test_build_named():
         build_named("complete", 0)
     with pytest.raises(ValueError):
         build_named("cycle", 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_named("path", 2.7)  # used to build P2
+    assert build_named("path", np.int64(3)) == path_graph(3)
+    assert FAMILIES == ("complete", "empty", "path", "cycle", "hypercube", "cocktail_party", "matching")
 
 
 def test_json_round_trip(tmp_path):
@@ -148,6 +160,7 @@ def test_json_round_trip(tmp_path):
 def test_graph_from_dict_rejects_non_integers():
     assert graph_from_dict({"n": 3, "edges": [[0, 1], [1, 2]]}) == path_graph(3)
     for bad in ({"n": 3, "edges": [[0, 1.7], [1, 2]]}, {"n": 2.9, "edges": [[0, 1]]},
-                {"n": 3.0, "edges": [[0, 1]]}, {"n": 3, "edges": [["0", 1]]}):
+                {"n": 3.0, "edges": [[0, 1]]}, {"n": 3, "edges": [["0", 1]]},
+                {"n": 2, "edges": [[0, 1], [0, 1.0]]}):
         with pytest.raises(ValueError, match="must be integers"):
             graph_from_dict(bad)

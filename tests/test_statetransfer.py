@@ -276,6 +276,27 @@ def test_witness_validation():
         corona_no_pst_witness(complete_graph(2), 1, 2)  # vertex range
 
 
+def test_non_integer_vertices_and_orders_rejected():
+    g = complete_graph(2)
+    d = decomp(g)
+    cs = corona_spectrum(g, [empty_graph(1)] * 2)
+    for call in (
+        lambda: check_pst(d, 0.5, 1),
+        lambda: eigenvalue_support(d, 0.5),
+        lambda: strongly_cospectral(d, 0, 1.5),
+        lambda: pgst_search(cs, d, 0.5, 1, "four_pi_ell"),
+        lambda: corona_no_pst_witness(g, 2, 1.5),
+        lambda: corona_no_pst_witness(g, 2.5, 0),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    # numpy integer ids keep working, and the witness records plain ints
+    assert check_pst(d, np.int64(0), np.int64(1)).pst
+    witness = corona_no_pst_witness(g, np.int64(2), np.int64(1))
+    assert witness == corona_no_pst_witness(g, 2, 1)
+    assert type(witness.m) is int and type(witness.base_vertex) is int
+
+
 # ------------------------------------------------------------ pgst_search
 
 

@@ -188,3 +188,9 @@ def test_vertex_range_validation():
     cs = corona_spectrum(complete_graph(2), [empty_graph(1)] * 2)
     with pytest.raises(ValueError):
         corona_transition_values(cs, d, 2, 0, [1.0])
+    for u, v in ((1.5, 0), (0, 0.5), (np.float64(1.0), 0)):  # used to raise IndexError
+        with pytest.raises(ValueError, match="must be integers"):
+            transition_values(d, u, v, [1.0])
+        with pytest.raises(ValueError, match="must be integers"):
+            corona_transition_values(cs, d, u, v, [1.0])
+    assert transition_values(d, np.int64(0), np.int64(1), [1.0]) == transition_values(d, 0, 1, [1.0])
