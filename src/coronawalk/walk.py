@@ -84,17 +84,25 @@ def corona_transition_values(
     value(t) = e^{-it(m+1)/2} * sum over eigenvalues lam of L(G) of
         e^{-it lam/2} <u|F_lam|v> (cos(t D/2) - i ((m+lam-1)/D) sin(t D/2)),
     with D = sqrt((m+lam-1)^2 + 4m). The satellites enter only through m, so
-    the element between base vertices never sees their structure.
+    the element between base vertices never sees their structure. A subset
+    of ts gives the bits those times have in the full call.
     """
     _check_base_consistency(cs, g_decomp)
     _check_vertices(g_decomp, u, v)
-    m = cs.m
-    ts = np.asarray(ts, dtype=float)
     lam = g_decomp.eigenvalues
-    weights = g_decomp.projectors[:, u, v]
-    delta = _delta(lam, m)
-    coef = (m + lam - 1.0) / delta
-    half_t = 0.5 * ts
-    osc = np.cos(np.outer(half_t, delta)) - 1j * coef[None, :] * np.sin(np.outer(half_t, delta))
-    terms = np.exp(-1j * np.outer(half_t, lam)) * osc
-    return np.exp(-1j * (m + 1.0) * half_t) * (terms @ weights)
+    delta = _delta(lam, cs.m)
+    return _corona_kernel(cs.m, lam, delta, (cs.m + lam - 1.0) / delta, g_decomp.projectors[:, u, v], ts)
+
+
+def _corona_kernel(m: int, lam, delta, coef, weights, ts) -> np.ndarray:
+    """corona_transition_values without its checks, given Delta, coef =
+    (m+lam-1)/Delta and the pair's projector entries. The eigenvalue sum adds
+    one eigenvalue's row of terms at a time, left to right, so no time's bits
+    depend on the other times: a matrix-vector product does not promise that."""
+    half_t = 0.5 * np.asarray(ts, dtype=float)
+    angle = np.outer(delta, half_t)
+    terms = np.exp(-1j * np.outer(lam, half_t)) * (np.cos(angle) - 1j * coef[:, None] * np.sin(angle))
+    total = terms[0] * weights[0]
+    for j in range(1, len(weights)):
+        total = total + terms[j] * weights[j]
+    return np.exp(-1j * (m + 1.0) * half_t) * total

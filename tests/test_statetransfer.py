@@ -287,6 +287,13 @@ def test_non_integer_vertices_and_orders_rejected():
         lambda: pgst_search(cs, d, 0.5, 1, "four_pi_ell"),
         lambda: corona_no_pst_witness(g, 2, 1.5),
         lambda: corona_no_pst_witness(g, 2.5, 0),
+        lambda: check_pgst_hypothesis(d, 0, 2.5),  # used to report divisibility_ok=False
+        lambda: check_pgst_hypothesis(d, 0, 3.0),  # used to be accepted
+        lambda: check_pgst_hypothesis(d, 0.5, 1),
+        lambda: pgst_search(cs, d, 0, 1, "four_pi_ell", ell_max=2.5),  # used to die in range()
+        lambda: pgst_search(cs, d, 0, 1, "shifted", r=1.0),
+        lambda: cocktail_pgst(2.5),
+        lambda: cocktail_pgst(3, ell_max=2.5),
     ):
         with pytest.raises(ValueError, match="must be integers"):
             call()
@@ -444,19 +451,25 @@ def test_screened_search_equals_plain_scan(name):
 
 
 def test_screen_skips_chunks_without_records(monkeypatch):
-    # The unscreened scan runs all 98 chunks of this search through the
-    # exact kernel; the screen leaves the first chunk and the few that hold
-    # a record.
-    calls = []
+    # The unscreened scan runs all 200,000 ell of this search through the
+    # exact kernel; the screen leaves the first chunk, which runs through
+    # corona_transition_values, and the few ell that come close to a record.
+    evaluated = {"checked": [], "kernel": []}
 
-    def counted(cs, gd, u, v, ts):
-        calls.append(len(ts))
-        return corona_transition_values(cs, gd, u, v, ts)
+    def counting(name, fn):
+        def counted(*args):
+            evaluated[name].append(len(args[-1]))
+            return fn(*args)
 
-    monkeypatch.setattr(statetransfer, "corona_transition_values", counted)
+        return counted
+
+    monkeypatch.setattr(statetransfer, "corona_transition_values", counting("checked", corona_transition_values))
+    monkeypatch.setattr(statetransfer, "_corona_kernel", counting("kernel", statetransfer._corona_kernel))
     cs, gd = search_setup(hypercube_graph(2), MIXED3)
     pgst_search(cs, gd, 0, 3, "shifted", r=1, ell_max=200_000, target=0.999999)
-    assert len(calls) <= 6
+    assert evaluated["checked"] == [2048]  # the first chunk, whole
+    assert evaluated["kernel"], "no screened ell reached the patched kernel"
+    assert 2048 + sum(evaluated["kernel"]) <= 2048 + 64
 
 
 @pytest.mark.parametrize("name", ["q2_mixed3", "cocktail3_k1", "cocktail5_k1"])
@@ -464,7 +477,12 @@ def test_screen_stays_within_its_bound(monkeypatch, name):
     case = next(c for c in PGST_BOUNDS["cases"] if c["name"] == name)
     g, hs = fixture_corona(name)
     cs, gd = search_setup(g, hs)
-    screened = {}
+    shift = 0.0 if case["family"] == "four_pi_ell" else 2.0 ** (1 - case["r"])
+
+    def ell_of(t):
+        return round((t / math.pi - shift) / 4.0)
+
+    screened = {}  # first ell of a screened chunk -> the chunk's screened fidelities
     bounds = []
     make_screen = statetransfer._fidelity_screen
 
@@ -472,26 +490,32 @@ def test_screen_stays_within_its_bound(monkeypatch, name):
         screen, tol = make_screen(*args)
         bounds.append(tol)
 
-        def recorded(t0, n):
-            screened[t0] = screen(t0, n)
-            return screened[t0]
+        def recorded(t0s):
+            rows = screen(t0s)
+            screened.update(zip(map(ell_of, t0s.tolist()), rows))
+            return rows
 
         return recorded, tol
 
-    exact = {}
+    exact = {}  # ell -> exact fidelity
+    kernel = statetransfer._corona_kernel
 
-    def recording_kernel(cs, gd, u, v, ts):
-        values = corona_transition_values(cs, gd, u, v, ts)
-        exact[float(ts[0])] = np.abs(values) ** 2
+    def recording_kernel(*args):
+        values = kernel(*args)
+        exact.update(zip(map(ell_of, args[-1].tolist()), (np.abs(values) ** 2).tolist()))
         return values
 
     monkeypatch.setattr(statetransfer, "_fidelity_screen", recording_screen)
-    monkeypatch.setattr(statetransfer, "corona_transition_values", recording_kernel)
+    monkeypatch.setattr(statetransfer, "_corona_kernel", recording_kernel)
     pgst_search(cs, gd, case["u"], case["v"], case["family"], r=case["r"], ell_max=300_000, target=0.999999)
     (tol,) = bounds
-    evaluated = sorted(set(screened) & set(exact))
-    assert evaluated, "no chunk was both screened and evaluated"
-    gap = max(float(np.max(np.abs(screened[t0] - exact[t0]))) for t0 in evaluated)
+    gaps = [
+        abs(float(screened[start][ell - start]) - f)
+        for ell, f in exact.items()
+        if (start := ell - (ell - 1) % 2048) in screened
+    ]
+    assert gaps, "no ell was both screened and evaluated"
+    gap = max(gaps)
     # tol / 8 is the rounding bound itself, before the screen's headroom.
     assert gap < tol / 8
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import MIXED3, random_graph, scalar_fidelity_phase
+from conftest import MIXED3, random_connected_graph, random_graph, scalar_fidelity_phase
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronawalk import (
     adjacency,
@@ -12,6 +14,7 @@ from coronawalk import (
     corona_laplacian_blocks,
     corona_spectrum,
     corona_transition_values,
+    cycle_graph,
     eigendecompose,
     empty_graph,
     evolve_operator,
@@ -194,3 +197,41 @@ def test_vertex_range_validation():
         with pytest.raises(ValueError, match="must be integers"):
             corona_transition_values(cs, d, u, v, [1.0])
     assert transition_values(d, np.int64(0), np.int64(1), [1.0]) == transition_values(d, 0, 1, [1.0])
+
+
+def _subset_coronas():
+    """(base, corona spectrum, base decomposition) over bases with 2 to 16
+    distinct Laplacian eigenvalues: K2, Q2, Q3, C20 and random graphs."""
+    rng = np.random.default_rng(31)
+    bases = [complete_graph(2), hypercube_graph(2), hypercube_graph(3), cycle_graph(20)]
+    bases += [random_connected_graph(rng, n) for n in (6, 9, 13, 16)]
+    coronas = []
+    for m, g in enumerate(bases, start=1):
+        gd = eigendecompose(laplacian(g))
+        coronas.append((g, corona_spectrum(g, [empty_graph(m)] * g.n), gd))
+    ks = {len(gd.eigenvalues) for _, _, gd in coronas}
+    assert min(ks) == 2 and max(ks) >= 12
+    return coronas
+
+
+SUBSET_CORONAS = _subset_coronas()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_corona_values_do_not_depend_on_the_other_times(data):
+    # pgst_search evaluates only the times its screen keeps and relies on
+    # getting the bits a full chunk would give them.
+    g, cs, gd = data.draw(st.sampled_from(SUBSET_CORONAS))
+    u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    n = data.draw(st.integers(1, 600))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ts = 4.0 * math.pi * rng.integers(1, 10**6, n).astype(float)
+    ts[::2] = rng.uniform(0.0, 1e4, len(ts[::2]))
+    full = corona_transition_values(cs, gd, u, v, ts).view(np.uint64)
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    subset = corona_transition_values(cs, gd, u, v, ts[rows]).view(np.uint64)
+    assert np.array_equal(subset, full.reshape(n, 2)[rows].ravel())  # signed zeros too
+    i = data.draw(st.integers(0, n - 1))
+    single = corona_transition_values(cs, gd, u, v, [ts[i]]).view(np.uint64)
+    assert np.array_equal(single, full[2 * i : 2 * i + 2])
