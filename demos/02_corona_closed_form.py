@@ -40,7 +40,7 @@ cs = corona_spectrum(g, satellites)
 
 # Class (a): eigenvalue 1, one eigenvector per satellite component beyond
 # the first. The empty satellite alone contributes two of the three.
-print("\nclass (a): present =", cs.class_a.present, "multiplicity =", cs.class_a.multiplicity)
+print("\nclass (a): multiplicity =", cs.class_a.multiplicity)
 
 # Class (b): mu + 1 for every nonzero satellite eigenvalue mu, confined to
 # the satellite cells that carry mu.

@@ -7,7 +7,8 @@ close to 1 along explicit time families. Two families are searched here.
 At t = 4*pi*ell each unimodular prefactor is trivial and the cosines
 cos(2*pi*ell*Delta_lam) drift onto the sign pattern of the base pair; at
 t = (4*ell + 2^(1-r))*pi the drift targets +1 for every eigenvalue, at the
-price of stronger hypotheses (a PST pair in the base and 2^(r+1) | m+1).
+price of stronger hypotheses (a PST pair in the base and 2^(r+1) | m+1),
+which pgst_search checks before it scans.
 The irrational, rationally independent Delta values make both scans a
 simultaneous diophantine approximation, so the good ell are sparse and
 irregular.
@@ -19,7 +20,7 @@ from coronawalk import (
     Graph,
     antipodal_sign_check,
     build_named,
-    check_pgst_hypothesis,
+    check_pst,
     cocktail_pgst,
     corona,
     corona_spectrum,
@@ -27,6 +28,7 @@ from coronawalk import (
     eigendecompose,
     laplacian,
     pgst_search,
+    support_gcd_and_valuation,
     transition_values,
     walk_matrix,
 )
@@ -44,11 +46,16 @@ for rec in result.history:
 print(f"first hit at ell = {result.best.ell}, t = {result.best.t:.3f} = 4*pi*{result.best.ell}")
 
 # --- shifted family on a mixed-satellite corona --------------------------
-# The base Q2 has PST between antipodes and support gcd 2 (so r = 1); with
-# m = 3 the divisibility 2^(r+1) | m+1 holds and the shifted family applies.
+# pgst_search runs the shifted family only from a base pair that check_pst
+# certifies, with r the 2-adic valuation of the pair's support gcd. The base
+# Q2 has PST between antipodes and support gcd 2, so r = 1; with m = 3 the
+# divisibility 2^(r+1) | m+1 holds and the shifted family applies.
 q2 = build_named("hypercube", 2)
-hypothesis = check_pgst_hypothesis(eigendecompose(laplacian(q2)), 0, 3)
-print("\nshifted-family hypotheses for Q2, m = 3:", hypothesis)
+gd = eigendecompose(laplacian(q2))
+verdict = check_pst(gd, 0, 3)
+support_gcd, r = support_gcd_and_valuation(verdict.support)
+print(f"\nQ2 antipodes: PST {verdict.pst}, support {verdict.support}, gcd {support_gcd}, so r = {r}; "
+      f"2^(r+1) = {2 ** (r + 1)} divides m+1 = 4")
 
 mixed = [
     build_named("empty", 3),
@@ -57,7 +64,6 @@ mixed = [
     build_named("complete", 3),
 ]
 cs = corona_spectrum(q2, mixed)
-gd = eigendecompose(laplacian(q2))
 result = pgst_search(cs, gd, 0, 3, "shifted", target=0.99)
 rec = result.best
 print(f"Q2 o (mixed 3-vertex), target 0.99 at t = (4*ell+1)*pi: ell = {rec.ell}, "

@@ -73,16 +73,6 @@ def _jsonable(x):
         return _fmt(x)
     if isinstance(x, complex):
         return {"re": _fmt(x.real), "im": _fmt(x.imag)}
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return _fmt(float(x))
-    if isinstance(x, np.complexfloating):
-        return _jsonable(complex(x))
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -220,11 +210,11 @@ def cmd_spectrum(args) -> int:
     config = _config_from(args, "json")
     payload = {
         "kind": args.kind,
-        "eigenvalues": list(d.eigenvalues),
+        "eigenvalues": d.eigenvalues.tolist(),
         "multiplicities": list(d.multiplicities),
     }
     if args.projectors:
-        payload["projectors"] = d.projectors
+        payload["projectors"] = d.projectors.tolist()
     _emit_json(config, payload)
     return 0
 
@@ -303,7 +293,6 @@ def cmd_pgst_search(args) -> int:
         u,
         v,
         _FAMILY_ALIASES[args.family],
-        r=args.r,
         ell_max=args.ell_max,
         target=args.target,
     )
@@ -311,12 +300,12 @@ def cmd_pgst_search(args) -> int:
     return 0 if result.target_met else 2
 
 
-def _figure_search(g, hs, u, v, family, r, target, path, config):
+def _figure_search(g, hs, u, v, family, target, path, config):
     """PGST search on G corona hs between base vertices u and v, with the
     closed-form fidelity curve up to the best time written to path as CSV."""
     cs = corona_spectrum(g, hs)
     g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
-    result = pgst_search(cs, g_decomp, u, v, family, r=r, ell_max=10_000, target=target)
+    result = pgst_search(cs, g_decomp, u, v, family, ell_max=10_000, target=target)
     ts = np.linspace(0.0, result.best.t, 2001)
     _write_text(str(path), _csv_text(config, ts, corona_transition_values(cs, g_decomp, u, v, ts)))
     return result
@@ -332,7 +321,7 @@ def _fig2(outdir: Path, config: dict) -> tuple:
         build_named("path", 3),
         build_named("complete", 3),
     ]
-    result = _figure_search(g, hs, 0, 3, "shifted", 1, 0.99, outdir / "fig2_curve.csv", config)
+    result = _figure_search(g, hs, 0, 3, "shifted", 0.99, outdir / "fig2_curve.csv", config)
     return {"target": 0.99, **_search_dict(result)}, ["fig2_curve.csv"], result.target_met
 
 
@@ -342,7 +331,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     g = build_named("complete", 2)
     hs = [build_named("empty", 6)] * 2
     path = outdir / "fig3_laplacian_curve.csv"
-    result = _figure_search(g, hs, 0, 1, "four_pi_ell", None, 0.999, path, config)
+    result = _figure_search(g, hs, 0, 1, "four_pi_ell", 0.999, path, config)
 
     flat = corona(g, hs).flat
     adj = eigendecompose(walk_matrix(flat, "adjacency"))
@@ -372,7 +361,7 @@ def _fig4(outdir: Path, config: dict) -> tuple:
     between an antipodal base pair at t = 4*pi*ell."""
     g = build_named("cocktail_party", 3)
     hs = [build_named("complete", 1)] * g.n
-    result = _figure_search(g, hs, 0, 3, "four_pi_ell", None, 0.99, outdir / "fig4_curve.csv", config)
+    result = _figure_search(g, hs, 0, 3, "four_pi_ell", 0.99, outdir / "fig4_curve.csv", config)
     return {"target": 0.99, **_search_dict(result)}, ["fig4_curve.csv"], result.target_met
 
 
@@ -459,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--family", choices=sorted(_FAMILY_ALIASES), required=True)
-    p.add_argument("--r", type=int, default=None, help="shifted family: 2-adic valuation override")
     p.add_argument("--ell-max", dest="ell_max", type=int, default=10_000)
     p.add_argument("--target", type=float, default=0.99)
     p.add_argument("--from", dest="from_vertex", type=int, default=None, help="default 0")

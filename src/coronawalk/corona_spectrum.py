@@ -36,7 +36,6 @@ class ClassA:
     """Eigenvalue 1 from disconnected satellites; multiplicity is the total
     number of satellite components beyond one per cell."""
 
-    present: bool
     multiplicity: int
 
 
@@ -234,7 +233,7 @@ def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
     class_c = tuple(
         _class_c(float(lam), m, k) for lam, k in zip(g_decomp.eigenvalues, g_decomp.multiplicities)
     )
-    class_a = ClassA(present=a_mult > 0, multiplicity=a_mult)
+    class_a = ClassA(multiplicity=a_mult)
     return CoronaSpectrum(
         m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c, cluster_tol=cluster_tol
     )

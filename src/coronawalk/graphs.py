@@ -112,6 +112,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
+    n = _index(n)
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -120,10 +121,12 @@ def empty_graph(n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
+    n = _index(n)
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _index(n)
     if n < 3:
         raise ValueError("a simple cycle needs at least 3 vertices")
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
@@ -132,6 +135,7 @@ def cycle_graph(n: int) -> Graph:
 def hypercube_graph(d: int) -> Graph:
     """d-cube on 2^d vertices in binary counting order; edges join vertices at
     Hamming distance 1. The antipode of vertex i is (2^d - 1) - i."""
+    d = _index(d)
     n = 1 << d
     edges = set()
     for i in range(n):
@@ -145,12 +149,14 @@ def hypercube_graph(d: int) -> Graph:
 def matching_graph(n: int) -> Graph:
     """n disjoint edges (i, i+n) on 2n vertices, the pairing complemented by
     cocktail_party_graph."""
+    n = _index(n)
     return Graph(2 * n, frozenset((i, i + n) for i in range(n)))
 
 
 def cocktail_party_graph(n: int) -> Graph:
     """Complement of a perfect matching on 2n vertices: every vertex is
     adjacent to all others except its antipode i <-> i+n."""
+    n = _index(n)
     nn = 2 * n
     edges = set()
     for i in range(nn):

@@ -12,10 +12,12 @@ vertex keeps both lambda_pm in its support, and at least one of them is
 never an integer (exact arithmetic when the base eigenvalue is integral).
 PGST can survive; the searches here scan the time families t = 4*pi*ell
 and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
-target. A phase-table screen bounds every fidelity past the first chunk,
-and only the ell it cannot rule out as a record or a hit run the exact
-kernel; its values do not depend on the other times in a call, so every
-result keeps the bits of an unscreened scan.
+target. The shifted family is searched only from a base pair that
+check_pst certifies, with r the 2-adic valuation of its support gcd. A
+phase-table screen bounds every fidelity past the first chunk, and only the
+ell it cannot rule out as a record or a hit run the exact kernel; its values
+do not depend on the other times in a call, so every result keeps the bits
+of an unscreened scan.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ PGST_FAMILIES = ("four_pi_ell", "shifted")
 _SEARCH_CHUNK = 2048
 # Chunks screened per product: the block's values take about 256 KB.
 _SCREEN_BLOCK = 8
+
+
+def _signable(w: float) -> bool:
+    """The one sign rule: a projector entry can be signed iff |w| >= SIGN_TOL."""
+    return abs(w) >= SIGN_TOL
 
 
 class IndeterminateVerdictError(ValueError):
@@ -95,15 +102,6 @@ class TransferVerdict:
     witness: str | None
 
 
-def _joint_support(d: SpectralDecomposition, *vertices) -> tuple[list, list, list]:
-    """The joint eigenvalue support of the vertices: its eigenvalue indices
-    ascending, their eigenvalues, and each eigenvalue as an exact integer or
-    None when it is not one."""
-    joint = sorted(set().union(*(eigenvalue_support(d, x).support for x in vertices)))
-    values = d.eigenvalues[joint].tolist()
-    return joint, values, [integer_eigenvalue(x) for x in values]
-
-
 def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     """Decide Laplacian PST between u and v from a spectral decomposition.
 
@@ -136,7 +134,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     if report.strongly_cospectral and integer_support and g is not None:
         sign_ok = True
         for lam, w in zip(ints, d.projectors[joint, u, v].tolist()):
-            if abs(w) < SIGN_TOL:
+            if not _signable(w):
                 raise IndeterminateVerdictError(lam, u, v)
             if (w > 0) != ((lam // g) % 2 == 0):
                 sign_ok = False
@@ -287,8 +285,11 @@ def pgst_search(
     every unimodular prefactor is 1 there, so the fidelity approaches 1 when
     each cos(t*Delta_lam/2) approaches the sign of <u|F_lam|v>. family
     "shifted" uses t = (4*ell + 2^(1-r))*pi with 2^r the largest power of
-    two dividing the support gcd; it needs integer support, a PST pair in
-    the base, and 2^(r+1) | m+1, and its cosine targets are all +1.
+    two dividing the support gcd, and its cosine targets are all +1. It
+    raises ValueError unless check_pst certifies PST between u and v in the
+    base and 2^(r+1) | m+1; r is derived from the verdict's support, and an
+    r passed in must equal it. An entry |<u|F_lam|v>| below SIGN_TOL sets no
+    target: _signable is the rule check_pst signs by.
 
     The scan stops at the first hit; history records the strictly improving
     fidelities along the way. The first _SEARCH_CHUNK ell run exactly. Past
@@ -316,10 +317,10 @@ def pgst_search(
     m = cs.m
 
     if family == "shifted":
-        _, _, ints = _joint_support(g_decomp, u, v)
-        if None in ints:
-            raise ValueError("shifted family needs an all-integer eigenvalue support")
-        _, r_support = support_gcd_and_valuation(ints)
+        verdict = check_pst(g_decomp, u, v)
+        if not verdict.pst:
+            raise ValueError(f"shifted family needs PST between base vertices {u} and {v}")
+        _, r_support = support_gcd_and_valuation(verdict.support)
         if r is not None and _index(r) != r_support:
             raise ValueError(f"r={r} disagrees with the support value {r_support}")
         r = r_support
@@ -332,13 +333,10 @@ def pgst_search(
     delta = _delta(lam, m)
     coef = (m + lam - 1.0) / delta
     pair_weights = g_decomp.projectors[:, u, v]
-    if family == "shifted":
-        targets = [1.0 if abs(float(w)) > SIGN_TOL else None for w in pair_weights]
-    else:
-        targets = [
-            (1.0 if w > 0 else -1.0) if abs(float(w)) > SIGN_TOL else None
-            for w in pair_weights
-        ]
+    targets = [
+        (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
+        for w in pair_weights.tolist()
+    ]
 
     def time_of(ells: np.ndarray) -> np.ndarray:
         if family == "four_pi_ell":
@@ -424,35 +422,6 @@ def _fidelity_screen(lam, delta, coef, weights, t_max: float):
         return values.real**2 + values.imag**2
 
     return screen, tol
-
-
-@dataclass(frozen=True)
-class PgstHypothesis:
-    """Whether a base graph vertex satisfies the shifted-family hypotheses:
-    a PST partner, the 2-adic valuation r of its support gcd, and the
-    divisibility 2^(r+1) | m+1."""
-
-    pst_pair: int | None
-    r: int | None
-    divisibility_ok: bool
-
-
-def check_pgst_hypothesis(g_decomp: SpectralDecomposition, u: int, m: int) -> PgstHypothesis:
-    u, m = _index(u), _index(m)
-    if m < 1:
-        raise ValueError("satellite order m must be >= 1")
-    pst_pair = None
-    for v in range(g_decomp.dim):
-        if v != u and check_pst(g_decomp, u, v).pst:
-            pst_pair = v
-            break
-    _, _, ints = _joint_support(g_decomp, u)
-    r = None
-    divisibility_ok = False
-    if None not in ints and any(ints):
-        _, r = support_gcd_and_valuation(ints)
-        divisibility_ok = (m + 1) % (2 ** (r + 1)) == 0
-    return PgstHypothesis(pst_pair=pst_pair, r=r, divisibility_ok=divisibility_ok)
 
 
 def antipodal_sign_check(g: Graph) -> list:

@@ -100,7 +100,7 @@ def test_corona_spectrum_command(capsys):
     rc, doc = run_json(capsys, "corona-spectrum", "--g", "k2", "--h", "o6")
     assert rc == 0
     assert doc["m"] == 6
-    assert doc["class_a"] == {"present": True, "multiplicity": 10}
+    assert doc["class_a"] == {"multiplicity": 10}
     assert doc["class_b"] == []
     assert doc["class_c"][1]["delta_sq"] == 73
     assert doc["class_c"][1]["s"] == 1 and doc["class_c"][1]["c"] == 73
@@ -254,7 +254,7 @@ def test_pgst_search_default_pair_and_satellite_file(capsys, tmp_path):
     sat = tmp_path / "kite.json"
     save_graph(Graph(3, frozenset({(0, 1)})), sat)
     rc, doc = run_json(capsys, "pgst-search", "--g", "q2", "--h", f"o3,@{sat},p3,k3",
-                       "--family", "shifted", "--r", "1", "--target", "0.99")
+                       "--family", "shifted", "--target", "0.99")
     assert rc == 0
     assert doc["best"]["r"] == 1
     assert "from_vertex" not in doc["config"]["flags"]  # None flags are omitted
@@ -269,6 +269,8 @@ def test_parse_errors_exit_1(capsys):
     assert run(capsys, "spectrum")[0] == 1  # missing --graph
     assert run(capsys, "spectrum", "--graph", "z9")[0] == 1
     assert run(capsys, "pgst-search", "--g", "k2", "--h", "o1", "--family", "6pi")[0] == 1
+    # r is derived from the base pair's support: there is no flag for it
+    assert run(capsys, "pgst-search", "--g", "q2", "--h", "o3", "--family", "shifted", "--r", "1")[0] == 1
     assert run(capsys, "spectrum", "--graph", "p0")[0] == 1
 
 

@@ -128,7 +128,7 @@ def test_lambda_pm_identities():
 
 def test_k2_corona_k1_matches_p4():
     cs = corona_spectrum(complete_graph(2), [empty_graph(1)] * 2)
-    assert not cs.class_a.present and cs.class_a.multiplicity == 0
+    assert cs.class_a.multiplicity == 0
     assert cs.class_b == ()
     assert len(cs.class_c) == 2
     assert cs.total_multiplicity() == 4
@@ -142,7 +142,7 @@ def test_k2_corona_k1_matches_p4():
 
 def test_double_star_classes():
     cs = corona_spectrum(complete_graph(2), [empty_graph(6)] * 2)
-    assert cs.class_a.present and cs.class_a.multiplicity == 10
+    assert cs.class_a.multiplicity == 10
     assert cs.class_b == ()
     c0, c2 = cs.class_c
     assert (c0.lam_plus, c0.lam_minus) == (7.0, 0.0)
@@ -155,7 +155,7 @@ def test_double_star_classes():
 def test_mixed_satellite_class_structure():
     cs = corona_spectrum(hypercube_graph(2), MIXED3)
     assert cs.m == 3
-    assert cs.class_a.present and cs.class_a.multiplicity == 3
+    assert cs.class_a.multiplicity == 3
 
     assert np.allclose([b.mu for b in cs.class_b], [1.0, 2.0, 3.0], atol=1e-9)
     assert np.allclose([b.value for b in cs.class_b], [2.0, 3.0, 4.0], atol=1e-9)
@@ -174,7 +174,7 @@ def test_mixed_satellite_class_structure():
 
 def test_homogeneous_satellites_pool_all_cells():
     cs = corona_spectrum(cycle_graph(4), [path_graph(3)] * 4)
-    assert not cs.class_a.present
+    assert cs.class_a.multiplicity == 0
     assert np.allclose([b.value for b in cs.class_b], [2.0, 4.0], atol=1e-9)
     assert all(b.satellites == (0, 1, 2, 3) for b in cs.class_b)
     assert all(b.multiplicity == 4 for b in cs.class_b)
@@ -267,7 +267,7 @@ def test_eigenvalue_list_links_a_chain_like_eigendecompose():
     chain = [3.0, 3.0 + 0.9 * tol, 3.0 + 1.8 * tol]
     cs = CoronaSpectrum(
         m=2,
-        class_a=ClassA(present=False, multiplicity=0),
+        class_a=ClassA(multiplicity=0),
         class_b=tuple(ClassB(mu=x - 1.0, value=x, satellites=(0,), multiplicity=1) for x in chain),
         class_c=(),
         cluster_tol=tol,

@@ -10,6 +10,7 @@ from coronawalk import (
     cocktail_party_graph,
     complete_graph,
     component_count,
+    cycle_graph,
     degrees,
     eigendecompose,
     empty_graph,
@@ -139,6 +140,18 @@ def test_build_named():
         build_named("path", 2.7)  # used to build P2
     assert build_named("path", np.int64(3)) == path_graph(3)
     assert FAMILIES == ("complete", "empty", "path", "cycle", "hypercube", "cocktail_party", "matching")
+
+
+@pytest.mark.parametrize(
+    "builder", [complete_graph, path_graph, cycle_graph, hypercube_graph, matching_graph, cocktail_party_graph]
+)
+def test_constructors_take_integer_sizes(builder):
+    # Each used to fail in range(), a shift or the cycle's size check.
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="must be integers"):
+            builder(bad)
+    assert builder(np.int64(3)) == builder(3)
+    assert type(builder(np.int64(3)).n) is int
 
 
 def test_json_round_trip(tmp_path):

@@ -13,7 +13,6 @@ from coronawalk import (
     SpectralDecomposition,
     SupportInfo,
     antipodal_sign_check,
-    check_pgst_hypothesis,
     check_pst,
     cocktail_party_graph,
     cocktail_pgst,
@@ -129,6 +128,17 @@ def test_tiny_projector_entry_is_indeterminate():
     with pytest.raises(IndeterminateVerdictError) as exc:
         check_pst(d, 0, 1)
     assert exc.value.lam == 0
+    # An entry of magnitude SIGN_TOL is signable, one ulp below it is not:
+    # the rule the PGST residual targets share.
+    for w, signable in ((statetransfer.SIGN_TOL, True), (np.nextafter(statetransfer.SIGN_TOL, 0.0), False)):
+        stack = d.projectors.copy()
+        stack[0, 0, 1] = stack[0, 1, 0] = w
+        given = dataclasses.replace(d, projectors=stack)
+        if signable:
+            assert check_pst(given, 0, 1).pst
+        else:
+            with pytest.raises(IndeterminateVerdictError):
+                check_pst(given, 0, 1)
 
 
 def loop_eigenvalue_support(d, u):
@@ -287,9 +297,6 @@ def test_non_integer_vertices_and_orders_rejected():
         lambda: pgst_search(cs, d, 0.5, 1, "four_pi_ell"),
         lambda: corona_no_pst_witness(g, 2, 1.5),
         lambda: corona_no_pst_witness(g, 2.5, 0),
-        lambda: check_pgst_hypothesis(d, 0, 2.5),  # used to report divisibility_ok=False
-        lambda: check_pgst_hypothesis(d, 0, 3.0),  # used to be accepted
-        lambda: check_pgst_hypothesis(d, 0.5, 1),
         lambda: pgst_search(cs, d, 0, 1, "four_pi_ell", ell_max=2.5),  # used to die in range()
         lambda: pgst_search(cs, d, 0, 1, "shifted", r=1.0),
         lambda: cocktail_pgst(2.5),
@@ -373,6 +380,11 @@ def test_shifted_family_requirements():
     cs2, gd2 = search_setup(complete_graph(2), [empty_graph(1)] * 2)
     with pytest.raises(ValueError):
         pgst_search(cs2, gd2, 0, 1, "shifted")  # 4 does not divide m+1 = 2
+    # P3's endpoints have integer support {0, 1, 3} but fail the sign
+    # pattern; the search used to run with r = 0 and hit at ell = 21.
+    cs3, gd3 = search_setup(path_graph(3), [empty_graph(1)] * 3)
+    with pytest.raises(ValueError, match="needs PST"):
+        pgst_search(cs3, gd3, 0, 2, "shifted", target=0.9)
 
 
 def test_search_validation():
@@ -526,32 +538,14 @@ def test_vanishing_pair_entry_gets_no_residual_target():
     cs, gd = search_setup(path_graph(3), [empty_graph(2)] * 3)
     result = pgst_search(cs, gd, 0, 1, "four_pi_ell", target=0.0)
     assert result.best.residuals[1] is None
-
-
-# ------------------------------------------------- check_pgst_hypothesis
-
-
-def test_hypothesis_hypercube_with_m3():
-    h = check_pgst_hypothesis(decomp(hypercube_graph(2)), 0, 3)
-    assert h.pst_pair == 3
-    assert h.r == 1
-    assert h.divisibility_ok
-
-
-def test_hypothesis_k2_with_m1():
-    h = check_pgst_hypothesis(decomp(complete_graph(2)), 0, 1)
-    assert h.pst_pair == 1
-    assert h.r == 1
-    assert not h.divisibility_ok  # 2^2 does not divide m+1 = 2
-
-
-def test_hypothesis_without_pst_pair():
-    h = check_pgst_hypothesis(decomp(path_graph(3)), 0, 1)
-    assert h.pst_pair is None
-    assert h.r == 0
-    assert h.divisibility_ok  # 2^1 divides m+1 = 2
-    with pytest.raises(ValueError):
-        check_pgst_hypothesis(decomp(path_graph(3)), 0, 0)
+    # Set by hand, an entry of magnitude SIGN_TOL gets a target (check_pst
+    # signs it) and one ulp below it does not; SIGN_TOL itself used to get none.
+    for w, signable in ((statetransfer.SIGN_TOL, True), (np.nextafter(statetransfer.SIGN_TOL, 0.0), False)):
+        stack = gd.projectors.copy()
+        stack[1, 0, 1] = stack[1, 1, 0] = w
+        given = dataclasses.replace(gd, projectors=stack)
+        residual = pgst_search(cs, given, 0, 1, "four_pi_ell", target=0.0).best.residuals[1]
+        assert (residual is not None) == signable
 
 
 # ------------------------------------------- antipodal machinery and PGST
