@@ -39,12 +39,16 @@ from .statetransfer import (
 )
 from .walk import (
     _fidelity_phase,
+    _phase_screen,
     corona_transition_values,
     transition_values,
     walk_matrix,
 )
 
 OUTDIR_ENV = "CORONAWALK_OUTDIR"
+
+# Grid points per row of the fig3 adjacency screen.
+_GRID_ROW = 512
 
 _SHORTHAND = {
     "k": "complete",
@@ -113,14 +117,12 @@ def _csv_text(config: dict, ts: np.ndarray, values: np.ndarray) -> str:
     """The fidelity CSV of transition values on the times ts; the phase
     fields are empty where _fidelity_phase gives no phase."""
     fidelity, phase = _fidelity_phase(values)
-    lines = [
-        "# config " + json.dumps(config, sort_keys=True),
-        "t,fidelity,phase_re,phase_im",
+    rows = [
+        "%.12g,%.12g,," % (t, f) if p is None else "%.12g,%.12g,%.12g,%.12g" % (t, f, p.real, p.imag)
+        for t, f, p in zip(ts.tolist(), fidelity, phase)
     ]
-    for t, f, p in zip(ts.tolist(), fidelity, phase):
-        tail = "," if p is None else f"{p.real:.12g},{p.imag:.12g}"
-        lines.append(f"{t:.12g},{f:.12g},{tail}")
-    return "\n".join(lines) + "\n"
+    header = ["# config " + json.dumps(config, sort_keys=True), "t,fidelity,phase_re,phase_im"]
+    return "\n".join(header + rows) + "\n"
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -327,7 +329,15 @@ def _fig2(outdir: Path, config: dict) -> tuple:
 
 def _fig3(outdir: Path, config: dict) -> tuple:
     """Double star K2 corona O6: Laplacian PGST at t = 4*pi*ell versus the
-    adjacency walk's best fidelity over a dense grid."""
+    adjacency walk's best fidelity over a dense grid.
+
+    walk._phase_screen, the screen pgst_search uses, bounds the fidelity on
+    every grid point to within tol, in rows of _GRID_ROW points from one
+    product (the grid starts at 0, so linspace gives t_k = fl(k*grid[1])).
+    Only the points screened at or above max(screen) - 2*tol can hold the
+    grid's maximum; transition_values evaluates those, and the first
+    maximum among them is the grid's argmax.
+    """
     g = build_named("complete", 2)
     hs = [build_named("empty", 6)] * 2
     path = outdir / "fig3_laplacian_curve.csv"
@@ -337,8 +347,11 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     adj = eigendecompose(walk_matrix(flat, "adjacency"))
     u, v = 0, 7  # the two base vertices in flat order
     grid = np.linspace(0.0, 2000.0, 200_000)
-    fidelities = np.abs(transition_values(adj, u, v, grid)) ** 2
-    best_idx = int(np.argmax(fidelities))
+    screen, tol = _phase_screen(adj.projectors[:, u, v], adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
+    screened = screen(grid[::_GRID_ROW]).ravel()[: grid.size]  # drops a ragged last row's overhang
+    cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
+    fidelities = np.abs(transition_values(adj, u, v, grid[cands])) ** 2
+    best = int(np.argmax(fidelities))
     ts = np.linspace(0.0, 2000.0, 2001)
     curve = _csv_text(config, ts, transition_values(adj, u, v, ts))
     _write_text(str(outdir / "fig3_adjacency_curve.csv"), curve)
@@ -348,8 +361,8 @@ def _fig3(outdir: Path, config: dict) -> tuple:
         "target_met": result.target_met,
         "laplacian_best_fidelity": result.best.fidelity,
         "laplacian_best": _record_dict(result.best),
-        "adjacency_max_fidelity": float(fidelities[best_idx]),
-        "adjacency_argmax_t": float(grid[best_idx]),
+        "adjacency_max_fidelity": float(fidelities[best]),
+        "adjacency_argmax_t": float(grid[cands[best]]),
         "adjacency_grid": {"t_max": 2000.0, "points": 200_000},
     }
     files = ["fig3_laplacian_curve.csv", "fig3_adjacency_curve.csv"]

@@ -86,7 +86,7 @@ def squarefree_split(n: int) -> SquareFreeSplit:
         s *= r
     else:
         c *= rem
-    return SquareFreeSplit(n=n, s=s, c=c)
+    return SquareFreeSplit(n, s, c)
 
 
 def support_gcd_and_valuation(support) -> tuple[int, int]:

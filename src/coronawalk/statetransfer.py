@@ -13,11 +13,13 @@ never an integer (exact arithmetic when the base eigenvalue is integral).
 PGST can survive; the searches here scan the time families t = 4*pi*ell
 and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
 target. The shifted family is searched only from a base pair that
-check_pst certifies, with r the 2-adic valuation of its support gcd. A
-phase-table screen bounds every fidelity past the first chunk, and only the
-ell it cannot rule out as a record or a hit run the exact kernel; its values
-do not depend on the other times in a call, so every result keeps the bits
-of an unscreened scan.
+check_pst certifies, with r the 2-adic valuation of its support gcd. The
+phase-table screen walk._phase_screen bounds every fidelity past the first
+chunk to within tol, and only the ell screened at or above
+min(best, target) - tol, the ones it cannot rule out as a record or a hit,
+run the exact kernel; its values do not depend on the other times in a
+call, so every result keeps the bits of an unscreened scan. The CLI's fig3
+screens its adjacency grid with the same helper.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .spectral import (
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _corona_kernel, _fidelity_phase, corona_transition_values, transition_values
+from .walk import _corona_kernel, _fidelity_phase, _phase_screen, corona_transition_values, transition_values
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -386,42 +388,23 @@ def pgst_search(
 
 
 def _fidelity_screen(lam, delta, coef, weights, t_max: float):
-    """A cheap stand-in for |corona_transition_values|^2 along a PGST time
-    family up to t_max, and the bound tol on its distance from the exact
-    fidelity.
+    """walk._phase_screen along a PGST time family up to t_max: a cheap
+    stand-in for |corona_transition_values|^2 and the bound tol on its
+    distance from the exact fidelity.
 
     Splitting cos(x) - i c sin(x) = ((1+c) e^{-ix} + (1-c) e^{ix})/2 turns
     the element into e^{-it(m+1)/2} sum_j a_j e^{-it omega_j}, with
-    omega = (lam +/- Delta)/2 and a = w (1 +/- coef)/2. The fidelity drops
-    the prefactor, and t advances by exactly 4*pi per ell on both families,
-    so screen(t0s) reads the _SEARCH_CHUNK fidelities from each chunk start
-    t0 as one row of |(a e^{-i t0s (x) omega}) @ T|^2, with one table
-    T[j, i] = e^{-i 4 pi i omega_j}: one product per block of chunks.
-
-    Bound: the kernel builds a term's phase from the angles t*lam/2 and
-    t*Delta/2, the screen from t0*omega_j and 4*pi*i*omega_j, with t and t0
-    both the family's time of their ell. Each angle is at most
-    t_max*max|omega| and carries at most three roundings (Delta is shared),
-    so a term's two phases differ by under 4*eps*t_max*max|omega|.
-    S = sum|a_j| = sum|w| bounds |value| on both sides (|c| < 1), and
-    ||z|^2 - |z'|^2| <= 2S|z - z'|, so the fidelities differ by under
-    8*eps*S^2*t_max*max|omega|, plus O(k*eps*S^2) from the trig calls, the
-    products, the squares and the k- and 2k-term sums, whatever order they
-    add in. That remainder is negligible: a screen runs only past the first
-    chunk, where t_max*max|omega| > 4*pi*2048 (max|omega| >= Delta/2 >= sqrt(m) >= 1).
-    tol takes 64 for the 8.
+    omega = (lam +/- Delta)/2 and a = w (1 +/- coef)/2; S = sum|a_j| =
+    sum|w| as |coef| < 1. The fidelity drops the prefactor, and t advances
+    by exactly 4*pi per ell on both families, so screen(t0s) reads the
+    _SEARCH_CHUNK fidelities from each chunk start t0 as one row. Its
+    O(k*eps*S^2) remainder is negligible: a screen runs only past the first
+    chunk, where t_max*max|omega| > 4*pi*2048 (max|omega| >= Delta/2 >=
+    sqrt(m) >= 1).
     """
     omega = 0.5 * np.concatenate((lam + delta, lam - delta))
     amps = 0.5 * np.concatenate((weights * (1.0 + coef), weights * (1.0 - coef)))
-    size = float(np.sum(np.abs(amps)))
-    tol = 64.0 * np.finfo(float).eps * size * size * t_max * float(np.max(np.abs(omega)))
-    table = np.exp(-1j * np.outer(omega, 4.0 * math.pi * np.arange(_SEARCH_CHUNK)))
-
-    def screen(t0s: np.ndarray) -> np.ndarray:
-        values = (amps * np.exp(-1j * np.outer(t0s, omega))) @ table
-        return values.real**2 + values.imag**2
-
-    return screen, tol
+    return _phase_screen(amps, omega, 4.0 * math.pi, _SEARCH_CHUNK, t_max)
 
 
 def antipodal_sign_check(g: Graph) -> list:
@@ -435,7 +418,7 @@ def antipodal_sign_check(g: Graph) -> list:
     if g.n < 4 or g.n % 2 != 0:
         raise ValueError("not a cocktail party graph")
     n = g.n // 2
-    if g.edges != cocktail_party_graph(n).edges:
+    if g.edges != frozenset((i, j) for i in range(g.n) for j in range(i + 1, g.n) if j != i + n):
         raise ValueError("not a cocktail party graph (antipode map is i <-> i+n)")
     # The matching acts on a projector as the row permutation i <-> i+n.
     antipode = np.r_[n : 2 * n, 0:n]

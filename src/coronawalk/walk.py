@@ -11,6 +11,9 @@ Transition values <u|U(t)|v> come only as arrays over a time array, from
 `transition_values` and `corona_transition_values`. Fidelity and phase
 follow one rule, `_fidelity_phase`, for every caller: fidelity
 hypot(re, im)**2, phase value/hypot(re, im), and no phase below PHASE_FLOOR.
+Long scans over evenly spaced times screen first with `_phase_screen`, a
+bounded stand-in for the fidelity, and evaluate exactly only where it
+cannot rule a time out.
 """
 
 from __future__ import annotations
@@ -106,3 +109,39 @@ def _corona_kernel(m: int, lam, delta, coef, weights, ts) -> np.ndarray:
     for j in range(1, len(weights)):
         total = total + terms[j] * weights[j]
     return np.exp(-1j * (m + 1.0) * half_t) * total
+
+
+def _phase_screen(amps, omega, step: float, width: int, t_max: float):
+    """A cheap stand-in for the fidelity |sum_j a_j e^{-i t omega_j}|^2 on
+    the times t0 + step*i, i < width, from each row start t0, and the bound
+    tol on its distance from an exact evaluation at any t <= t_max.
+
+    screen(t0s) reads one row per t0 as |(a e^{-i t0s (x) omega}) @ T|^2,
+    with one table T[j, i] = e^{-i omega_j step i}: a product per call where
+    an exact evaluation takes an exp per time and term.
+
+    Bound: the exact values a caller screens for build each term's phase
+    from angles within a few roundings of t*omega_j, t the exact time. The
+    PGST kernel builds it from t*lam/2 and t*Delta/2 (three roundings each,
+    Delta is shared); transition_values on a linspace grid from 0 builds
+    fl(fl(k*step)*omega_j) (two, three at the last point, which linspace
+    sets to t_max). The screen builds it from t0*omega_j and
+    (step*i)*omega_j, two roundings each of parts whose sizes add up to at
+    most t_max*max|omega|. So each angle is at most about 5 roundings from
+    the other, and a term's two phases differ by under
+    5*eps*t_max*max|omega|. S = sum|a_j| bounds |value| on both sides, and
+    ||z|^2 - |z'|^2| <= 2S|z - z'|, so the fidelities differ by under
+    10*eps*S^2*t_max*max|omega|, plus O(k*eps*S^2) from the trig calls, the
+    products, the squares and the k-term sums, whatever order they add in.
+    tol takes 64 for the 10; the remainder is negligible once
+    t_max*max|omega| is large against k, as on every caller.
+    """
+    size = float(np.sum(np.abs(amps)))
+    tol = 64.0 * np.finfo(float).eps * size * size * t_max * float(np.max(np.abs(omega)))
+    table = np.exp(-1j * np.outer(omega, step * np.arange(width)))
+
+    def screen(t0s: np.ndarray) -> np.ndarray:
+        values = (amps * np.exp(-1j * np.outer(t0s, omega))) @ table
+        return values.real**2 + values.imag**2
+
+    return screen, tol

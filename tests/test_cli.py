@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
-from coronawalk.cli import _csv_text, main, parse_graph_spec, parse_satellites
+from coronawalk.cli import _csv_text, _fig3, _fmt, main, parse_graph_spec, parse_satellites
 
 
 def run(capsys, *argv):
@@ -324,14 +326,39 @@ def test_figures_fig3(capsys, tmp_path):
     assert ondisk["config"]["command"] == "figures"
 
 
-def test_figures_all(capsys, tmp_path):
-    rc, doc = run_json(capsys, "figures", "all", "--outdir", str(tmp_path))
+def test_figures_fig3_screen_finds_the_dense_grid_maximum(tmp_path):
+    # The scan the screen replaced: every one of the 200,000 grid points
+    # through transition_values.
+    summary, _, _ = _fig3(tmp_path, {})
+    adj = eigendecompose(walk_matrix(corona(build_named("complete", 2), [build_named("empty", 6)] * 2).flat,
+                                     "adjacency"))
+    grid = np.linspace(0.0, 2000.0, 200_000)
+    dense = np.abs(transition_values(adj, 0, 7, grid)) ** 2
+    idx = int(np.argmax(dense))
+    assert np.flatnonzero(grid == summary["adjacency_argmax_t"]).tolist() == [idx]
+    # The candidates' matrix-vector product may round one entry differently.
+    assert abs(summary["adjacency_max_fidelity"] - dense[idx]) <= 4 * np.spacing(dense[idx])
+    assert _fmt(summary["adjacency_max_fidelity"]) == _fmt(dense[idx])
+
+
+def test_figures_all(capsys, tmp_path, monkeypatch):
+    # Run as the benchmark's cli_figures check runs it, whose reference pins
+    # the sha256 of every file under the relative --outdir and of stdout;
+    # the bytes do not depend on the working directory.
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference" / "figures_sha256.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    outdir = tmp_path / ".perfbench_out" / "cli" / "figures"
+    rc, out = run(capsys, "figures", "all", "--outdir", ".perfbench_out/cli/figures")
     assert rc == 0
+    doc = json.loads(out)
     assert set(doc["summaries"]) == {"fig2", "fig3", "fig4"}
     assert doc["summaries"]["fig2"]["best"]["r"] == 1
     assert doc["summaries"]["fig4"]["best"]["ell"] == 342
     for name in ("fig2_curve.csv", "fig4_curve.csv", "fig2_summary.json", "fig4_summary.json"):
-        assert (tmp_path / name).exists()
+        assert (outdir / name).exists()
+    files = {"<stdout>": out.encode()}
+    files.update((name, Path(name).read_bytes()) for name in reference if name != "<stdout>")
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == reference
 
 
 def test_figures_outdir_env(capsys, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph, scalar_f
 
 from coronawalk import (
     CospectralityReport,
+    Graph,
     IndeterminateVerdictError,
     PstConditions,
     SpectralDecomposition,
@@ -559,13 +560,17 @@ def test_antipodal_sign_check_small_sizes():
 
 
 def test_antipodal_sign_check_rejects_other_graphs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"antipode map is i <-> i\+n"):
         antipodal_sign_check(path_graph(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"antipode map is i <-> i\+n"):
         antipodal_sign_check(complete_graph(4))
-    with pytest.raises(ValueError):
+    # Edge (0, 1) traded for the antipodal pair (0, 3): same order and size, another matching.
+    shifted = Graph(6, cocktail_party_graph(3).edges - {(0, 1)} | {(0, 3)})
+    with pytest.raises(ValueError, match=r"antipode map is i <-> i\+n"):
+        antipodal_sign_check(shifted)
+    with pytest.raises(ValueError, match="not a cocktail party graph$"):
         antipodal_sign_check(path_graph(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a cocktail party graph$"):
         antipodal_sign_check(complete_graph(2))
 
 

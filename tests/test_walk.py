@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import MIXED3, random_connected_graph, random_graph, scalar_fidelity_phase
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coronawalk import (
@@ -24,7 +24,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
-from coronawalk.walk import _fidelity_phase
+from coronawalk.walk import _fidelity_phase, _phase_screen
 
 
 def test_walk_matrix_kinds():
@@ -235,3 +235,33 @@ def test_corona_values_do_not_depend_on_the_other_times(data):
     i = data.draw(st.integers(0, n - 1))
     single = corona_transition_values(cs, gd, u, v, [ts[i]]).view(np.uint64)
     assert np.array_equal(single, full[2 * i : 2 * i + 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_phase_screen_bounds_every_grid_point(data):
+    # fig3 screens a linspace grid with the helper pgst_search uses: one row
+    # of `width` points from each t0 in grid[::width], the last row ragged
+    # unless width divides the point count.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(2, 8))
+    omega = rng.uniform(-10.0, 10.0, k)
+    omega[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 10.0)  # t_max*max|omega| >= 20 >> k
+    amps = rng.uniform(-1.0, 1.0, k)
+    t_max = data.draw(st.floats(20.0, 3000.0))
+    grid = np.linspace(0.0, t_max, data.draw(st.integers(2, 5000)))
+    width = data.draw(st.integers(1, 700))
+
+    screen, tol = _phase_screen(amps, omega, grid[1], width, grid[-1])
+    screened = screen(grid[::width]).ravel()[: grid.size]
+    exact = np.abs(np.exp(-1j * np.outer(grid, omega)) @ amps) ** 2  # transition_values' sum
+    assert np.max(np.abs(screened - exact)) <= tol
+
+    # The grid's maximum is screened at or above max(screen) - 2*tol, so the
+    # first maximum among those candidates is the dense argmax, unless two
+    # points tie to within rounding and the argmax is rounding's choice.
+    top = np.sort(exact)[-2:]
+    assume(top[1] - top[0] > 8 * np.spacing(top[1]))
+    cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
+    values = np.abs(np.exp(-1j * np.outer(grid[cands], omega)) @ amps) ** 2
+    assert cands[np.argmax(values)] == np.argmax(exact)
