@@ -1,6 +1,11 @@
 """Symmetric eigendecomposition into distinct eigenvalues and blocks of
-orthonormal eigenvectors (eigenprojectors on demand), plus eigenvalue
-supports and strong cospectrality of vertex pairs."""
+orthonormal eigenvectors, plus eigenvalue supports and strong cospectrality
+of vertex pairs. With F_i = B_i B_i^T, projector entries and column norms
+are row sums over a block B_i (_block_sums), so no verdict here or in
+statetransfer builds the (k, dim, dim) stack. transition_values,
+corona_transition_values, the pgst_search weights, the CLI's fig3 screen and
+`spectrum --projectors` still read it: from rows their values may move an
+ulp, which changes the pinned `figures all` bytes (ROADMAP item 2)."""
 
 from __future__ import annotations
 
@@ -10,8 +15,9 @@ import numpy as np
 
 from .graphs import _index
 
-# Membership threshold for ||F_lambda e_u||: projector entries of desk-scale
-# graphs are rationals or quadratic irrationals bounded well away from 0.
+# Membership threshold for ||F_lambda e_u||, the norm of row u of its block:
+# projector entries of desk-scale graphs are rationals or quadratic
+# irrationals bounded well away from 0.
 SUPPORT_TOL = 1e-8
 
 # Residual tolerance for F_lambda e_u = +/- F_lambda e_v.
@@ -55,7 +61,8 @@ class SpectralDecomposition:
     projectors[i] is the dim x dim symmetric projector onto that eigenspace;
     the (k, dim, dim) stack is built from vectors on first read unless one
     was passed in. dataclasses.replace reads it, so the copy carries this
-    stack (built if need be) unless projectors=None is passed as well.
+    stack (built if need be) unless projectors=None is passed as well. No
+    verdict reads it; the module docstring names the readers that do.
     """
 
     dim: int
@@ -127,6 +134,11 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
     return means, totals, index
 
 
+def _block_sums(d: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
+    """Per-block sums of rows (..., dim): entry i adds the columns of block i."""
+    return np.add.reduceat(rows, np.cumsum((0,) + d.multiplicities[:-1]), axis=-1)
+
+
 def _check_vertices(d: SpectralDecomposition, *vertices) -> None:
     """ValueError unless every vertex is an integer vertex id of d."""
     for x in vertices:
@@ -181,11 +193,10 @@ def eigenvalue_support(d: SpectralDecomposition, u: int) -> SupportInfo:
     eigenvalue 0 (its projector is the all-ones matrix / n).
     """
     _check_vertices(d, u)
-    stack = d.projectors
-    norms = np.linalg.norm(stack[:, :, u], axis=1)
-    support = tuple(np.flatnonzero(norms > SUPPORT_TOL).tolist())
-    weights = tuple(stack[:, u, u].tolist())
-    return SupportInfo(vertex=u, support=support, weights=weights)
+    row = d.vectors[u]
+    weights = _block_sums(d, row * row)  # <u|F_i|u> = ||F_i e_u||^2
+    support = tuple(np.flatnonzero(np.sqrt(weights) > SUPPORT_TOL).tolist())
+    return SupportInfo(vertex=u, support=support, weights=tuple(weights.tolist()))
 
 
 def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> CospectralityReport:
@@ -198,12 +209,11 @@ def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> Cospectrali
     if u == v:
         raise ValueError("strong cospectrality is a property of distinct vertices")
     _check_vertices(d, u, v)
-    stack = d.projectors
-    a = stack[:, :, u]
-    b = stack[:, :, v]
-    vanish = (np.linalg.norm(a, axis=1) <= SUPPORT_TOL) & (np.linalg.norm(b, axis=1) <= SUPPORT_TOL)
-    res_plus = np.linalg.norm(a - b, axis=1)
-    res_minus = np.linalg.norm(a + b, axis=1)
+    a, b = d.vectors[u], d.vectors[v]
+    # One reduction gives the per-block ||F e_u||, ||F e_v||, ||F e_u - F e_v||, ||F e_u + F e_v||.
+    rows = np.stack((a * a, b * b, (a - b) ** 2, (a + b) ** 2))
+    norm_u, norm_v, res_plus, res_minus = np.sqrt(_block_sums(d, rows))
+    vanish = (norm_u <= SUPPORT_TOL) & (norm_v <= SUPPORT_TOL)
     ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= STRONG_COSPECTRAL_TOL)))
     signs = np.where(res_plus <= res_minus, 1, -1).tolist()
     signs = tuple(None if gone else sign for gone, sign in zip(vanish.tolist(), signs))

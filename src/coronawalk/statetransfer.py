@@ -35,12 +35,13 @@ from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
     SpectralDecomposition,
+    _block_sums,
     _check_vertices,
     eigendecompose,
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _corona_kernel, _fidelity_phase, _phase_screen, corona_transition_values, transition_values
+from .walk import _corona_kernel, _fidelity_phase, _phase_screen, corona_transition_values
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -108,8 +109,10 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     """Decide Laplacian PST between u and v from a spectral decomposition.
 
     The decomposition must come from a Laplacian; the criterion is not
-    valid for adjacency walks. A certified verdict is re-verified by direct
-    evolution at t0 and an ArithmeticError is raised if the fidelity falls
+    valid for adjacency walks. It reads rows of d.vectors, never the
+    projector stack: the signs are per-block sums of V[u]*V[v]. A certified
+    verdict is re-verified by direct evolution at t0, the (u, v) entry of
+    evolve_operator, and an ArithmeticError is raised if the fidelity falls
     short, since that would mean the numerics contradict the certificate.
     """
     if u == v:
@@ -132,10 +135,11 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     if integer_support and any(k != 0 for k in ints):
         g, _ = support_gcd_and_valuation(ints)
 
+    a, b = d.vectors[u], d.vectors[v]
     sign_ok = False
     if report.strongly_cospectral and integer_support and g is not None:
         sign_ok = True
-        for lam, w in zip(ints, d.projectors[joint, u, v].tolist()):
+        for lam, w in zip(ints, _block_sums(d, a * b)[joint].tolist()):
             if not _signable(w):
                 raise IndeterminateVerdictError(lam, u, v)
             if (w > 0) != ((lam // g) % 2 == 0):
@@ -146,7 +150,8 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     t0 = phase = fidelity = None
     if pst:
         t0 = math.pi / g
-        (fidelity,), (phase,) = _fidelity_phase(transition_values(d, u, v, [t0]))
+        value = (np.exp(-1j * t0 * np.repeat(d.eigenvalues, d.multiplicities)) * a) @ b
+        (fidelity,), (phase,) = _fidelity_phase([value])
         if fidelity < 1.0 - PST_FIDELITY_TOL:
             raise ArithmeticError(
                 f"conditions certify PST but fidelity at t0 is {fidelity:.15f}"
@@ -420,12 +425,12 @@ def antipodal_sign_check(g: Graph) -> list:
     n = g.n // 2
     if g.edges != frozenset((i, j) for i in range(g.n) for j in range(i + 1, g.n) if j != i + n):
         raise ValueError("not a cocktail party graph (antipode map is i <-> i+n)")
-    # The matching acts on a projector as the row permutation i <-> i+n.
+    # The matching is the row permutation i <-> i+n: P F = +/-F iff P B = +/-B (F = B B^T, B^T B = I).
     antipode = np.r_[n : 2 * n, 0:n]
     d = eigendecompose(laplacian(g))
     return [
-        bool(np.max(np.abs(proj[antipode] - ((-1) ** j) * proj)) <= ANTIPODAL_TOL)
-        for j, proj in enumerate(d.projectors)
+        bool(np.max(np.abs(block[antipode] - ((-1) ** j) * block)) <= ANTIPODAL_TOL)
+        for j, block in enumerate(d.blocks())
     ]
 
 

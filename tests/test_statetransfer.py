@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from coronawalk import (
     strongly_cospectral,
     support_gcd_and_valuation,
 )
-from coronawalk import statetransfer
+from coronawalk import spectral, statetransfer
 from coronawalk.spectral import STRONG_COSPECTRAL_TOL, SUPPORT_TOL
 from coronawalk.walk import corona_transition_values
 
@@ -112,50 +113,57 @@ def test_same_vertex_rejected():
         check_pst(decomp(complete_graph(2)), 1, 1)
 
 
-def test_tiny_projector_entry_is_indeterminate():
-    # Hand-built decomposition: strongly cospectral pair with integer
-    # eigenvalues whose first projector entry <0|F|1> = eps^2 sits below the
-    # sign threshold but whose column norm keeps it inside the support.
-    eps = math.sqrt(1e-11)
+def tiny_entry_decomposition(entry):
+    """Hand-built decomposition: a strongly cospectral pair (0, 1) with
+    eigenvalues 0, 2, 4 and a PST sign pattern, whose first projector entry
+    <0|F|1> is the row product eps * eps = entry, while the row norm keeps
+    eigenvalue 0 inside the support."""
+    eps = math.sqrt(entry)
     x1 = np.array([eps, eps, math.sqrt(1.0 - 2.0 * eps * eps)])
     x2 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     x3 = np.cross(x1, x2)
-    d = SpectralDecomposition(
+    return SpectralDecomposition(
         dim=3,
         eigenvalues=np.array([0.0, 2.0, 4.0]),
         vectors=np.column_stack([x1, x2, x3]),
         multiplicities=(1, 1, 1),
     )
+
+
+def test_tiny_projector_entry_is_indeterminate():
     with pytest.raises(IndeterminateVerdictError) as exc:
-        check_pst(d, 0, 1)
+        check_pst(tiny_entry_decomposition(0.1 * statetransfer.SIGN_TOL), 0, 1)
     assert exc.value.lam == 0
+    verdict = check_pst(tiny_entry_decomposition(10.0 * statetransfer.SIGN_TOL), 0, 1)
+    assert verdict.pst and verdict.fidelity_at_t0 >= 1.0 - statetransfer.PST_FIDELITY_TOL
     # An entry of magnitude SIGN_TOL is signable, one ulp below it is not:
     # the rule the PGST residual targets share.
-    for w, signable in ((statetransfer.SIGN_TOL, True), (np.nextafter(statetransfer.SIGN_TOL, 0.0), False)):
-        stack = d.projectors.copy()
-        stack[0, 0, 1] = stack[0, 1, 0] = w
-        given = dataclasses.replace(d, projectors=stack)
-        if signable:
-            assert check_pst(given, 0, 1).pst
-        else:
-            with pytest.raises(IndeterminateVerdictError):
-                check_pst(given, 0, 1)
+    assert statetransfer._signable(statetransfer.SIGN_TOL)
+    assert not statetransfer._signable(np.nextafter(statetransfer.SIGN_TOL, 0.0))
 
 
-def loop_eigenvalue_support(d, u):
-    """Reference for eigenvalue_support: its weights read one entry at a
-    time."""
-    norms = np.linalg.norm(d.projectors[:, :, u], axis=1)
+def oracle_stack(d):
+    """The (k, dim, dim) projector stack, symmetrised, built here from the
+    eigenvector columns of d: the oracle the row reads are checked against."""
+    blocks = np.split(d.vectors, np.cumsum(d.multiplicities)[:-1], axis=1)
+    return np.array([(b @ b.T + (b @ b.T).T) / 2.0 for b in blocks])
+
+
+def loop_eigenvalue_support(stack, u):
+    """Reference for eigenvalue_support: column norms and diagonal entries of
+    the stack, one entry at a time."""
+    norms = np.linalg.norm(stack[:, :, u], axis=1)
     support = tuple(int(i) for i in np.nonzero(norms > SUPPORT_TOL)[0])
-    weights = tuple(float(d.projectors[i, u, u]) for i in range(len(d.eigenvalues)))
+    weights = tuple(float(proj[u, u]) for proj in stack)
     return SupportInfo(vertex=u, support=support, weights=weights)
 
 
-def loop_strongly_cospectral(d, u, v):
-    """Reference for strongly_cospectral: the per-eigenvalue loop it ran,
-    plus min(res+, res-) per eigenvalue (None outside the joint support)."""
+def loop_strongly_cospectral(stack, u, v):
+    """Reference for strongly_cospectral: the per-eigenvalue loop over the
+    stack's columns, plus min(res+, res-) per eigenvalue (None outside the
+    joint support)."""
     signs, residuals, ok = [], [], True
-    for proj in d.projectors:
+    for proj in stack:
         a, b = proj[:, u], proj[:, v]
         if np.linalg.norm(a) <= SUPPORT_TOL and np.linalg.norm(b) <= SUPPORT_TOL:
             signs.append(None)
@@ -168,12 +176,12 @@ def loop_strongly_cospectral(d, u, v):
     return CospectralityReport(u=u, v=v, strongly_cospectral=ok, signs=tuple(signs)), residuals
 
 
-def loop_check_pst(d, u, v):
+def loop_check_pst(d, stack, u, v):
     """Reference for check_pst's conditions, support and g: the loop pieces
     above, the joint support as the union of the two vertex supports, and
-    one projector read per support eigenvalue."""
-    report, _ = loop_strongly_cospectral(d, u, v)
-    joint = sorted(set(loop_eigenvalue_support(d, u).support) | set(loop_eigenvalue_support(d, v).support))
+    one stack entry per support eigenvalue."""
+    report, _ = loop_strongly_cospectral(stack, u, v)
+    joint = sorted(set(loop_eigenvalue_support(stack, u).support) | set(loop_eigenvalue_support(stack, v).support))
     values = [float(d.eigenvalues[i]) for i in joint]
     ints = [integer_eigenvalue(x) for x in values]
     integer_support = None not in ints
@@ -181,7 +189,7 @@ def loop_check_pst(d, u, v):
     sign_ok = report.strongly_cospectral and g is not None
     if sign_ok:
         for idx, lam in zip(joint, ints):
-            w = float(d.projectors[idx, u, v])
+            w = float(stack[idx, u, v])
             if abs(w) < statetransfer.SIGN_TOL:
                 raise IndeterminateVerdictError(lam, u, v)
             if (w > 0) != ((lam // g) % 2 == 0):
@@ -208,14 +216,25 @@ def oracle_graphs():
     return graphs
 
 
+# A weight is a row sum of squares in the verdict and a dgemm entry in the
+# oracle. Both lie in [0, 1] and sum at most 16 products here, so they may
+# round apart by a few ulps of 1.0 (half an ulp on these graphs), never by
+# more than WEIGHT_ULPS.
+WEIGHT_ULPS = 4
+
+
 def test_whole_stack_reads_equal_the_loops():
     for g in oracle_graphs():
         d = decomp(g)
+        stack = oracle_stack(d)
         for u in range(g.n):
-            assert eigenvalue_support(d, u) == loop_eigenvalue_support(d, u)
+            info, want_info = eigenvalue_support(d, u), loop_eigenvalue_support(stack, u)
+            assert (info.vertex, info.support) == (want_info.vertex, want_info.support)
+            gap = np.max(np.abs(np.array(info.weights) - np.array(want_info.weights)))
+            assert gap <= WEIGHT_ULPS * np.finfo(float).eps
             for v in range(u + 1, g.n):
                 report = strongly_cospectral(d, u, v)
-                want, residuals = loop_strongly_cospectral(d, u, v)
+                want, residuals = loop_strongly_cospectral(stack, u, v)
                 assert report.strongly_cospectral == want.strongly_cospectral
                 assert [x is None for x in report.signs] == [x is None for x in want.signs]
                 # Elsewhere the sign may be a rounding tie (F e_u orthogonal to F e_v).
@@ -223,9 +242,61 @@ def test_whole_stack_reads_equal_the_loops():
                     if res is not None and res <= STRONG_COSPECTRAL_TOL:
                         assert got == sign
                 verdict = check_pst(d, u, v)
-                conditions, support, gcd = loop_check_pst(d, u, v)
+                conditions, support, gcd = loop_check_pst(d, stack, u, v)
                 assert (verdict.conditions, verdict.support, verdict.g) == (conditions, support, gcd)
                 assert verdict.pst == all(dataclasses.astuple(conditions))
+
+
+def test_antipodal_rows_equal_the_stack_rule():
+    # The stack rule: the matching maps each projector to (-1)^j times itself.
+    for n in range(2, 9):
+        g = cocktail_party_graph(n)
+        antipode = np.r_[n : 2 * n, 0:n]
+        stack = oracle_stack(decomp(g))
+        want = [
+            bool(np.max(np.abs(proj[antipode] - ((-1) ** j) * proj)) <= statetransfer.ANTIPODAL_TOL)
+            for j, proj in enumerate(stack)
+        ]
+        assert want == [True] * 3
+        assert antipodal_sign_check(g) == want
+
+
+def test_verdicts_build_no_projector_stack(monkeypatch):
+    def refuse(self, obj, objtype=None):
+        if obj is None:
+            return None
+        raise AssertionError("a verdict read the projector stack")
+
+    monkeypatch.setattr(spectral._Projectors, "__get__", refuse)
+    d = decomp(hypercube_graph(3))
+    assert check_pst(d, 0, 7).pst  # the sign and t0 re-check paths run
+    assert not check_pst(d, 0, 1).pst
+    assert eigenvalue_support(d, 0).support == (0, 1, 2, 3)
+    assert strongly_cospectral(d, 0, 7).strongly_cospectral
+    assert all(antipodal_sign_check(cocktail_party_graph(4)))
+    assert corona_no_pst_witness(cycle_graph(5), 2, 0).delta_sq is None
+
+
+def test_verdicts_at_dim_3100_stay_small():
+    # dim 3,100 and k = 131 distinct eigenvalues: the projector stack would
+    # take 131 * 3100^2 * 8 B = 10.1 GB, where a verdict reads a few rows.
+    m = 30
+    d = corona_eigenprojectors(cycle_graph(100), [path_graph(m)] * 100)
+    assert (d.dim, len(d.eigenvalues)) == (3100, 131)
+    u, v = 0, m + 1  # base vertices 0 and 1
+    tracemalloc.start()
+    try:
+        verdict = check_pst(d, u, v)
+        info = eigenvalue_support(d, u)
+        report = strongly_cospectral(d, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.__dict__["_projectors"] is None
+    assert peak < 2 * 2**20
+    assert not verdict.pst and not verdict.conditions.strongly_cospectral
+    assert 0 in info.support and abs(sum(info.weights) - 1.0) < 1e-12
+    assert not report.strongly_cospectral
 
 
 # ------------------------------------------------- corona_no_pst_witness
