@@ -31,13 +31,14 @@ from .graphs import (
     graph_to_dict,
     load_graph,
 )
-from .spectral import eigendecompose
+from .spectral import _pair_weights, eigendecompose
 from .statetransfer import (
     check_pst,
     corona_no_pst_witness,
     pgst_search,
 )
 from .walk import (
+    WALK_KINDS,
     _fidelity_phase,
     _phase_screen,
     corona_transition_values,
@@ -336,7 +337,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     product (the grid starts at 0, so linspace gives t_k = fl(k*grid[1])).
     Only the points screened at or above max(screen) - 2*tol can hold the
     grid's maximum; transition_values evaluates those, and the first
-    maximum among them is the grid's argmax.
+    maximum among them is the grid's argmax. Both read _pair_weights, no stack.
     """
     g = build_named("complete", 2)
     hs = [build_named("empty", 6)] * 2
@@ -347,7 +348,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     adj = eigendecompose(walk_matrix(flat, "adjacency"))
     u, v = 0, 7  # the two base vertices in flat order
     grid = np.linspace(0.0, 2000.0, 200_000)
-    screen, tol = _phase_screen(adj.projectors[:, u, v], adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
+    screen, tol = _phase_screen(_pair_weights(adj, u, v), adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
     screened = screen(grid[::_GRID_ROW]).ravel()[: grid.size]  # drops a ragged last row's overhang
     cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
     fidelities = np.abs(transition_values(adj, u, v, grid[cands])) ** 2
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", cmd_spectrum, "distinct eigenvalues and multiplicities of a walk matrix")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", choices=["laplacian", "adjacency"], default="laplacian")
+    p.add_argument("--kind", choices=WALK_KINDS, default="laplacian")
     p.add_argument("--projectors", action="store_true", help="include projector entries")
 
     p = add("corona-spectrum", cmd_corona_spectrum, "closed-form corona eigenvalue classes")
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_vertex", type=int, required=True)
     p.add_argument("--t-max", dest="t_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=1001)
-    p.add_argument("--kind", choices=["laplacian", "adjacency"], default="laplacian")
+    p.add_argument("--kind", choices=WALK_KINDS, default="laplacian")
 
     p = add("pst-check", cmd_pst_check, "certify or refute Laplacian PST between two vertices")
     p.add_argument("--graph", required=True)

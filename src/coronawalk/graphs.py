@@ -8,6 +8,7 @@ pairs (i, i+n)) so that matrices and labels are bit-exact reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from collections import deque
@@ -62,24 +63,20 @@ class Graph:
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix (float entries, exact values)."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    e = np.fromiter(itertools.chain.from_iterable(g.edges), int, 2 * len(g.edges)).reshape(-1, 2)
+    a[e, e[:, ::-1]] = 1.0  # (u, v) and (v, u) for every edge row (u, v)
     return a
 
 
 def degrees(g: Graph) -> np.ndarray:
-    d = np.zeros(g.n)
-    for u, v in g.edges:
-        d[u] += 1.0
-        d[v] += 1.0
-    return d
+    return adjacency(g).sum(axis=1)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian L = D - A. Row sums are exactly zero; the diagonal holds the
     vertex degrees. Entries are small integers stored in floating form."""
-    return np.diag(degrees(g)) - adjacency(g)
+    a = adjacency(g)
+    return np.diag(a.sum(axis=1)) - a
 
 
 def component_count(g: Graph) -> int:

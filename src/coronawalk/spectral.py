@@ -1,11 +1,10 @@
 """Symmetric eigendecomposition into distinct eigenvalues and blocks of
 orthonormal eigenvectors, plus eigenvalue supports and strong cospectrality
 of vertex pairs. With F_i = B_i B_i^T, projector entries and column norms
-are row sums over a block B_i (_block_sums), so no verdict here or in
-statetransfer builds the (k, dim, dim) stack. transition_values,
-corona_transition_values, the pgst_search weights, the CLI's fig3 screen and
-`spectrum --projectors` still read it: from rows their values may move an
-ulp, which changes the pinned `figures all` bytes (ROADMAP item 2)."""
+are row sums over a block B_i (_block_sums); every pair entry <u|F_i|v> the
+package reads comes from _pair_weights, so no library computation builds the
+(k, dim, dim) stack. The projectors field builds it on demand, for
+`spectrum --projectors`, benchmark checks and test oracles."""
 
 from __future__ import annotations
 
@@ -59,10 +58,9 @@ class SpectralDecomposition:
     vectors is dim x dim; its columns are grouped by ascending eigenvalue,
     multiplicities[i] of them spanning the eigenspace of eigenvalues[i].
     projectors[i] is the dim x dim symmetric projector onto that eigenspace;
-    the (k, dim, dim) stack is built from vectors on first read unless one
-    was passed in. dataclasses.replace reads it, so the copy carries this
-    stack (built if need be) unless projectors=None is passed as well. No
-    verdict reads it; the module docstring names the readers that do.
+    no library computation reads the (k, dim, dim) stack, which is built from
+    vectors on first read unless one was passed in. dataclasses.replace reads
+    it, so the copy carries this stack unless projectors=None is passed too.
     """
 
     dim: int
@@ -137,6 +135,11 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
 def _block_sums(d: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
     """Per-block sums of rows (..., dim): entry i adds the columns of block i."""
     return np.add.reduceat(rows, np.cumsum((0,) + d.multiplicities[:-1]), axis=-1)
+
+
+def _pair_weights(d: SpectralDecomposition, u: int, v: int) -> np.ndarray:
+    """Every <u|F_i|v> as the per-block sums of V[u]*V[v]: the one rule, O(dim)."""
+    return _block_sums(d, d.vectors[u] * d.vectors[v])
 
 
 def _check_vertices(d: SpectralDecomposition, *vertices) -> None:

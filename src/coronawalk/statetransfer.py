@@ -35,8 +35,8 @@ from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
     SpectralDecomposition,
-    _block_sums,
     _check_vertices,
+    _pair_weights,
     eigendecompose,
     eigenvalue_support,
     strongly_cospectral,
@@ -110,7 +110,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
 
     The decomposition must come from a Laplacian; the criterion is not
     valid for adjacency walks. It reads rows of d.vectors, never the
-    projector stack: the signs are per-block sums of V[u]*V[v]. A certified
+    projector stack: it signs the entries _pair_weights gives. A certified
     verdict is re-verified by direct evolution at t0, the (u, v) entry of
     evolve_operator, and an ArithmeticError is raised if the fidelity falls
     short, since that would mean the numerics contradict the certificate.
@@ -135,11 +135,10 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     if integer_support and any(k != 0 for k in ints):
         g, _ = support_gcd_and_valuation(ints)
 
-    a, b = d.vectors[u], d.vectors[v]
     sign_ok = False
     if report.strongly_cospectral and integer_support and g is not None:
         sign_ok = True
-        for lam, w in zip(ints, _block_sums(d, a * b)[joint].tolist()):
+        for lam, w in zip(ints, _pair_weights(d, u, v)[joint].tolist()):
             if not _signable(w):
                 raise IndeterminateVerdictError(lam, u, v)
             if (w > 0) != ((lam // g) % 2 == 0):
@@ -150,6 +149,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     t0 = phase = fidelity = None
     if pst:
         t0 = math.pi / g
+        a, b = d.vectors[u], d.vectors[v]
         value = (np.exp(-1j * t0 * np.repeat(d.eigenvalues, d.multiplicities)) * a) @ b
         (fidelity,), (phase,) = _fidelity_phase([value])
         if fidelity < 1.0 - PST_FIDELITY_TOL:
@@ -339,7 +339,7 @@ def pgst_search(
     lam = g_decomp.eigenvalues
     delta = _delta(lam, m)
     coef = (m + lam - 1.0) / delta
-    pair_weights = g_decomp.projectors[:, u, v]
+    pair_weights = _pair_weights(g_decomp, u, v)
     targets = [
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
         for w in pair_weights.tolist()

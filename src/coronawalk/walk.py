@@ -3,9 +3,9 @@ decomposition, plus the closed-form corona transition values.
 
 M is either the Laplacian (XYZ model) or the adjacency matrix (XY model).
 Everything is evaluated through the spectral decomposition, never a series
-matrix exponential: matrix elements through projector entries, the full
-operator as V diag(e^{-i lam t}) V^T from the eigenvectors, so unitarity
-holds to their orthonormality.
+matrix exponential: matrix elements through the projector entries that
+spectral._pair_weights reads from two eigenvector rows, the full operator
+as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 
 Transition values <u|U(t)|v> come only as arrays over a time array, from
 `transition_values` and `corona_transition_values`. Fidelity and phase
@@ -22,7 +22,7 @@ import numpy as np
 
 from .corona_spectrum import CoronaSpectrum, _delta
 from .graphs import Graph, adjacency, laplacian
-from .spectral import SpectralDecomposition, _check_vertices
+from .spectral import SpectralDecomposition, _check_vertices, _pair_weights
 
 WALK_KINDS = ("laplacian", "adjacency")
 
@@ -58,8 +58,7 @@ def transition_values(d: SpectralDecomposition, u: int, v: int, ts) -> np.ndarra
     """<u|U(t)|v> = sum_lam e^{-i lam t} <u|F_lam|v> on an array of times."""
     _check_vertices(d, u, v)
     ts = np.asarray(ts, dtype=float)
-    weights = d.projectors[:, u, v]
-    return np.exp(-1j * np.outer(ts, d.eigenvalues)) @ weights
+    return np.exp(-1j * np.outer(ts, d.eigenvalues)) @ _pair_weights(d, u, v)
 
 
 def evolve_operator(d: SpectralDecomposition, t: float) -> np.ndarray:
@@ -94,7 +93,7 @@ def corona_transition_values(
     _check_vertices(g_decomp, u, v)
     lam = g_decomp.eigenvalues
     delta = _delta(lam, cs.m)
-    return _corona_kernel(cs.m, lam, delta, (cs.m + lam - 1.0) / delta, g_decomp.projectors[:, u, v], ts)
+    return _corona_kernel(cs.m, lam, delta, (cs.m + lam - 1.0) / delta, _pair_weights(g_decomp, u, v), ts)
 
 
 def _corona_kernel(m: int, lam, delta, coef, weights, ts) -> np.ndarray:

@@ -40,6 +40,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
+from coronawalk import cli
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -214,17 +215,18 @@ def test_criterion_6_antipodal_matching_signs():
     )
 
 
-def test_criterion_7_adjacency_contrast():
+def test_criterion_7_adjacency_contrast(tmp_path):
     g = complete_graph(2)
     hs = [empty_graph(6)] * 2
     cs = corona_spectrum(g, hs)
     g_decomp = eigendecompose(laplacian(g))
     lap = pgst_search(cs, g_decomp, 0, 1, "four_pi_ell", ell_max=34, target=0.999)
 
-    flat = corona(g, hs).flat
-    adj = eigendecompose(walk_matrix(flat, "adjacency"))
-    grid = np.linspace(0.0, 2000.0, 200_000)
-    adjacency_max = float(np.max(np.abs(transition_values(adj, 0, 7, grid)) ** 2))
+    # fig3's screened maximum over the grid; test_cli pins it against every
+    # one of the 200,000 grid points.
+    summary, _, _ = cli._fig3(tmp_path, {})
+    assert summary["adjacency_grid"] == {"t_max": 2000.0, "points": 200_000}
+    adjacency_max = summary["adjacency_max_fidelity"]
 
     ok = lap.target_met and adjacency_max < lap.best.fidelity
     report(

@@ -66,6 +66,30 @@ def test_laplacian_small_cases():
     assert np.array_equal(p4, np.diag(degrees(path_graph(4))) - adjacency(path_graph(4)))
 
 
+def loop_adjacency_and_degrees(g):
+    """The edge loops adjacency and degrees replaced: the bit reference."""
+    a, d = np.zeros((g.n, g.n)), np.zeros(g.n)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+        d[u] += 1.0
+        d[v] += 1.0
+    return a, d
+
+
+def test_matrices_bit_identical_to_the_edge_loops():
+    rng = np.random.default_rng(29)
+    graphs = [build_named(family, size) for family in FAMILIES for size in (3, 4, 5)]
+    graphs += [build_named(family, 1) for family in FAMILIES if family != "cycle"]
+    graphs += [random_graph(rng, int(rng.integers(0, 12)), p=float(rng.uniform())) for _ in range(50)]
+    graphs += [Graph(0, frozenset()), Graph(5, frozenset({(3, 1)}))]
+    for g in graphs:
+        a, d = loop_adjacency_and_degrees(g)
+        for got, want in ((adjacency(g), a), (degrees(g), d), (laplacian(g), np.diag(d) - a)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert [g.degree(x) for x in range(g.n)] == d.astype(int).tolist()
+
+
 def test_laplacian_row_sums_exactly_zero():
     rng = np.random.default_rng(11)
     for _ in range(20):

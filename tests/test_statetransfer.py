@@ -36,9 +36,9 @@ from coronawalk import (
     strongly_cospectral,
     support_gcd_and_valuation,
 )
-from coronawalk import spectral, statetransfer
+from coronawalk import cli, spectral, statetransfer
 from coronawalk.spectral import STRONG_COSPECTRAL_TOL, SUPPORT_TOL
-from coronawalk.walk import corona_transition_values
+from coronawalk.walk import corona_transition_values, transition_values
 
 
 def decomp(g):
@@ -261,11 +261,11 @@ def test_antipodal_rows_equal_the_stack_rule():
         assert antipodal_sign_check(g) == want
 
 
-def test_verdicts_build_no_projector_stack(monkeypatch):
+def test_verdicts_build_no_projector_stack(monkeypatch, tmp_path, capsys):
     def refuse(self, obj, objtype=None):
         if obj is None:
             return None
-        raise AssertionError("a verdict read the projector stack")
+        raise AssertionError("a library path read the projector stack")
 
     monkeypatch.setattr(spectral._Projectors, "__get__", refuse)
     d = decomp(hypercube_graph(3))
@@ -275,6 +275,14 @@ def test_verdicts_build_no_projector_stack(monkeypatch):
     assert strongly_cospectral(d, 0, 7).strongly_cospectral
     assert all(antipodal_sign_check(cocktail_party_graph(4)))
     assert corona_no_pst_witness(cycle_graph(5), 2, 0).delta_sq is None
+    assert abs(transition_values(d, 0, 7, [math.pi / 2])[0]) > 1.0 - 1e-12
+    cs, gd = search_setup(hypercube_graph(2), MIXED3)
+    assert corona_transition_values(cs, gd, 0, 3, [1.0]).shape == (1,)
+    # ell_max above the first chunk and a target neither family meets by
+    # then: both scans run the screen to ell_max.
+    for family in ("four_pi_ell", "shifted"):
+        assert not pgst_search(cs, gd, 0, 3, family, ell_max=5000, target=0.9999).target_met
+    assert cli.main(["figures", "all", "--outdir", str(tmp_path)]) == 0  # capsys keeps its JSON off the log
 
 
 def test_verdicts_at_dim_3100_stay_small():
@@ -289,6 +297,7 @@ def test_verdicts_at_dim_3100_stay_small():
         verdict = check_pst(d, u, v)
         info = eigenvalue_support(d, u)
         report = strongly_cospectral(d, u, v)
+        values = transition_values(d, u, v, np.linspace(0.0, 10.0, 5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -297,6 +306,7 @@ def test_verdicts_at_dim_3100_stay_small():
     assert not verdict.pst and not verdict.conditions.strongly_cospectral
     assert 0 in info.support and abs(sum(info.weights) - 1.0) < 1e-12
     assert not report.strongly_cospectral
+    assert abs(values[0]) < 1e-12 and np.all(np.abs(values) <= 1.0 + 1e-12)  # <u|v> = 0 at t = 0
 
 
 # ------------------------------------------------- corona_no_pst_witness
@@ -613,11 +623,25 @@ def test_vanishing_pair_entry_gets_no_residual_target():
     # Set by hand, an entry of magnitude SIGN_TOL gets a target (check_pst
     # signs it) and one ulp below it does not; SIGN_TOL itself used to get none.
     for w, signable in ((statetransfer.SIGN_TOL, True), (np.nextafter(statetransfer.SIGN_TOL, 0.0), False)):
-        stack = gd.projectors.copy()
-        stack[1, 0, 1] = stack[1, 1, 0] = w
-        given = dataclasses.replace(gd, projectors=stack)
+        given = pair_entry_decomposition(gd.eigenvalues, w)
+        assert spectral._pair_weights(given, 0, 1)[1] == w
         residual = pgst_search(cs, given, 0, 1, "four_pi_ell", target=0.0).best.residuals[1]
         assert (residual is not None) == signable
+
+
+def pair_entry_decomposition(eigenvalues, entry):
+    """Hand-built orthonormal decomposition on 3 vertices with simple
+    eigenvalues whose entry <0|F_1|1> is exactly entry: rows 0 and 1 of the
+    second eigenvector are 2^-17 and entry * 2^17, a product without rounding."""
+    x1 = np.array([2.0**-17, entry * 2.0**17, 0.0])
+    x1[2] = math.sqrt(1.0 - x1[0] ** 2 - x1[1] ** 2)
+    x0 = np.array([x1[1], -x1[0], 0.0]) / math.hypot(x1[0], x1[1])
+    return SpectralDecomposition(
+        dim=3,
+        eigenvalues=np.asarray(eigenvalues, dtype=float),
+        vectors=np.column_stack([x0, x1, np.cross(x0, x1)]),
+        multiplicities=(1, 1, 1),
+    )
 
 
 # ------------------------------------------- antipodal machinery and PGST
