@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, laplacian
+from .graphs import Graph, _index, laplacian
 
 
 def common_satellite_order(g: Graph, hs) -> int:
@@ -43,7 +43,9 @@ class CoronaGraph:
 
     def flat_index(self, base_vertex: int, w: int) -> int:
         """Flat index of (base_vertex, w): w = 0 is the base vertex itself,
-        w in 1..m its satellite's vertices (satellite vertex w-1)."""
+        w in 1..m its satellite's vertices (satellite vertex w-1). Both ids
+        must be integers (ValueError otherwise)."""
+        base_vertex, w = _index(base_vertex), _index(w)
         if not (0 <= base_vertex < self.base.n):
             raise ValueError(f"base vertex {base_vertex} out of range")
         if not (0 <= w <= self.m):
@@ -51,6 +53,7 @@ class CoronaGraph:
         return base_vertex * (self.m + 1) + w
 
     def coords(self, flat_idx: int) -> tuple[int, int]:
+        flat_idx = _index(flat_idx)
         if not (0 <= flat_idx < self.flat.n):
             raise ValueError(f"flat index {flat_idx} out of range")
         return divmod(flat_idx, self.m + 1)

@@ -10,9 +10,11 @@ vertices), the corona Laplacian eigenvalues split into three classes:
   (c) the pair lambda_pm = (m + lam + 1 +/- Delta) / 2 for each eigenvalue
       lam of L(G), where Delta = sqrt((m + lam - 1)^2 + 4m).
 
-Multiplicities always total n(m+1). Distinct classes can land on the same
-value (e.g. mu = m from class (b) meets lambda_plus(0) = m + 1); the
-eigenvectors of colliding values span one eigenspace.
+Multiplicities always total n(m+1). The classes are ordered: since
+(1 - lambda_plus)(1 - lambda_minus) = -m and lambda_pm increase strictly in
+lam, every lambda_minus < 1 < mu + 1 <= m + 1 <= lambda_plus. The only values
+that can coincide are mu = m from class (b) and lambda_plus(0) = m + 1; their
+eigenvectors span one eigenspace.
 
 corona_spectrum and corona_eigenprojectors share one setup, _corona_parts;
 eigenvalue_list and corona_eigenprojectors merge values by one rule,
@@ -74,15 +76,12 @@ class CoronaSpectrum:
     """The three eigenvalue classes of a corona Laplacian.
 
     class_b is ordered by ascending value, class_c by ascending lam.
-    cluster_tol is the gap at which corona_spectrum clustered the satellite
-    eigenvalues; eigenvalue_list merges values with it.
     """
 
     m: int
     class_a: ClassA
     class_b: tuple
     class_c: tuple
-    cluster_tol: float
 
     def total_multiplicity(self) -> int:
         return (
@@ -92,13 +91,12 @@ class CoronaSpectrum:
         )
 
     def eigenvalue_list(self) -> list:
-        """(value, multiplicity) pairs ascending, merged by _merge_pieces at
-        cluster_tol: the rule corona_eigenprojectors uses, so the list equals
-        that decomposition's eigenvalues and multiplicities exactly."""
-        b = [(x.value, x.multiplicity) for x in self.class_b]
+        """(value, multiplicity) pairs ascending, merged by _merge_pieces: the
+        rule corona_eigenprojectors uses, so the list equals that
+        decomposition's eigenvalues and multiplicities exactly."""
+        b = [(x.mu, x.multiplicity) for x in self.class_b]
         c = [(x.lam_plus, x.lam_minus, x.multiplicity) for x in self.class_c]
-        _, values, mults = _merge_pieces(self.class_a.multiplicity, b, c, self.cluster_tol)
-        return list(zip(values, mults))
+        return _merge_pieces(self.m, self.class_a.multiplicity, b, c)
 
 
 def _delta(lam, m: int):
@@ -168,64 +166,62 @@ def _satellite_decompositions(hs) -> dict:
     return out
 
 
-def _class_b_pieces(sat_decomps, cluster_tol: float):
+def _class_b_pieces(sat_decomps, tol: float):
     """Nonzero satellite eigenvalues pooled across cells: list of
     (mu, [(cell, projector_index)], multiplicity), clustered on mu by
-    _cluster."""
+    _cluster at tol."""
     entries = sorted(
         (float(d.eigenvalues[i]), ell, i, d.multiplicities[i])
         for ell, d in enumerate(sat_decomps)
         for i in range(1, len(d.eigenvalues))
     )
-    mus, mults, index = _cluster([e[0] for e in entries], [e[3] for e in entries], cluster_tol)
+    mus, mults, index = _cluster([e[0] for e in entries], [e[3] for e in entries], tol)
     members = [[] for _ in mus]
     for (_, ell, i, _), k in zip(entries, index):
         members[k].append((ell, i))
     return list(zip(mus, members, mults))
 
 
-def _corona_cluster_tol(g: Graph, satellites, m: int) -> float:
-    """The corona cluster tolerance, scaled by the max-norm of the corona
-    Laplacian (its largest degree), from the degrees of the base and of the
-    distinct satellites alone."""
-    base = float(np.max(degrees(g))) + m
-    sat = max(float(np.max(degrees(h))) for h in satellites) + 1.0
-    return CLUSTER_TOL_SCALE * max(1.0, base, sat)
-
-
 def _corona_parts(g: Graph, hs):
     """The setup of both corona functions, each step run once: the satellites,
     their order m, the distinct satellite decompositions, the class (a)
-    multiplicity, the cluster tolerance, the class (b) pieces and g_decomp."""
+    multiplicity, the class (b) pieces and g_decomp. Class (b) pools at the
+    gap eigendecompose gives the direct sum of the satellite Laplacians."""
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
     by_graph = _satellite_decompositions(hs)
     sat_decomps = [by_graph[h] for h in hs]
     a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
-    cluster_tol = _corona_cluster_tol(g, by_graph, m)
-    b_pieces = _class_b_pieces(sat_decomps, cluster_tol)
+    sat_norm = max(float(np.max(degrees(h))) for h in by_graph)
+    b_pieces = _class_b_pieces(sat_decomps, CLUSTER_TOL_SCALE * max(1.0, sat_norm))
     g_decomp = eigendecompose(laplacian(g))
-    return hs, m, by_graph, a_mult, cluster_tol, b_pieces, g_decomp
+    return hs, m, by_graph, a_mult, b_pieces, g_decomp
 
 
-def _merge_pieces(a_mult: int, b, c, tol: float) -> tuple[list, list, list]:
-    """The one merge rule for corona eigenvalues. The pieces, in canonical
-    order, are (1, a_mult) if a_mult > 0, each (value, mult) of b, then
-    (plus, mult) and (minus, mult) per (plus, minus, mult) of c. They are
-    sorted stably by value and merged by _cluster at tol. Returns (order,
-    values, mults): the piece indices in sorted order, and the merged values
-    and multiplicities ascending."""
-    pieces = [(1.0, a_mult)] if a_mult > 0 else []
-    pieces += b
-    pieces += [(x, k) for plus, minus, k in c for x in (plus, minus)]
-    order = sorted(range(len(pieces)), key=lambda i: pieces[i][0])
-    values, mults, _ = _cluster([pieces[i][0] for i in order], [pieces[i][1] for i in order], tol)
-    return order, values, mults
+def _merge_pieces(m: int, a_mult: int, b, c) -> list:
+    """The one merge rule for corona eigenvalues, from (mu, mult) per class
+    (b) piece ascending and (plus, minus, mult) per base eigenvalue ascending.
+    Returns the (value, mult) pairs ascending, in class order: every minus,
+    then (1, a_mult) if a_mult > 0, each mu + 1, then every plus.
+
+    The one coincidence, mu = m with lambda_plus(0) = m + 1, is decided
+    exactly: the two pieces merge, at their mults-weighted mean, iff the
+    last mu rounds to m. mu = m iff the satellite's complement is
+    disconnected; otherwise lambda_max(H) = m - a(complement) <= m - 4/m^2 by
+    Mohar's bound a >= 4/(n diam) on the algebraic connectivity, which is
+    more than INTEGRALITY_TOL below m for every m <= 6000."""
+    pairs = [(minus, k) for _, minus, k in c] + ([(1.0, a_mult)] if a_mult > 0 else [])
+    pairs += [(mu + 1.0, k) for mu, k in b]
+    plus = [(x, k) for x, _, k in c]
+    if b and integer_eigenvalue(b[-1][0]) == m:
+        (v, k), (w, q) = pairs.pop(), plus.pop(0)
+        pairs.append(((v * k + w * q) / (k + q), k + q))
+    return pairs + plus
 
 
 def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
     """Enumerate the closed-form corona eigenvalue classes."""
-    _, m, _, a_mult, cluster_tol, b_pieces, g_decomp = _corona_parts(g, hs)
+    _, m, _, a_mult, b_pieces, g_decomp = _corona_parts(g, hs)
     class_b = []
     for mu, members, k in b_pieces:
         cells = tuple(sorted({ell for ell, _ in members}))
@@ -234,9 +230,7 @@ def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
         _class_c(float(lam), m, k) for lam, k in zip(g_decomp.eigenvalues, g_decomp.multiplicities)
     )
     class_a = ClassA(multiplicity=a_mult)
-    return CoronaSpectrum(
-        m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c, cluster_tol=cluster_tol
-    )
+    return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c)
 
 
 def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
@@ -249,56 +243,50 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     mu + 1; (c) B_lam (x) w/||w|| with B_lam the base eigenvector block of
     lam and w = (1 - lambda_pm, 1, ..., 1), at value lambda_pm. The parts
     come from _corona_parts, the setup of corona_spectrum, and the values
-    are merged by _merge_pieces, the rule of CoronaSpectrum.eigenvalue_list,
-    at a gap of CLUSTER_TOL_SCALE times the corona Laplacian max-norm.
-    Colliding pieces share one eigenspace, so the result is a genuine
-    decomposition into distinct eigenvalues; its projectors are built only
-    when read. Nothing is kept between calls.
+    are merged by _merge_pieces, the rule of CoronaSpectrum.eigenvalue_list.
+    The only colliding pieces, mu = m and lambda_plus(0), share one
+    eigenspace, so the result is a genuine decomposition into distinct
+    eigenvalues; its projectors are built only when read. Nothing is kept
+    between calls.
     """
-    hs, m, by_graph, a_mult, cluster_tol, b_pieces, g_decomp = _corona_parts(g, hs)
+    hs, m, by_graph, a_mult, b_pieces, g_decomp = _corona_parts(g, hs)
     stride = m + 1
     dim = g.n * stride
     sat_blocks = {h: d.blocks() for h, d in by_graph.items()}
     cells = [slice(ell * stride + 1, (ell + 1) * stride) for ell in range(g.n)]
 
-    # Per piece in the canonical order of _merge_pieces: (rows, columns) blocks.
-    pieces = []
-    if a_mult > 0:
-        blocks = []
-        for ell, h in enumerate(hs):
-            kernel = sat_blocks[h][0]
-            if kernel.shape[1] > 1:
-                # The ones direction in kernel coordinates; complete it to an
-                # orthonormal basis and keep the other columns.
-                ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
-                basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
-                blocks.append((cells[ell], kernel @ basis))
-        pieces.append(blocks)
-    pieces += [[(cells[ell], sat_blocks[hs[ell]][i]) for ell, i in members] for _, members, _ in b_pieces]
-    c_values = []
+    # (rows, columns) blocks in the class order of _merge_pieces: a merged
+    # eigenspace is two adjacent pieces, so the columns are written in turn.
+    c_values, plus, blocks = [], [], []
     for lam, mult, b_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.blocks()):
         pair = lambda_pm(float(lam), m)
         c_values.append((*pair, mult))
-        for value in pair:
+        for value, side in zip(pair, (plus, blocks)):
             w = np.ones(stride)
             w[0] = 1.0 - value
-            pieces.append([(slice(None), np.kron(b_lam, (w / np.linalg.norm(w))[:, None]))])
+            side.append((slice(None), np.kron(b_lam, (w / np.linalg.norm(w))[:, None])))
+    for ell, h in enumerate(hs):
+        kernel = sat_blocks[h][0]
+        if kernel.shape[1] > 1:
+            # Class (a): the ones direction in kernel coordinates; complete it
+            # to an orthonormal basis and keep the other columns.
+            ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
+            basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
+            blocks.append((cells[ell], kernel @ basis))
+    blocks += [(cells[ell], sat_blocks[hs[ell]][i]) for _, members, _ in b_pieces for ell, i in members]
+    blocks += plus
 
-    b_values = [(mu + 1.0, mult) for mu, _, mult in b_pieces]
-    order, values, mults = _merge_pieces(a_mult, b_values, c_values, cluster_tol)
-    # Clusters are runs of the sorted pieces, so each piece's columns follow
-    # the previous piece's.
+    values, mults = zip(*_merge_pieces(m, a_mult, [(mu, mult) for mu, _, mult in b_pieces], c_values))
     vectors = np.zeros((dim, dim))
     col = 0
-    for i in order:
-        for rows, block in pieces[i]:
-            k = block.shape[1]
-            vectors[rows, col : col + k] = block
-            col += k
+    for rows, block in blocks:
+        k = block.shape[1]
+        vectors[rows, col : col + k] = block
+        col += k
 
     return SpectralDecomposition(
         dim=dim,
         eigenvalues=np.array(values),
         vectors=vectors,
-        multiplicities=tuple(mults),
+        multiplicities=mults,
     )

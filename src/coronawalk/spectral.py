@@ -113,8 +113,9 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
     multiplicity of each cluster, ascending, and the cluster index of each
     input. Each mean is np.add.reduce(values[a:b] * mults[a:b]) / total,
     which for unit mults is the arithmetic of np.mean. This is the one
-    clustering rule of the package; eigendecompose, the class (b) pooling and
-    the corona merge rule (corona_spectrum._merge_pieces) use it.
+    clustering rule of the package; eigendecompose and the corona class (b)
+    pooling use it. The corona merge (corona_spectrum._merge_pieces) needs no
+    tolerance: it follows the class order.
     """
     values = np.asarray(values, dtype=float)
     mults = np.asarray(mults, dtype=int)

@@ -42,6 +42,14 @@ def test_flat_index_and_coords():
         cg.flat_index(0, 3)
     with pytest.raises(ValueError):
         cg.flat_index(-1, 0)
+    # ids are integers, as every other vertex id
+    for bad in [(0.5, 1), (1, 1.0), ("1", 0)]:
+        with pytest.raises(ValueError):
+            cg.flat_index(*bad)
+    for bad in (2.5, 3.0, "4"):
+        with pytest.raises(ValueError):
+            cg.coords(bad)
+    assert cg.coords(np.int64(4)) == (1, 1)
 
 
 def test_labels():

@@ -1,17 +1,20 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import MIXED3, random_connected_graph, random_satellites
+from conftest import MIXED3, random_connected_graph, random_graph, random_satellites
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Poly, re, symbols
+from sympy.polys.matrices import DomainMatrix
 
 from coronawalk import (
-    ClassA,
-    ClassB,
-    CoronaSpectrum,
     Graph,
+    SpectralDecomposition,
     complete_graph,
     component_count,
     corona_eigenprojectors,
@@ -21,11 +24,14 @@ from coronawalk import (
     eigendecompose,
     empty_graph,
     hypercube_graph,
+    integer_eigenvalue,
+    is_connected,
     lambda_pm,
     laplacian,
     path_graph,
     reconstruct,
 )
+from coronawalk.corona_spectrum import _class_b_pieces
 from coronawalk.spectral import CLUSTER_TOL_SCALE
 
 
@@ -259,24 +265,78 @@ def test_collision_merges_into_single_projector():
     assert abs(np.trace(proj) - 3.0) < 1e-10
 
 
-def test_eigenvalue_list_links_a_chain_like_eigendecompose():
-    # Class (b) values 0.9 * cluster_tol apart: single linkage joins all
-    # three; comparing each value with its cluster's running mean would
-    # split off the third.
+def test_class_b_pooling_links_a_chain_like_eigendecompose():
+    # Three distinct satellites whose nonzero eigenvalues sit 0.9 * tol
+    # apart: single linkage pools all three; comparing each value with its
+    # cluster's running mean would split off the third.
     tol = CLUSTER_TOL_SCALE * 3.0
     chain = [3.0, 3.0 + 0.9 * tol, 3.0 + 1.8 * tol]
-    cs = CoronaSpectrum(
-        m=2,
-        class_a=ClassA(multiplicity=0),
-        class_b=tuple(ClassB(mu=x - 1.0, value=x, satellites=(0,), multiplicity=1) for x in chain),
-        class_c=(),
-        cluster_tol=tol,
-    )
-    listed = cs.eigenvalue_list()
-    assert [k for _, k in listed] == [3]
+    sats = [SpectralDecomposition(2, np.array([0.0, mu]), np.eye(2), (1, 1)) for mu in chain]
+    pooled = _class_b_pieces(sats, tol)
+    assert [(members, k) for _, members, k in pooled] == [([(0, 1), (1, 1), (2, 1)], 3)]
     d = eigendecompose(np.diag(chain))
     assert d.multiplicities == (3,)
-    assert abs(listed[0][0] - d.eigenvalues[0]) <= 1e-15
+    assert abs(pooled[0][0] - d.eigenvalues[0]) <= 1e-15
+
+
+def test_k2_corona_p2000_keeps_every_path_eigenvalue():
+    # P_2000's smallest gaps, near 0 and 4, are about 7.4e-6. A pooling gap
+    # scaled by the corona's max-norm (1e-8 * 2001) chained them into 1,993
+    # values of multiplicity up to 8.
+    m = 2000
+    cs = corona_spectrum(complete_graph(2), [path_graph(m)] * 2)
+    assert [b.multiplicity for b in cs.class_b] == [2] * (m - 1)
+    exact = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m) / m)
+    assert np.max(np.abs(np.array([b.mu for b in cs.class_b]) - exact)) <= 1e-12
+    listed = cs.eigenvalue_list()
+    assert len(listed) == m + 3
+    assert sum(k for _, k in listed) == cs.total_multiplicity() == 2 * (m + 1)
+
+
+def test_largest_eigenvalue_is_m_iff_the_complement_is_disconnected():
+    # The exact collision test of _merge_pieces, over every labelled graph
+    # on m <= 5 vertices.
+    seen = 0
+    for m in range(1, 6):
+        pairs = list(itertools.combinations(range(m), 2))
+        for mask in range(1 << len(pairs)):
+            edges = {pair for j, pair in enumerate(pairs) if mask >> j & 1}
+            top = eigendecompose(laplacian(Graph(m, edges))).eigenvalues[-1]
+            complement = Graph(m, set(pairs) - edges)
+            assert (integer_eigenvalue(top) == m) == (not is_connected(complement))
+            seen += 1
+    assert seen == 1099
+
+
+_X = symbols("x")
+
+
+def exact_spectrum(mat) -> list:
+    """(root, multiplicity) pairs ascending of the integer matrix mat: its
+    characteristic polynomial over ZZ factored over Q, each irreducible
+    factor's roots with the factor's exponent."""
+    rows = [[ZZ(int(x)) for x in row] for row in mat]
+    charpoly = DomainMatrix(rows, mat.shape, ZZ).charpoly()
+    _, factors = Poly(charpoly, _X, domain=ZZ).factor_list()
+    return sorted((float(re(r)), e) for f, e in factors for r in f.nroots(n=30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spectrum_matches_the_exact_characteristic_polynomial(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = random_graph(rng, n, data.draw(st.floats(0.0, 1.0)))
+    hs = [random_graph(rng, m, data.draw(st.floats(0.0, 1.0))) for _ in range(n)]
+    exact = exact_spectrum(corona_laplacian_blocks(g, hs))
+    listed = corona_spectrum(g, hs).eigenvalue_list()
+    d = corona_eigenprojectors(g, hs)
+    assert [k for _, k in exact] == [k for _, k in listed] == list(d.multiplicities)
+    values = np.array([v for v, _ in listed])
+    assert np.all(np.diff(values) > 0)
+    assert np.max(np.abs(values - [v for v, _ in exact])) <= 1e-9
+    assert np.max(np.abs(d.eigenvalues - values)) <= 1e-9
 
 
 def test_satellite_order_mismatch():
