@@ -344,9 +344,9 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     path = outdir / "fig3_laplacian_curve.csv"
     result = _figure_search(g, hs, 0, 1, "four_pi_ell", 0.999, path, config)
 
-    flat = corona(g, hs).flat
-    adj = eigendecompose(walk_matrix(flat, "adjacency"))
-    u, v = 0, 7  # the two base vertices in flat order
+    cg = corona(g, hs)
+    adj = eigendecompose(walk_matrix(cg.flat, "adjacency"))
+    u, v = cg.flat_index(0, 0), cg.flat_index(1, 0)
     grid = np.linspace(0.0, 2000.0, 200_000)
     screen, tol = _phase_screen(_pair_weights(adj, u, v), adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
     screened = screen(grid[::_GRID_ROW]).ravel()[: grid.size]  # drops a ragged last row's overhang

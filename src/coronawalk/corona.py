@@ -34,7 +34,7 @@ def common_satellite_order(g: Graph, hs) -> int:
 
 @dataclass(frozen=True)
 class CoronaGraph:
-    """A corona product with its flat graph and (l, w) <-> flat index map."""
+    """A corona product with its flat graph and (l, w) -> flat index map."""
 
     base: Graph
     satellites: tuple
@@ -51,12 +51,6 @@ class CoronaGraph:
         if not (0 <= w <= self.m):
             raise ValueError(f"w must be in 0..{self.m}, got {w}")
         return base_vertex * (self.m + 1) + w
-
-    def coords(self, flat_idx: int) -> tuple[int, int]:
-        flat_idx = _index(flat_idx)
-        if not (0 <= flat_idx < self.flat.n):
-            raise ValueError(f"flat index {flat_idx} out of range")
-        return divmod(flat_idx, self.m + 1)
 
 
 def corona(g: Graph, hs) -> CoronaGraph:

@@ -18,7 +18,9 @@ eigenvectors span one eigenspace.
 
 corona_spectrum and corona_eigenprojectors share one setup, _corona_parts;
 eigenvalue_list and corona_eigenprojectors merge values by one rule,
-_merge_pieces, so the two agree exactly.
+_merge_pieces, so the two agree exactly. Delta, (m+lam-1)/Delta and
+lambda_pm are evaluated in one place, _class_c_arrays, for every class (c)
+reader here and in walk and statetransfer.
 """
 
 from __future__ import annotations
@@ -99,35 +101,33 @@ class CoronaSpectrum:
         return _merge_pieces(self.m, self.class_a.multiplicity, b, c)
 
 
-def _delta(lam, m: int):
-    """Delta = sqrt((m + lam - 1)^2 + 4m) for a float or an array of lam.
-
-    A float squares through float pow and an array through np.square; the
-    two can differ in the last bit, so each caller keeps its arithmetic.
-    """
-    return np.sqrt((m + lam - 1.0) ** 2 + 4.0 * m)
+def _class_c_arrays(lam, m: int):
+    """(Delta, coef, lambda_plus, lambda_minus) for a float or an array of
+    base eigenvalues lam: Delta = sqrt((m + lam - 1)^2 + 4m), coef =
+    (m + lam - 1)/Delta, and lambda_minus as 2*lam / (m + lam + 1 + Delta),
+    which agrees with (m + lam + 1 - Delta)/2 via lambda_plus * lambda_minus
+    = lam but avoids cancellation for small lam. Every step is one correctly
+    rounded ufunc, so an entry has the same bits alone or in any array."""
+    lam = np.asarray(lam, dtype=float)
+    shifted = m + lam - 1.0
+    delta = np.sqrt(np.square(shifted) + 4.0 * m)
+    total = m + lam + 1.0 + delta
+    return delta, shifted / delta, 0.5 * total, 2.0 * lam / total
 
 
 def lambda_pm(lam: float, m: int) -> tuple[float, float]:
-    """The class (c) eigenvalue pair (lambda_plus, lambda_minus).
-
-    lambda_minus is evaluated as 2*lam / (m + lam + 1 + Delta), which agrees
-    with (m + lam + 1 - Delta)/2 via lambda_plus * lambda_minus = lam but
-    avoids cancellation for small lam.
-    """
+    """The class (c) eigenvalue pair (lambda_plus, lambda_minus), from
+    _class_c_arrays."""
     if m < 1:
         raise ValueError("satellite order m must be >= 1")
-    lam = float(lam)
-    delta = float(_delta(lam, m))
-    plus = 0.5 * (m + lam + 1.0 + delta)
-    minus = 2.0 * lam / (m + lam + 1.0 + delta)
-    return plus, minus
+    _, _, plus, minus = _class_c_arrays(lam, m)
+    return float(plus), float(minus)
 
 
-def _class_c(lam: float, m: int, multiplicity: int) -> ClassC:
-    """The class (c) entry of base eigenvalue lam, with delta_sq = (m+lam-1)^2
-    + 4m kept exactly and split square-free when lam is an integer."""
-    plus, minus = lambda_pm(lam, m)
+def _class_c(lam: float, plus: float, minus: float, m: int, multiplicity: int) -> ClassC:
+    """The class (c) entry of base eigenvalue lam, given its lambda_pm pair
+    from _class_c_arrays, with delta_sq = (m+lam-1)^2 + 4m kept exactly and
+    split square-free when lam is an integer."""
     lam_int = integer_eigenvalue(lam)
     if lam_int is None:
         delta_sq = s = c = None
@@ -226,9 +226,9 @@ def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
     for mu, members, k in b_pieces:
         cells = tuple(sorted({ell for ell, _ in members}))
         class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=k))
-    class_c = tuple(
-        _class_c(float(lam), m, k) for lam, k in zip(g_decomp.eigenvalues, g_decomp.multiplicities)
-    )
+    _, _, plus, minus = _class_c_arrays(g_decomp.eigenvalues, m)
+    entries = zip(g_decomp.eigenvalues.tolist(), plus.tolist(), minus.tolist(), g_decomp.multiplicities)
+    class_c = tuple(_class_c(lam, p, q, m, k) for lam, p, q, k in entries)
     class_a = ClassA(multiplicity=a_mult)
     return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c)
 
@@ -237,34 +237,36 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     """Closed-form spectral decomposition of the corona Laplacian.
 
     Writes the eigenvector columns of each class into one zeroed dim x dim
-    array: (a) per disconnected satellite cell, an orthonormal basis of its
-    satellite kernel with the all-ones direction projected out, at value 1;
-    (b) the eigenvector block of F_mu(H_l) in its cell's rows, at value
-    mu + 1; (c) B_lam (x) w/||w|| with B_lam the base eigenvector block of
-    lam and w = (1 - lambda_pm, 1, ..., 1), at value lambda_pm. The parts
-    come from _corona_parts, the setup of corona_spectrum, and the values
-    are merged by _merge_pieces, the rule of CoronaSpectrum.eigenvalue_list.
-    The only colliding pieces, mu = m and lambda_plus(0), share one
-    eigenspace, so the result is a genuine decomposition into distinct
-    eigenvalues; its projectors are built only when read. Nothing is kept
-    between calls.
+    array through its (cell, w, column) view: (a) per disconnected satellite
+    cell, an orthonormal basis of its satellite kernel with the all-ones
+    direction projected out, at value 1; (b) the eigenvector block of
+    F_mu(H_l) in its cell's satellite rows, at value mu + 1; (c) B_lam (x)
+    w/||w|| with B_lam the base eigenvector block of lam and w = (1 -
+    lambda_pm, 1, ..., 1), at value lambda_pm, one broadcast per side over
+    every base column. The parts come from _corona_parts, the setup of
+    corona_spectrum, and the values are merged by _merge_pieces, the rule of
+    CoronaSpectrum.eigenvalue_list. The only colliding pieces, mu = m and
+    lambda_plus(0), share one eigenspace, so the result is a genuine
+    decomposition into distinct eigenvalues; its projectors are built only
+    when read. Nothing is kept between calls.
     """
     hs, m, by_graph, a_mult, b_pieces, g_decomp = _corona_parts(g, hs)
-    stride = m + 1
-    dim = g.n * stride
+    n, stride = g.n, m + 1
+    dim = n * stride
     sat_blocks = {h: d.blocks() for h, d in by_graph.items()}
-    cells = [slice(ell * stride + 1, (ell + 1) * stride) for ell in range(g.n)]
+    _, _, plus, minus = _class_c_arrays(g_decomp.eigenvalues, m)
+    vectors = np.zeros((dim, dim))
+    cells = vectors.reshape(n, stride, dim)  # cells[ell, w] is the row of vertex (ell, w)
 
-    # (rows, columns) blocks in the class order of _merge_pieces: a merged
-    # eigenspace is two adjacent pieces, so the columns are written in turn.
-    c_values, plus, blocks = [], [], []
-    for lam, mult, b_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.blocks()):
-        pair = lambda_pm(float(lam), m)
-        c_values.append((*pair, mult))
-        for value, side in zip(pair, (plus, blocks)):
-            w = np.ones(stride)
-            w[0] = 1.0 - value
-            side.append((slice(None), np.kron(b_lam, (w / np.linalg.norm(w))[:, None])))
+    def class_c_side(values, cols: slice) -> None:
+        w = np.ones((stride, n))
+        w[0] = np.repeat(1.0 - values, g_decomp.multiplicities)
+        cells[:, :, cols] = g_decomp.vectors[:, None, :] * (w / np.linalg.norm(w, axis=0))
+
+    # Columns in the class order of _merge_pieces: a merged eigenspace is two
+    # adjacent pieces, so the columns are written in turn.
+    class_c_side(minus, slice(0, n))
+    col = n
     for ell, h in enumerate(hs):
         kernel = sat_blocks[h][0]
         if kernel.shape[1] > 1:
@@ -272,18 +274,17 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
             # to an orthonormal basis and keep the other columns.
             ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
             basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
-            blocks.append((cells[ell], kernel @ basis))
-    blocks += [(cells[ell], sat_blocks[hs[ell]][i]) for _, members, _ in b_pieces for ell, i in members]
-    blocks += plus
+            cells[ell, 1:, col : col + basis.shape[1]] = kernel @ basis
+            col += basis.shape[1]
+    for _, members, _ in b_pieces:
+        for ell, i in members:
+            block = sat_blocks[hs[ell]][i]
+            cells[ell, 1:, col : col + block.shape[1]] = block
+            col += block.shape[1]
+    class_c_side(plus, slice(col, dim))
 
+    c_values = list(zip(plus.tolist(), minus.tolist(), g_decomp.multiplicities))  # walked twice
     values, mults = zip(*_merge_pieces(m, a_mult, [(mu, mult) for mu, _, mult in b_pieces], c_values))
-    vectors = np.zeros((dim, dim))
-    col = 0
-    for rows, block in blocks:
-        k = block.shape[1]
-        vectors[rows, col : col + k] = block
-        col += k
-
     return SpectralDecomposition(
         dim=dim,
         eigenvalues=np.array(values),

@@ -208,12 +208,6 @@ def graph_from_dict(data: dict) -> Graph:
     return Graph(data["n"], data["edges"], labels)
 
 
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2)
-        fh.write("\n")
-
-
 def load_graph(path) -> Graph:
     with open(path) as fh:
         return graph_from_dict(json.load(fh))

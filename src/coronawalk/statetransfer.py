@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum, _class_c, _delta, corona_spectrum
+from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, corona_spectrum
 from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
@@ -213,11 +213,12 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
 
     d = eigendecompose(laplacian(g))
     info = eigenvalue_support(d, base_vertex)
+    _, _, pluses, minuses = _class_c_arrays(d.eigenvalues, m)
     for idx in info.support:
         if idx == 0:
             continue  # the zero eigenvalue of the connected base
         weight = info.weights[idx]
-        pair = _class_c(float(d.eigenvalues[idx]), m, 1)
+        pair = _class_c(float(d.eigenvalues[idx]), float(pluses[idx]), float(minuses[idx]), m, 1)
         lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
         weights = tuple(
             (1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * weight for x in (plus, minus)
@@ -337,8 +338,7 @@ def pgst_search(
         raise ValueError("r only applies to the shifted family")
 
     lam = g_decomp.eigenvalues
-    delta = _delta(lam, m)
-    coef = (m + lam - 1.0) / delta
+    delta, coef, _, _ = _class_c_arrays(lam, m)
     pair_weights = _pair_weights(g_decomp, u, v)
     targets = [
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None

@@ -8,7 +8,9 @@ spectral._pair_weights reads from two eigenvector rows, the full operator
 as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 
 Transition values <u|U(t)|v> come only as arrays over a time array, from
-`transition_values` and `corona_transition_values`. Fidelity and phase
+`transition_values` and `corona_transition_values`; the latter takes Delta
+and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`, the one class (c)
+evaluator. Fidelity and phase
 follow one rule, `_fidelity_phase`, for every caller: fidelity
 hypot(re, im)**2, phase value/hypot(re, im), and no phase below PHASE_FLOOR.
 Long scans over evenly spaced times screen first with `_phase_screen`, a
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum, _delta
+from .corona_spectrum import CoronaSpectrum, _class_c_arrays
 from .graphs import Graph, adjacency, laplacian
 from .spectral import SpectralDecomposition, _check_vertices, _pair_weights
 
@@ -85,15 +87,16 @@ def corona_transition_values(
 
     value(t) = e^{-it(m+1)/2} * sum over eigenvalues lam of L(G) of
         e^{-it lam/2} <u|F_lam|v> (cos(t D/2) - i ((m+lam-1)/D) sin(t D/2)),
-    with D = sqrt((m+lam-1)^2 + 4m). The satellites enter only through m, so
-    the element between base vertices never sees their structure. A subset
-    of ts gives the bits those times have in the full call.
+    with D = sqrt((m+lam-1)^2 + 4m), both from corona_spectrum._class_c_arrays.
+    The satellites enter only through m, so the element between base
+    vertices never sees their structure. A subset of ts gives the bits those
+    times have in the full call.
     """
     _check_base_consistency(cs, g_decomp)
     _check_vertices(g_decomp, u, v)
     lam = g_decomp.eigenvalues
-    delta = _delta(lam, cs.m)
-    return _corona_kernel(cs.m, lam, delta, (cs.m + lam - 1.0) / delta, _pair_weights(g_decomp, u, v), ts)
+    delta, coef, _, _ = _class_c_arrays(lam, cs.m)
+    return _corona_kernel(cs.m, lam, delta, coef, _pair_weights(g_decomp, u, v), ts)
 
 
 def _corona_kernel(m: int, lam, delta, coef, weights, ts) -> np.ndarray:

@@ -16,9 +16,9 @@ from coronawalk import (
     corona_transition_values,
     eigendecompose,
     graph_from_dict,
+    graph_to_dict,
     hypercube_graph,
     laplacian,
-    save_graph,
     transition_values,
     walk_matrix,
 )
@@ -254,7 +254,7 @@ def test_pgst_search_command(capsys):
 
 def test_pgst_search_default_pair_and_satellite_file(capsys, tmp_path):
     sat = tmp_path / "kite.json"
-    save_graph(Graph(3, frozenset({(0, 1)})), sat)
+    sat.write_text(json.dumps(graph_to_dict(Graph(3, frozenset({(0, 1)})))))
     rc, doc = run_json(capsys, "pgst-search", "--g", "q2", "--h", f"o3,@{sat},p3,k3",
                        "--family", "shifted", "--target", "0.99")
     assert rc == 0
@@ -301,7 +301,7 @@ def test_parse_graph_spec_units(tmp_path):
     assert parse_graph_spec("cocktail_party:3").n == 6
     assert parse_graph_spec("path:4").edges == parse_graph_spec("p4").edges
     path = tmp_path / "g.json"
-    save_graph(Graph(2, frozenset({(0, 1)})), path)
+    path.write_text(json.dumps(graph_to_dict(Graph(2, frozenset({(0, 1)})))))
     assert parse_graph_spec(f"@{path}").n == 2
     for bad in ("", "z9", "k", "paths", "k2.5"):
         with pytest.raises(ValueError):

@@ -30,12 +30,11 @@ def test_double_star_degrees():
     assert list(deg) == [7.0] + [1.0] * 6 + [7.0] + [1.0] * 6
 
 
-def test_flat_index_and_coords():
+def test_flat_index():
     cg = corona(cycle_graph(3), [path_graph(2)] * 3)
     for v in range(3):
-        assert cg.flat_index(v, 0) == v * 3
-        for w in range(1, 3):
-            assert cg.coords(cg.flat_index(v, w)) == (v, w)
+        for w in range(3):
+            assert cg.flat_index(v, w) == v * 3 + w
     with pytest.raises(ValueError):
         cg.flat_index(3, 0)
     with pytest.raises(ValueError):
@@ -46,10 +45,7 @@ def test_flat_index_and_coords():
     for bad in [(0.5, 1), (1, 1.0), ("1", 0)]:
         with pytest.raises(ValueError):
             cg.flat_index(*bad)
-    for bad in (2.5, 3.0, "4"):
-        with pytest.raises(ValueError):
-            cg.coords(bad)
-    assert cg.coords(np.int64(4)) == (1, 1)
+    assert cg.flat_index(np.int64(1), np.int64(1)) == 4
 
 
 def test_labels():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from coronawalk import (
     cocktail_party_graph,
     complete_graph,
     corona,
+    cycle_graph,
     eigendecompose,
     eigenvalue_support,
     empty_graph,
@@ -54,6 +56,36 @@ def test_cocktail_party_spectrum():
         d = eigendecompose(laplacian(cocktail_party_graph(n)))
         assert np.allclose(d.eigenvalues, [0.0, 2 * n - 2, 2 * n], atol=1e-9)
         assert d.multiplicities == (1, n, n - 1)
+
+
+# Laplacians at dim 500 to 1,024 with closed-form spectra, as (graph,
+# [(eigenvalue, multiplicity)] ascending).
+ANALYTIC_SPECTRA = {
+    "P1000": (path_graph(1000), [(2.0 - 2.0 * math.cos(math.pi * k / 1000), 1) for k in range(1000)]),
+    "C1000": (
+        cycle_graph(1000),
+        [(2.0 - 2.0 * math.cos(2.0 * math.pi * k / 1000), 1 if k in (0, 500) else 2) for k in range(501)],
+    ),
+    "Q10": (hypercube_graph(10), [(2.0 * k, math.comb(10, k)) for k in range(11)]),
+    "K500": (complete_graph(500), [(0.0, 1), (500.0, 499)]),
+    "CP250": (cocktail_party_graph(250), [(0.0, 1), (498.0, 250), (500.0, 249)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_SPECTRA))
+def test_eigendecompose_matches_analytic_spectra(name):
+    # Every multiplicity is exact, so the clustering neither splits an
+    # eigenspace nor merges two (P1000's smallest gap is about 1e-5), and
+    # every eigenvalue is within a few eps * ||L||_2 of the exact one.
+    # No assert names d: a failing assert prints repr(d), and that builds the
+    # k x dim x dim projector stack (8 GB for P1000).
+    g, spectrum = ANALYTIC_SPECTRA[name]
+    d = eigendecompose(laplacian(g))
+    values, mults = d.eigenvalues, d.multiplicities
+    assert len(mults) == len(spectrum)
+    assert np.array_equal(mults, [k for _, k in spectrum])
+    exact = np.array([value for value, _ in spectrum])
+    assert np.max(np.abs(values - exact)) <= 16.0 * np.finfo(float).eps * exact[-1]
 
 
 def test_projector_algebra_random():
