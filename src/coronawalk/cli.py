@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -45,8 +44,6 @@ from .walk import (
     transition_values,
     walk_matrix,
 )
-
-OUTDIR_ENV = "CORONAWALK_OUTDIR"
 
 # Grid points per row of the fig3 adjacency screen.
 _GRID_ROW = 512
@@ -127,26 +124,19 @@ def _csv_text(config: dict, ts: np.ndarray, values: np.ndarray) -> str:
 
 
 def parse_graph_spec(spec: str) -> Graph:
-    """A graph from `k2`-style shorthand, `family:param`, or `@file.json`.
+    """A graph from `@file.json` or from a family and a size, one grammar:
+    letters, an optional colon, then digits (`k2`, `cocktail_party:3`, `p:4`),
+    case-insensitive, with no spaces or sign inside.
 
-    Shorthand letters: k=complete, o=empty, p=path, c=cycle, q=hypercube.
-    Long family names take a colon parameter, e.g. cocktail_party:3.
+    Shorthand: k=complete, o=empty, p=path, c=cycle, q=hypercube,
+    cocktail=cocktail_party; full family names work too.
     """
     spec = spec.strip()
     if not spec:
         raise ValueError("empty graph spec")
     if spec.startswith("@"):
         return load_graph(spec[1:])
-    if ":" in spec:
-        family, _, arg = spec.partition(":")
-        family = family.strip().lower()
-        family = _SHORTHAND.get(family, family)
-        try:
-            size = int(arg)
-        except ValueError:
-            raise ValueError(f"bad size in graph spec {spec!r}") from None
-        return build_named(family, size)
-    match = re.fullmatch(r"([a-z_]+?)(\d+)", spec.lower())
+    match = re.fullmatch(r"([a-z_]+?):?(\d+)", spec.lower())
     if match:
         name, size = match.group(1), int(match.group(2))
         family = _SHORTHAND.get(name, name)
@@ -384,8 +374,6 @@ _FIGURES = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
 
 def cmd_figures(args) -> int:
     names = list(_FIGURES) if args.which == "all" else [args.which]
-    if args.outdir is None:
-        args.outdir = os.environ.get(OUTDIR_ENV, ".")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_from(args, "json")
@@ -469,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("figures", cmd_figures, "reproduce the three experiment figures (CSV + JSON)")
     p.add_argument("which", choices=["fig2", "fig3", "fig4", "all"])
-    p.add_argument("--outdir", help=f"default ${OUTDIR_ENV} or the current directory")
+    p.add_argument("--outdir", default=".", help="default the current directory")
 
     return parser
 

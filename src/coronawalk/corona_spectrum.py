@@ -32,7 +32,7 @@ import numpy as np
 from .corona import common_satellite_order
 from .graphs import Graph, component_count, degrees, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
-from .spectral import CLUSTER_TOL_SCALE, SpectralDecomposition, _cluster, eigendecompose
+from .spectral import SpectralDecomposition, _cluster, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -166,16 +166,16 @@ def _satellite_decompositions(hs) -> dict:
     return out
 
 
-def _class_b_pieces(sat_decomps, tol: float):
+def _class_b_pieces(sat_decomps, norm: float):
     """Nonzero satellite eigenvalues pooled across cells: list of
     (mu, [(cell, projector_index)], multiplicity), clustered on mu by
-    _cluster at tol."""
+    _cluster at the gap of a matrix of max-norm norm."""
     entries = sorted(
         (float(d.eigenvalues[i]), ell, i, d.multiplicities[i])
         for ell, d in enumerate(sat_decomps)
         for i in range(1, len(d.eigenvalues))
     )
-    mus, mults, index = _cluster([e[0] for e in entries], [e[3] for e in entries], tol)
+    mus, mults, index = _cluster([e[0] for e in entries], [e[3] for e in entries], norm)
     members = [[] for _ in mus]
     for (_, ell, i, _), k in zip(entries, index):
         members[k].append((ell, i))
@@ -192,8 +192,7 @@ def _corona_parts(g: Graph, hs):
     by_graph = _satellite_decompositions(hs)
     sat_decomps = [by_graph[h] for h in hs]
     a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
-    sat_norm = max(float(np.max(degrees(h))) for h in by_graph)
-    b_pieces = _class_b_pieces(sat_decomps, CLUSTER_TOL_SCALE * max(1.0, sat_norm))
+    b_pieces = _class_b_pieces(sat_decomps, max(float(np.max(degrees(h))) for h in by_graph))
     g_decomp = eigendecompose(laplacian(g))
     return hs, m, by_graph, a_mult, b_pieces, g_decomp
 
@@ -286,7 +285,6 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     c_values = list(zip(plus.tolist(), minus.tolist(), g_decomp.multiplicities))  # walked twice
     values, mults = zip(*_merge_pieces(m, a_mult, [(mu, mult) for mu, _, mult in b_pieces], c_values))
     return SpectralDecomposition(
-        dim=dim,
         eigenvalues=np.array(values),
         vectors=vectors,
         multiplicities=mults,

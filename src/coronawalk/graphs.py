@@ -150,17 +150,17 @@ def matching_graph(n: int) -> Graph:
     return Graph(2 * n, frozenset((i, i + n) for i in range(n)))
 
 
+def _cocktail_party_edges(n: int) -> frozenset:
+    """Edges of cocktail_party_graph(n), u < v. A frozenset, not a Graph: antipodal_sign_check
+    compares edges with it, and building a Graph costs several times the comprehension."""
+    return frozenset((i, j) for i in range(2 * n) for j in range(i + 1, 2 * n) if j != i + n)
+
+
 def cocktail_party_graph(n: int) -> Graph:
     """Complement of a perfect matching on 2n vertices: every vertex is
     adjacent to all others except its antipode i <-> i+n."""
     n = _index(n)
-    nn = 2 * n
-    edges = set()
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            if j - i != n:
-                edges.add((i, j))
-    return Graph(nn, frozenset(edges))
+    return Graph(2 * n, _cocktail_party_edges(n))
 
 
 _BUILDERS = {

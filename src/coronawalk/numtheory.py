@@ -95,19 +95,16 @@ def support_gcd_and_valuation(support) -> tuple[int, int]:
 
     Zero entries are ignored (gcd(0, x) = x), so a support containing the
     Laplacian eigenvalue 0 behaves as expected; an all-zero support is
-    rejected. int and np.integer entries are taken exactly; an integral
-    float is accepted as the integer it equals.
+    rejected. Entries must be int or np.integer, taken exactly: a float
+    eigenvalue is rounded by integer_eigenvalue first, the one integrality
+    rule. Any other entry raises ValueError.
     """
     vals = []
     for x in support:
         try:
-            value = operator.index(x)
+            vals.append(operator.index(x))
         except TypeError:
-            xf = float(x)
-            if not xf.is_integer():
-                raise ValueError(f"support entries must be exact integers, got {x!r}") from None
-            value = int(xf)
-        vals.append(value)
+            raise ValueError(f"support entries must be exact integers, got {x!r}") from None
     nonzero = [abs(v) for v in vals if v]
     if not nonzero:
         raise ValueError("support has no nonzero entries")

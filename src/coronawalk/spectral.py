@@ -14,13 +14,10 @@ import numpy as np
 
 from .graphs import _index
 
-# Membership threshold for ||F_lambda e_u||, the norm of row u of its block:
-# projector entries of desk-scale graphs are rationals or quadratic
-# irrationals bounded well away from 0.
+# The one zero test for a per-block norm ||F_lambda x||: the support norm ||F_lambda e_u||
+# and the cospectrality residual ||F_lambda e_u -/+ F_lambda e_v||. Projector entries of
+# desk-scale graphs are rationals or quadratic irrationals bounded well away from 0.
 SUPPORT_TOL = 1e-8
-
-# Residual tolerance for F_lambda e_u = +/- F_lambda e_v.
-STRONG_COSPECTRAL_TOL = 1e-8
 
 # Eigenvalues whose gap is at most this (scaled by the matrix max-norm) are
 # clustered into one eigenspace.
@@ -58,16 +55,22 @@ class SpectralDecomposition:
     vectors is dim x dim; its columns are grouped by ascending eigenvalue,
     multiplicities[i] of them spanning the eigenspace of eigenvalues[i].
     projectors[i] is the dim x dim symmetric projector onto that eigenspace;
-    no library computation reads the (k, dim, dim) stack, which is built from
-    vectors on first read unless one was passed in. dataclasses.replace reads
-    it, so the copy carries this stack unless projectors=None is passed too.
+    no library computation, nor repr, reads the (k, dim, dim) stack, which is
+    built from vectors on first read unless one was passed in. dataclasses.replace
+    reads it, so the copy carries this stack unless projectors=None is passed too.
     """
 
-    dim: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
     multiplicities: tuple
     projectors: np.ndarray = _Projectors()
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    def __repr__(self) -> str:  # not the dataclass repr, which reads projectors
+        return f"SpectralDecomposition({self.eigenvalues!r}, {self.vectors!r}, {self.multiplicities!r})"
 
     def blocks(self) -> list:
         """Per eigenvalue, its dim x multiplicity block of eigenvector
@@ -104,10 +107,11 @@ class CospectralityReport:
     signs: tuple
 
 
-def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
+def _cluster(values, mults, norm: float) -> tuple[list, list, list]:
     """Cluster ascending values by single linkage: neighbours whose gap is at
-    most tol share a cluster, so a chain of small gaps is one cluster however
-    long it gets.
+    most tol = CLUSTER_TOL_SCALE * max(1, norm) share a cluster, so a chain of
+    small gaps is one cluster however long it gets. norm is the max-norm of
+    the matrix whose eigenvalues the values are.
 
     Returns (means, totals, index): the mults-weighted mean and the total
     multiplicity of each cluster, ascending, and the cluster index of each
@@ -117,6 +121,7 @@ def _cluster(values, mults, tol: float) -> tuple[list, list, list]:
     pooling use it. The corona merge (corona_spectrum._merge_pieces) needs no
     tolerance: it follows the class order.
     """
+    tol = CLUSTER_TOL_SCALE * max(1.0, norm)
     values = np.asarray(values, dtype=float)
     mults = np.asarray(mults, dtype=int)
     weighted = values * mults
@@ -166,18 +171,16 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     norm = float(np.max(np.abs(mat))) if mat.size else 1.0
     if not np.isfinite(norm):  # max(1.0, nan) would read 1.0
         raise ValueError("matrix has a NaN or infinite entry")
-    scale = max(1.0, norm)
-    if mat.size and float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
+    if mat.size and float(np.max(np.abs(mat - mat.T))) > 1e-12 * max(1.0, norm):
         raise ValueError("matrix is not symmetric")
 
     dim = mat.shape[0]
     if dim == 0:
-        return SpectralDecomposition(0, np.zeros(0), np.zeros((0, 0)), ())
+        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)), ())
 
     w, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    values, mults, _ = _cluster(w, [1] * dim, CLUSTER_TOL_SCALE * scale)
+    values, mults, _ = _cluster(w, [1] * dim, norm)
     return SpectralDecomposition(
-        dim=dim,
         eigenvalues=np.array(values),
         vectors=vecs,
         multiplicities=tuple(mults),
@@ -218,7 +221,7 @@ def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> Cospectrali
     rows = np.stack((a * a, b * b, (a - b) ** 2, (a + b) ** 2))
     norm_u, norm_v, res_plus, res_minus = np.sqrt(_block_sums(d, rows))
     vanish = (norm_u <= SUPPORT_TOL) & (norm_v <= SUPPORT_TOL)
-    ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= STRONG_COSPECTRAL_TOL)))
+    ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= SUPPORT_TOL)))
     signs = np.where(res_plus <= res_minus, 1, -1).tolist()
     signs = tuple(None if gone else sign for gone, sign in zip(vanish.tolist(), signs))
     return CospectralityReport(u=u, v=v, strongly_cospectral=ok, signs=signs)

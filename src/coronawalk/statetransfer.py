@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, corona_spectrum
-from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
+from .graphs import (
+    Graph, _cocktail_party_edges, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
+)
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
@@ -423,7 +425,7 @@ def antipodal_sign_check(g: Graph) -> list:
     if g.n < 4 or g.n % 2 != 0:
         raise ValueError("not a cocktail party graph")
     n = g.n // 2
-    if g.edges != frozenset((i, j) for i in range(g.n) for j in range(i + 1, g.n) if j != i + n):
+    if g.edges != _cocktail_party_edges(n):
         raise ValueError("not a cocktail party graph (antipode map is i <-> i+n)")
     # The matching is the row permutation i <-> i+n: P F = +/-F iff P B = +/-B (F = B B^T, B^T B = I).
     antipode = np.r_[n : 2 * n, 0:n]

@@ -10,9 +10,12 @@ as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 Transition values <u|U(t)|v> come only as arrays over a time array, from
 `transition_values` and `corona_transition_values`; the latter takes Delta
 and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`, the one class (c)
-evaluator. Fidelity and phase
-follow one rule, `_fidelity_phase`, for every caller: fidelity
-hypot(re, im)**2, phase value/hypot(re, im), and no phase below PHASE_FLOOR.
+evaluator. The fidelity and phase of CSV rows, PGST records and PST verdicts
+follow one rule, `_fidelity_phase`: fidelity hypot(re, im)**2, phase
+value/hypot(re, im), and no phase below PHASE_FLOOR. Two callers decide on
+np.abs(values) ** 2 instead, which can differ from it by a few ulps:
+pgst_search picks its records and hits by it, and the CLI's fig3 picks and
+reports its adjacency maximum by it.
 Long scans over evenly spaced times screen first with `_phase_screen`, a
 bounded stand-in for the fidelity, and evaluate exactly only where it
 cannot rule a time out.

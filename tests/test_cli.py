@@ -204,6 +204,8 @@ def test_fidelity_corona_and_errors(capsys):
     assert rc == 1  # both sources
     rc, _ = run(capsys, "fidelity", "--from", "0", "--to", "1", "--t-max", "1")
     assert rc == 1  # no source
+    assert main(["fidelity", "--g", "k2", "--from", "0", "--to", "1", "--t-max", "1"]) == 1
+    assert capsys.readouterr().err == "error: --g needs --h\n"
     rc, _ = run(capsys, "fidelity", "--g", "k2", "--h", "o3", "--kind", "adjacency",
                 "--from", "0", "--to", "1", "--t-max", "1")
     assert rc == 1  # closed form is Laplacian-only
@@ -303,7 +305,7 @@ def test_parse_graph_spec_units(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph_to_dict(Graph(2, frozenset({(0, 1)})))))
     assert parse_graph_spec(f"@{path}").n == 2
-    for bad in ("", "z9", "k", "paths", "k2.5"):
+    for bad in ("", "z9", "k", "paths", "k2.5", "path: 4", "p:+4", "k 2"):
         with pytest.raises(ValueError):
             parse_graph_spec(bad)
     assert len(parse_satellites("o2", 3)) == 3
@@ -361,12 +363,12 @@ def test_figures_all(capsys, tmp_path, monkeypatch):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == reference
 
 
-def test_figures_outdir_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CORONAWALK_OUTDIR", str(tmp_path))
+def test_figures_default_outdir(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rc, doc = run_json(capsys, "figures", "fig4")
     assert rc == 0
     assert (tmp_path / "fig4_summary.json").exists()
-    assert doc["config"]["flags"]["outdir"] == str(tmp_path)
+    assert doc["config"]["flags"]["outdir"] == "."
 
 
 def test_parser_reused_across_calls(capsys, tmp_path):

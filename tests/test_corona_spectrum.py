@@ -271,8 +271,8 @@ def test_class_b_pooling_links_a_chain_like_eigendecompose():
     # cluster's running mean would split off the third.
     tol = CLUSTER_TOL_SCALE * 3.0
     chain = [3.0, 3.0 + 0.9 * tol, 3.0 + 1.8 * tol]
-    sats = [SpectralDecomposition(2, np.array([0.0, mu]), np.eye(2), (1, 1)) for mu in chain]
-    pooled = _class_b_pieces(sats, tol)
+    sats = [SpectralDecomposition(np.array([0.0, mu]), np.eye(2), (1, 1)) for mu in chain]
+    pooled = _class_b_pieces(sats, 3.0)  # max-norm 3: the gap is tol
     assert [(members, k) for _, members, k in pooled] == [([(0, 1), (1, 1), (2, 1)], 3)]
     d = eigendecompose(np.diag(chain))
     assert d.multiplicities == (3,)

@@ -112,10 +112,6 @@ def test_support_gcd_examples():
     assert support_gcd_and_valuation([8]) == (8, 3)
 
 
-def test_support_gcd_accepts_float_integers():
-    assert support_gcd_and_valuation([0.0, np.float64(2.0), 4]) == (2, 1)
-
-
 def test_support_gcd_is_exact_beyond_float_precision():
     # float(2**54 + 3) rounds to 2**54 + 4, which would share the factor 2.
     assert support_gcd_and_valuation([6, 2**54 + 3]) == (1, 0)
@@ -124,8 +120,10 @@ def test_support_gcd_is_exact_beyond_float_precision():
 
 
 def test_support_gcd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        support_gcd_and_valuation([0, 2.5])
+    # Floats raise even when integral: integer_eigenvalue is the one rounding rule.
+    for bad in ([0, 2.5], [0.0, 2, 4], [0, np.float64(2.0), 4], [0, "2"]):
+        with pytest.raises(ValueError, match="exact integers"):
+            support_gcd_and_valuation(bad)
     with pytest.raises(ValueError):
         support_gcd_and_valuation([0, 0])
     with pytest.raises(ValueError):

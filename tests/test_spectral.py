@@ -77,8 +77,6 @@ def test_eigendecompose_matches_analytic_spectra(name):
     # Every multiplicity is exact, so the clustering neither splits an
     # eigenspace nor merges two (P1000's smallest gap is about 1e-5), and
     # every eigenvalue is within a few eps * ||L||_2 of the exact one.
-    # No assert names d: a failing assert prints repr(d), and that builds the
-    # k x dim x dim projector stack (8 GB for P1000).
     g, spectrum = ANALYTIC_SPECTRA[name]
     d = eigendecompose(laplacian(g))
     values, mults = d.eigenvalues, d.multiplicities
@@ -149,7 +147,7 @@ def test_lazy_projectors_equal_the_eager_loop():
     d = eigendecompose(laplacian(path_graph(4)))
     stack = d.projectors.copy()
     stack[0, 0, 0] += 1e-6
-    given = SpectralDecomposition(d.dim, d.eigenvalues, d.vectors, d.multiplicities, projectors=stack)
+    given = SpectralDecomposition(d.eigenvalues, d.vectors, d.multiplicities, projectors=stack)
     assert given.projectors is stack
     assert dataclasses.replace(d, projectors=stack).projectors is stack
     # None asks for the stack to be built from the vectors again.

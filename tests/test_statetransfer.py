@@ -37,7 +37,7 @@ from coronawalk import (
     support_gcd_and_valuation,
 )
 from coronawalk import cli, spectral, statetransfer
-from coronawalk.spectral import STRONG_COSPECTRAL_TOL, SUPPORT_TOL
+from coronawalk.spectral import SUPPORT_TOL
 from coronawalk.walk import corona_transition_values, transition_values
 
 
@@ -123,7 +123,6 @@ def tiny_entry_decomposition(entry):
     x2 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     x3 = np.cross(x1, x2)
     return SpectralDecomposition(
-        dim=3,
         eigenvalues=np.array([0.0, 2.0, 4.0]),
         vectors=np.column_stack([x1, x2, x3]),
         multiplicities=(1, 1, 1),
@@ -172,7 +171,7 @@ def loop_strongly_cospectral(stack, u, v):
         res_plus, res_minus = float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b))
         signs.append(1 if res_plus <= res_minus else -1)
         residuals.append(min(res_plus, res_minus))
-        ok = ok and residuals[-1] <= STRONG_COSPECTRAL_TOL
+        ok = ok and residuals[-1] <= SUPPORT_TOL
     return CospectralityReport(u=u, v=v, strongly_cospectral=ok, signs=tuple(signs)), residuals
 
 
@@ -239,7 +238,7 @@ def test_whole_stack_reads_equal_the_loops():
                 assert [x is None for x in report.signs] == [x is None for x in want.signs]
                 # Elsewhere the sign may be a rounding tie (F e_u orthogonal to F e_v).
                 for got, sign, res in zip(report.signs, want.signs, residuals):
-                    if res is not None and res <= STRONG_COSPECTRAL_TOL:
+                    if res is not None and res <= SUPPORT_TOL:
                         assert got == sign
                 verdict = check_pst(d, u, v)
                 conditions, support, gcd = loop_check_pst(d, stack, u, v)
@@ -298,6 +297,7 @@ def test_verdicts_at_dim_3100_stay_small():
         info = eigenvalue_support(d, u)
         report = strongly_cospectral(d, u, v)
         values = transition_values(d, u, v, np.linspace(0.0, 10.0, 5))
+        repr(d)  # what pytest prints for a failing assert that names d
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -637,7 +637,6 @@ def pair_entry_decomposition(eigenvalues, entry):
     x1[2] = math.sqrt(1.0 - x1[0] ** 2 - x1[1] ** 2)
     x0 = np.array([x1[1], -x1[0], 0.0]) / math.hypot(x1[0], x1[1])
     return SpectralDecomposition(
-        dim=3,
         eigenvalues=np.asarray(eigenvalues, dtype=float),
         vectors=np.column_stack([x0, x1, np.cross(x0, x1)]),
         multiplicities=(1, 1, 1),

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coronawalk import (
+    SpectralDecomposition,
     adjacency,
     cocktail_party_graph,
     complete_graph,
@@ -159,6 +160,10 @@ def test_base_consistency_guard():
     cs = corona_spectrum(complete_graph(2), [empty_graph(3)] * 2)
     wrong = eigendecompose(laplacian(path_graph(3)))
     with pytest.raises(ValueError):
+        corona_transition_values(cs, wrong, 0, 1, [1.0])
+    # The base eigenvalues 0 and 2, but with multiplicities (1, 2).
+    wrong = SpectralDecomposition(np.array([0.0, 2.0]), np.eye(3), (1, 2))
+    with pytest.raises(ValueError, match="different base graph"):
         corona_transition_values(cs, wrong, 0, 1, [1.0])
 
 
