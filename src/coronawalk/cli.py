@@ -5,7 +5,9 @@ Every output embeds the parsed run configuration for provenance. Floats are
 serialized with 12 significant digits and times are reported both as
 decimals and as multiples of pi. Exit codes: 0 when the requested target or
 certificate is produced, 2 when a search or check comes back negative, 1 on
-errors.
+errors. Every command takes --output (default -, stdout; for figures it is
+the index document, and the summaries go to --outdir) and --seed, which is
+recorded in the config header only: nothing in the CLI is random.
 """
 
 from __future__ import annotations
@@ -84,31 +86,32 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _config_from(args: argparse.Namespace, fmt: str) -> dict:
+def _config_from(args: argparse.Namespace) -> dict:
     """The run header embedded in every output: the command, its flags, seed,
     output target and format."""
-    skip = {"func", "command", "seed", "output"}
+    skip = {"func", "command", "seed", "output", "format"}
     flags = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     return {
         "command": args.command,
         "flags": _jsonable(flags),
         "seed": args.seed,
         "output": args.output,
-        "format": fmt,
+        "format": args.format,
     }
 
 
-def _write_text(target: str, text: str) -> None:
+def _write_text(target: str | Path, text: str) -> None:
     if target == "-":
         sys.stdout.write(text)
     else:
         Path(target).write_text(text)
 
 
-def _emit_json(config: dict, payload: dict) -> None:
+def _write_json(target: str | Path, config: dict, payload: dict) -> None:
+    """The document {"config": config, **payload}, sorted and indented."""
     doc = {"config": config}
     doc.update(_jsonable(payload))
-    _write_text(config["output"], json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(target, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_text(config: dict, ts: np.ndarray, values: np.ndarray) -> str:
@@ -177,30 +180,29 @@ def _search_dict(result) -> dict:
     }
 
 
-def cmd_build(args) -> int:
-    g = parse_graph_spec(args.graph)
-    config = _config_from(args, "json")
-    _emit_json(config, graph_to_dict(g))
-    return 0
-
-
-def cmd_corona(args) -> int:
+def _corona_args(args) -> tuple:
+    """The base graph --g and its satellites --h."""
     g = parse_graph_spec(args.g)
-    hs = parse_satellites(args.h, g.n)
-    cg = corona(g, hs)
-    config = _config_from(args, "json")
-    payload = graph_to_dict(cg.flat)
-    payload["m"] = cg.m
-    payload["base"] = graph_to_dict(cg.base)
-    payload["satellites"] = [graph_to_dict(h) for h in cg.satellites]
-    _emit_json(config, payload)
-    return 0
+    return g, parse_satellites(args.h, g.n)
 
 
-def cmd_spectrum(args) -> int:
-    g = parse_graph_spec(args.graph)
-    d = eigendecompose(walk_matrix(g, args.kind))
-    config = _config_from(args, "json")
+def _corona_walk(g: Graph, hs) -> tuple:
+    """The (spectrum, L(G) decomposition) pair corona walks are evaluated from."""
+    return corona_spectrum(g, hs), eigendecompose(walk_matrix(g, "laplacian"))
+
+
+def cmd_build(args, config) -> tuple:
+    return graph_to_dict(parse_graph_spec(args.graph)), 0
+
+
+def cmd_corona(args, config) -> tuple:
+    cg = corona(*_corona_args(args))
+    satellites = [graph_to_dict(h) for h in cg.satellites]
+    return {**graph_to_dict(cg.flat), "m": cg.m, "base": graph_to_dict(cg.base), "satellites": satellites}, 0
+
+
+def cmd_spectrum(args, config) -> tuple:
+    d = eigendecompose(walk_matrix(parse_graph_spec(args.graph), args.kind))
     payload = {
         "kind": args.kind,
         "eigenvalues": d.eigenvalues.tolist(),
@@ -208,28 +210,22 @@ def cmd_spectrum(args) -> int:
     }
     if args.projectors:
         payload["projectors"] = d.projectors.tolist()
-    _emit_json(config, payload)
-    return 0
+    return payload, 0
 
 
-def cmd_corona_spectrum(args) -> int:
-    g = parse_graph_spec(args.g)
-    hs = parse_satellites(args.h, g.n)
-    cs = corona_spectrum(g, hs)
-    config = _config_from(args, "json")
-    payload = {
+def cmd_corona_spectrum(args, config) -> tuple:
+    cs = corona_spectrum(*_corona_args(args))
+    return {
         "m": cs.m,
         "class_a": cs.class_a,
         "class_b": cs.class_b,
         "class_c": cs.class_c,
         "eigenvalues": [list(pair) for pair in cs.eigenvalue_list()],
         "total_multiplicity": cs.total_multiplicity(),
-    }
-    _emit_json(config, payload)
-    return 0
+    }, 0
 
 
-def cmd_fidelity(args) -> int:
+def cmd_fidelity(args, config) -> tuple:
     if (args.g is None) == (args.graph is None):
         raise ValueError("give exactly one of --graph or --g/--h")
     if args.steps < 1:
@@ -239,65 +235,44 @@ def cmd_fidelity(args) -> int:
     ts = np.linspace(0.0, args.t_max, args.steps)
     u, v = args.from_vertex, args.to_vertex
     if args.graph is not None:
-        g = parse_graph_spec(args.graph)
-        values = transition_values(eigendecompose(walk_matrix(g, args.kind)), u, v, ts)
+        d = eigendecompose(walk_matrix(parse_graph_spec(args.graph), args.kind))
+        walk = functools.partial(transition_values, d)
     else:
         if args.h is None:
             raise ValueError("--g needs --h")
         if args.kind != "laplacian":
             raise ValueError("the closed-form corona curve is Laplacian-only")
-        g = parse_graph_spec(args.g)
-        hs = parse_satellites(args.h, g.n)
-        cs = corona_spectrum(g, hs)
-        g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
-        values = corona_transition_values(cs, g_decomp, u, v, ts)
-    config = _config_from(args, "csv")
-    _write_text(config["output"], _csv_text(config, ts, values))
-    return 0
+        walk = functools.partial(corona_transition_values, *_corona_walk(*_corona_args(args)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed t*lambda leaves nan, refused below
+        values = walk(u, v, ts)
+    if not np.isfinite(values).all():
+        raise ValueError(f"--t-max {args.t_max:g} is too large: t times an eigenvalue overflows")
+    return _csv_text(config, ts, values), 0
 
 
-def cmd_pst_check(args) -> int:
-    g = parse_graph_spec(args.graph)
-    d = eigendecompose(walk_matrix(g, "laplacian"))
+def cmd_pst_check(args, config) -> tuple:
+    d = eigendecompose(walk_matrix(parse_graph_spec(args.graph), "laplacian"))
     verdict = check_pst(d, args.from_vertex, args.to_vertex)
-    config = _config_from(args, "json")
-    _emit_json(config, {"verdict": _verdict_dict(verdict)})
-    return 0 if verdict.pst else 2
+    return {"verdict": _verdict_dict(verdict)}, 0 if verdict.pst else 2
 
 
-def cmd_no_pst_witness(args) -> int:
-    g = parse_graph_spec(args.g)
-    witness = corona_no_pst_witness(g, args.m, args.base_vertex)
-    config = _config_from(args, "json")
-    _emit_json(config, {"witness": witness})
-    return 0
+def cmd_no_pst_witness(args, config) -> tuple:
+    return {"witness": corona_no_pst_witness(parse_graph_spec(args.g), args.m, args.base_vertex)}, 0
 
 
-def cmd_pgst_search(args) -> int:
-    g = parse_graph_spec(args.g)
-    hs = parse_satellites(args.h, g.n)
-    cs = corona_spectrum(g, hs)
-    g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
+def cmd_pgst_search(args, config) -> tuple:
+    g, hs = _corona_args(args)
     u = args.from_vertex if args.from_vertex is not None else 0
     v = args.to_vertex if args.to_vertex is not None else g.n - 1
-    result = pgst_search(
-        cs,
-        g_decomp,
-        u,
-        v,
-        _FAMILY_ALIASES[args.family],
-        ell_max=args.ell_max,
-        target=args.target,
-    )
-    _emit_json(_config_from(args, "json"), _search_dict(result))
-    return 0 if result.target_met else 2
+    family = _FAMILY_ALIASES[args.family]
+    result = pgst_search(*_corona_walk(g, hs), u, v, family, ell_max=args.ell_max, target=args.target)
+    return _search_dict(result), 0 if result.target_met else 2
 
 
 def _figure_search(g, hs, u, v, family, target, path, config):
     """PGST search on G corona hs between base vertices u and v, with the
     closed-form fidelity curve up to the best time written to path as CSV."""
-    cs = corona_spectrum(g, hs)
-    g_decomp = eigendecompose(walk_matrix(g, "laplacian"))
+    cs, g_decomp = _corona_walk(g, hs)
     result = pgst_search(cs, g_decomp, u, v, family, ell_max=10_000, target=target)
     ts = np.linspace(0.0, result.best.t, 2001)
     _write_text(str(path), _csv_text(config, ts, corona_transition_values(cs, g_decomp, u, v, ts)))
@@ -372,11 +347,10 @@ def _fig4(outdir: Path, config: dict) -> tuple:
 _FIGURES = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
 
 
-def cmd_figures(args) -> int:
+def cmd_figures(args, config) -> tuple:
     names = list(_FIGURES) if args.which == "all" else [args.which]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = _config_from(args, "json")
     summaries = {}
     written = []
     all_met = True
@@ -387,11 +361,9 @@ def cmd_figures(args) -> int:
         all_met = all_met and met
     for name in names:
         path = outdir / f"{name}_summary.json"
-        doc = {"config": config, "summary": _jsonable(summaries[name])}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json(path, config, {"summary": summaries[name]})
         written.append(str(path))
-    _emit_json(config, {"summaries": summaries, "files": written})
-    return 0 if all_met else 2
+    return {"summaries": summaries, "files": written}, 0 if all_met else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,37 +371,39 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call reuses, built on the first one: importing
+    the module builds nothing."""
     parser = _Parser(prog="coronawalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str):
+    def add(name: str, func, help_text: str, fmt: str = "json"):
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--seed", type=int, default=0, help="seed recorded for provenance")
+        p.add_argument("--seed", type=int, default=0, help="seed recorded in the config header only")
         p.add_argument("--output", default="-", help="output path, or - for stdout")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, format=fmt)
         return p
+
+    def corona_flags(p, required: bool = True):
+        p.add_argument("--g", required=required, help="corona base graph spec")
+        p.add_argument("--h", required=required, help="satellite spec (broadcast) or comma list")
 
     p = add("build", cmd_build, "construct a graph and emit it in the JSON file format")
     p.add_argument("--graph", required=True, help="k2, q3, p4, c5, o6, family:param, or @file.json")
 
-    p = add("corona", cmd_corona, "construct a corona product and emit its flat graph")
-    p.add_argument("--g", required=True, help="base graph spec")
-    p.add_argument("--h", required=True, help="satellite spec (broadcast) or comma list")
+    corona_flags(add("corona", cmd_corona, "construct a corona product and emit its flat graph"))
 
     p = add("spectrum", cmd_spectrum, "distinct eigenvalues and multiplicities of a walk matrix")
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", choices=WALK_KINDS, default="laplacian")
     p.add_argument("--projectors", action="store_true", help="include projector entries")
 
-    p = add("corona-spectrum", cmd_corona_spectrum, "closed-form corona eigenvalue classes")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
+    corona_flags(add("corona-spectrum", cmd_corona_spectrum, "closed-form corona eigenvalue classes"))
 
-    p = add("fidelity", cmd_fidelity, "fidelity curve as CSV t,fidelity,phase_re,phase_im")
-    p.add_argument("--graph", help="walk on this graph (any kind)")
-    p.add_argument("--g", help="corona base graph (closed-form Laplacian curve)")
-    p.add_argument("--h", help="corona satellites")
+    p = add("fidelity", cmd_fidelity, "fidelity curve as CSV t,fidelity,phase_re,phase_im", "csv")
+    p.add_argument("--graph", help="walk on this graph (any kind); or --g/--h, the closed-form Laplacian curve")
+    corona_flags(p, required=False)
     p.add_argument("--from", dest="from_vertex", type=int, required=True)
     p.add_argument("--to", dest="to_vertex", type=int, required=True)
     p.add_argument("--t-max", dest="t_max", type=float, required=True)
@@ -447,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-vertex", dest="base_vertex", type=int, default=0)
 
     p = add("pgst-search", cmd_pgst_search, "scan a PGST time family for a fidelity target")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
+    corona_flags(p)
     p.add_argument("--family", choices=sorted(_FAMILY_ALIASES), required=True)
     p.add_argument("--ell-max", dest="ell_max", type=int, default=10_000)
     p.add_argument("--target", type=float, default=0.99)
@@ -462,24 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every main() call reuses, built on the first one: importing
-    the module builds nothing."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return 1
+    config = _config_from(args)
     try:
-        return args.func(args)
-    except (ValueError, TypeError, OSError, ArithmeticError, KeyError) as exc:
+        payload, code = args.func(args, config)
+        if isinstance(payload, str):
+            _write_text(args.output, payload)
+        else:
+            _write_json(args.output, config, payload)
+    except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -201,9 +201,17 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_from_dict(data: dict) -> Graph:
     """Inverse of graph_to_dict; n and the vertex ids must be integers. JSON
-    label keys are strings and are read through int()."""
+    label keys are strings and are read through int(). A value of another
+    shape (not an object, no n or edges, labels not an object) is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a graph is a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("n", "edges") if key not in data]
+    if missing:
+        raise ValueError(f"a graph needs the keys 'n' and 'edges'; missing {missing}")
     labels = data.get("labels")
     if labels is not None:
+        if not isinstance(labels, dict):
+            raise ValueError(f"graph labels are a JSON object, got {type(labels).__name__}")
         labels = {int(k): str(v) for k, v in labels.items()}
     return Graph(data["n"], data["edges"], labels)
 

@@ -183,7 +183,7 @@ def test_csv_text_equals_the_record_writer():
         assert ",,\n" in text  # t = 0 lies below the phase floor
 
 
-def test_fidelity_grid_guards(capsys):
+def test_fidelity_grid_guards(capsys, tmp_path):
     argv = ["fidelity", "--graph", "k2", "--from", "0", "--to", "1"]
     for bad in (["--t-max", "nan"], ["--t-max", "inf"], ["--t-max", "-inf"],
                 ["--t-max", "1", "--steps", "0"], ["--t-max", "1", "--steps", "-3"]):
@@ -191,6 +191,17 @@ def test_fidelity_grid_guards(capsys):
         assert (rc, out) == (1, "")
     rc, out = run(capsys, *argv, "--t-max", "1", "--steps", "1")
     assert rc == 0 and out.splitlines()[2] == "0,0,,"
+
+    # A finite t_max whose t*lambda overflows: the rows would be nan. Under
+    # filterwarnings = error a numpy RuntimeWarning would escape main instead.
+    curve = tmp_path / "curve.csv"
+    for source in (["--graph", "k2"], ["--g", "k2", "--h", "o3"]):
+        for output in (["--output", str(curve)], []):
+            argv = ["fidelity", *source, "--from", "0", "--to", "1", "--t-max", "1e308", "--steps", "3"]
+            assert main(argv + output) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not curve.exists()
+            assert captured.err.startswith("error: --t-max ") and captured.err.count("\n") == 1
 
 
 def test_fidelity_corona_and_errors(capsys):
@@ -285,15 +296,22 @@ def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
     bad_n.write_text(json.dumps({"n": 2.9, "edges": [[0, 1]]}))
     bad_edge = tmp_path / "bad_edge.json"
     bad_edge.write_text(json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2]]}))
+    malformed = []
+    for i, doc in enumerate(([1, 2], None, {"n": 2, "edges": [[0, 1]], "labels": [1]}, {"edges": []})):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(doc))
+        malformed.append(("pst-check", "--graph", f"@{path}", "--from", "0", "--to", "1"))
     for argv in (
         ("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "0", "--to", "5"),
         ("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "-1", "--to", "1"),
         ("pst-check", "--graph", f"@{bad_edge}", "--from", "0", "--to", "2"),
         ("pst-check", "--graph", f"@{bad_n}", "--from", "0", "--to", "1"),
+        *malformed,
     ):
         assert main(list(argv)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "missing ['n']" in err
 
 
 def test_parse_graph_spec_units(tmp_path):
@@ -396,6 +414,29 @@ def test_parser_reused_across_calls(capsys, tmp_path):
     assert pst["config"]["flags"] == {"graph": "q3", "from_vertex": 0, "to_vertex": 7}
     assert again == fig
     assert {path.name: path.read_bytes() for path in first.iterdir()} == files
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--graph", "k2"),
+    ("corona", "--g", "k2", "--h", "o3"),
+    ("spectrum", "--graph", "p3", "--projectors"),
+    ("corona-spectrum", "--g", "k2", "--h", "o3"),
+    ("fidelity", "--g", "k2", "--h", "o3", "--from", "0", "--to", "1", "--t-max", "10", "--steps", "11"),
+    ("pst-check", "--graph", "p3", "--from", "0", "--to", "2"),
+    ("no-pst-witness", "--g", "k2", "--m", "6"),
+    ("pgst-search", "--g", "k2", "--h", "o1", "--family", "4pi", "--target", "0.999", "--ell-max", "3"),
+    ("figures", "fig4", "--outdir", "figs"),
+], ids=lambda argv: argv[0])
+def test_output_flag_writes_the_stdout_document(capsys, tmp_path, monkeypatch, argv):
+    # Every command goes through main's one writer: --output f puts the
+    # stdout run's document in f, with config.output naming f.
+    monkeypatch.chdir(tmp_path)
+    rc, out = run(capsys, *argv)
+    assert out.count('"output": "-"') == 1
+    target = tmp_path / "out"
+    rc_file, out_file = run(capsys, *argv, "--output", str(target))
+    assert (rc_file, out_file) == (rc, "")
+    assert target.read_text() == out.replace('"output": "-"', '"output": ' + json.dumps(str(target)))
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -281,7 +282,8 @@ def test_verdicts_build_no_projector_stack(monkeypatch, tmp_path, capsys):
     # then: both scans run the screen to ell_max.
     for family in ("four_pi_ell", "shifted"):
         assert not pgst_search(cs, gd, 0, 3, family, ell_max=5000, target=0.9999).target_met
-    assert cli.main(["figures", "all", "--outdir", str(tmp_path)]) == 0  # capsys keeps its JSON off the log
+    assert cli.main(["figures", "all", "--outdir", str(tmp_path)]) == 0
+    assert set(json.loads(capsys.readouterr().out)["summaries"]) == {"fig2", "fig3", "fig4"}
 
 
 def test_verdicts_at_dim_3100_stay_small():
