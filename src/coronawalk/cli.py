@@ -40,6 +40,7 @@ from .statetransfer import (
 )
 from .walk import (
     WALK_KINDS,
+    _fidelity,
     _fidelity_phase,
     _phase_screen,
     corona_transition_values,
@@ -237,17 +238,19 @@ def cmd_fidelity(args, config) -> tuple:
     if args.graph is not None:
         d = eigendecompose(walk_matrix(parse_graph_spec(args.graph), args.kind))
         walk = functools.partial(transition_values, d)
+        scale = float(np.max(np.abs(d.eigenvalues), initial=0.0))
     else:
         if args.h is None:
             raise ValueError("--g needs --h")
         if args.kind != "laplacian":
             raise ValueError("the closed-form corona curve is Laplacian-only")
-        walk = functools.partial(corona_transition_values, *_corona_walk(*_corona_args(args)))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed t*lambda leaves nan, refused below
-        values = walk(u, v, ts)
-    if not np.isfinite(values).all():
-        raise ValueError(f"--t-max {args.t_max:g} is too large: t times an eigenvalue overflows")
-    return _csv_text(config, ts, values), 0
+        cs, g_decomp = _corona_walk(*_corona_args(args))
+        walk = functools.partial(corona_transition_values, cs, g_decomp)
+        scale = max(entry.lam_plus for entry in cs.class_c)  # bounds t(m+1)/2, t*lam/2 and t*Delta/2
+    # From 2**52 up, one ulp of a phase t*lambda is a radian or more.
+    if abs(args.t_max) * scale >= 2.0**52:
+        raise ValueError(f"--t-max {args.t_max:g} is too large: |t_max| * max|eigenvalue| reaches 2**52")
+    return _csv_text(config, ts, walk(u, v, ts)), 0
 
 
 def cmd_pst_check(args, config) -> tuple:
@@ -316,7 +319,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     screen, tol = _phase_screen(_pair_weights(adj, u, v), adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
     screened = screen(grid[::_GRID_ROW]).ravel()[: grid.size]  # drops a ragged last row's overhang
     cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
-    fidelities = np.abs(transition_values(adj, u, v, grid[cands])) ** 2
+    fidelities = _fidelity(transition_values(adj, u, v, grid[cands]))
     best = int(np.argmax(fidelities))
     ts = np.linspace(0.0, 2000.0, 2001)
     curve = _csv_text(config, ts, transition_values(adj, u, v, ts))

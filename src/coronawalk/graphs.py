@@ -202,18 +202,26 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(data: dict) -> Graph:
     """Inverse of graph_to_dict; n and the vertex ids must be integers. JSON
     label keys are strings and are read through int(). A value of another
-    shape (not an object, no n or edges, labels not an object) is a ValueError."""
+    shape (not an object, no n or edges, edges not a list of pairs, labels
+    not an object or a label key not an integer) is a ValueError naming the
+    field."""
     if not isinstance(data, dict):
         raise ValueError(f"a graph is a JSON object, got {type(data).__name__}")
     missing = [key for key in ("n", "edges") if key not in data]
     if missing:
         raise ValueError(f"a graph needs the keys 'n' and 'edges'; missing {missing}")
+    edges = data["edges"]
+    if not isinstance(edges, list) or any(not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges):
+        raise ValueError("graph edges are a list of vertex pairs [u, v]")
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, dict):
             raise ValueError(f"graph labels are a JSON object, got {type(labels).__name__}")
-        labels = {int(k): str(v) for k, v in labels.items()}
-    return Graph(data["n"], data["edges"], labels)
+        try:
+            labels = {int(k): str(v) for k, v in labels.items()}
+        except ValueError:
+            raise ValueError(f"graph labels are keyed by integer vertex ids, got keys {list(labels)}") from None
+    return Graph(data["n"], edges, labels)
 
 
 def load_graph(path) -> Graph:

@@ -162,9 +162,11 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     Numerically equal eigenvalues are merged by _cluster: single linkage over
     the ascending list, where a gap <= CLUSTER_TOL_SCALE * max(1, max|mat|)
     joins two neighbours into one eigenspace, whose eigenvalue is the mean of
-    its members. Raises ValueError on a NaN or infinite entry, and
+    its members. Raises ValueError on a complex, NaN or infinite entry, and
     np.linalg.LinAlgError if the eigensolver fails.
     """
+    if np.iscomplexobj(mat):  # a float cast would drop the imaginary parts
+        raise ValueError("expected a real matrix, got complex entries")
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")

@@ -13,13 +13,9 @@ never an integer (exact arithmetic when the base eigenvalue is integral).
 PGST can survive; the searches here scan the time families t = 4*pi*ell
 and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
 target. The shifted family is searched only from a base pair that
-check_pst certifies, with r the 2-adic valuation of its support gcd. The
-phase-table screen walk._phase_screen bounds every fidelity past the first
-chunk to within tol, and only the ell screened at or above
-min(best, target) - tol, the ones it cannot rule out as a record or a hit,
-run the exact kernel; its values do not depend on the other times in a
-call, so every result keeps the bits of an unscreened scan. The CLI's fig3
-screens its adjacency grid with the same helper.
+check_pst certifies, with r the 2-adic valuation of its support gcd. Past
+the first chunk, the screen walk._phase_screen (which the CLI's fig3 also
+uses) leaves the exact kernel only the ell that may hold a record or a hit.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from .spectral import (
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _corona_kernel, _fidelity_phase, _phase_screen, corona_transition_values
+from .walk import _corona_kernel, _fidelity, _fidelity_phase, _phase_screen, corona_transition_values
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -302,8 +298,10 @@ def pgst_search(
     target: _signable is the rule check_pst signs by.
 
     The scan stops at the first hit; history records the strictly improving
-    fidelities along the way. The first _SEARCH_CHUNK ell run exactly. Past
-    them, _fidelity_screen bounds every fidelity to within tol, one product
+    fidelities along the way. Hits and records are decided on the fidelity
+    they report, walk._fidelity, so a hit's reported fidelity meets the
+    target. The first _SEARCH_CHUNK ell run exactly. Past them,
+    _fidelity_screen bounds every fidelity to within tol, one product
     per _SCREEN_BLOCK chunks, and only the ell screened at or above
     min(best, target) - tol (best as of the block's start) run the exact
     kernel, in ascending order. No other ell can be a record or a hit, and
@@ -347,10 +345,9 @@ def pgst_search(
         for w in pair_weights.tolist()
     ]
 
+    shift = 0.0 if r is None else 2.0 ** (1 - r)
     def time_of(ells: np.ndarray) -> np.ndarray:
-        if family == "four_pi_ell":
-            return 4.0 * math.pi * ells
-        return (4.0 * ells + 2.0 ** (1 - r)) * math.pi
+        return (4.0 * ells + shift) * math.pi
 
     def candidates():
         """Ascending runs of at most _SEARCH_CHUNK ell that may hold a record or a hit."""
@@ -375,12 +372,13 @@ def pgst_search(
             values = corona_transition_values(cs, g_decomp, u, v, ts)
         else:
             values = _corona_kernel(m, lam, delta, coef, pair_weights, ts)
-        fidelities = np.abs(values) ** 2
+        fidelities = _fidelity(values)
         hits = np.nonzero(fidelities >= target)[0]
         last = int(hits[0]) + 1 if hits.size else len(ells)
         running = np.maximum.accumulate(np.concatenate(([best_fidelity], fidelities[:last])))
         new = np.nonzero(fidelities[:last] > running[:-1])[0]
-        for ell, t, f, p in zip(ells[new].tolist(), ts[new].tolist(), *_fidelity_phase(values[new])):
+        _, phases = _fidelity_phase(values[new])
+        for ell, t, f, p in zip(ells[new].tolist(), ts[new].tolist(), fidelities[new].tolist(), phases):
             residuals = tuple(
                 None if tgt is None else float(abs(math.cos(0.5 * t * dl) - tgt))
                 for dl, tgt in zip(delta, targets)

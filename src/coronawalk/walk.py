@@ -10,12 +10,8 @@ as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 Transition values <u|U(t)|v> come only as arrays over a time array, from
 `transition_values` and `corona_transition_values`; the latter takes Delta
 and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`, the one class (c)
-evaluator. The fidelity and phase of CSV rows, PGST records and PST verdicts
-follow one rule, `_fidelity_phase`: fidelity hypot(re, im)**2, phase
-value/hypot(re, im), and no phase below PHASE_FLOOR. Two callers decide on
-np.abs(values) ** 2 instead, which can differ from it by a few ulps:
-pgst_search picks its records and hits by it, and the CLI's fig3 picks and
-reports its adjacency maximum by it.
+evaluator. Every fidelity reported or decided on is `_fidelity`; CSV rows,
+PGST records and PST verdicts take it and the phase from `_fidelity_phase`.
 Long scans over evenly spaced times screen first with `_phase_screen`, a
 bounded stand-in for the fidelity, and evaluate exactly only where it
 cannot rule a time out.
@@ -35,20 +31,24 @@ WALK_KINDS = ("laplacian", "adjacency")
 PHASE_FLOOR = 1e-24
 
 
-def _fidelity_phase(values) -> tuple[list, list]:
-    """Fidelity |value|^2 and unit phase value/|value| of an array of
-    transition values, as lists of Python floats and complexes; the phase is
-    None where the fidelity is below PHASE_FLOOR.
+def _fidelity(values) -> np.ndarray:
+    """The fidelity |value|^2 of an array of transition values.
 
     The modulus is np.hypot and the square np.float_power: these give the
     bits of the scalar abs(value) ** 2 on numpy scalars, where np.abs on a
     complex array and ** 2 on a float array round differently in some entries.
     """
     values = np.asarray(values, dtype=complex)
-    modulus = np.hypot(values.real, values.imag)
+    return np.float_power(np.hypot(values.real, values.imag), 2.0)
+
+
+def _fidelity_phase(values) -> tuple[list, list]:
+    """_fidelity and the unit phase value/|value|, as lists of Python floats
+    and complexes; the phase is None where the fidelity is below PHASE_FLOOR."""
+    values = np.asarray(values, dtype=complex)
+    fidelity = _fidelity(values).tolist()
     with np.errstate(invalid="ignore"):  # an exact zero gives nan, below the floor
-        phase = values / modulus
-    fidelity = np.float_power(modulus, 2.0).tolist()
+        phase = values / np.hypot(values.real, values.imag)
     return fidelity, [p if f >= PHASE_FLOOR else None for f, p in zip(fidelity, phase.tolist())]
 
 
@@ -119,7 +119,7 @@ def _corona_kernel(m: int, lam, delta, coef, weights, ts) -> np.ndarray:
 def _phase_screen(amps, omega, step: float, width: int, t_max: float):
     """A cheap stand-in for the fidelity |sum_j a_j e^{-i t omega_j}|^2 on
     the times t0 + step*i, i < width, from each row start t0, and the bound
-    tol on its distance from an exact evaluation at any t <= t_max.
+    tol on its distance from the _fidelity of an exact value at t <= t_max.
 
     screen(t0s) reads one row per t0 as |(a e^{-i t0s (x) omega}) @ T|^2,
     with one table T[j, i] = e^{-i omega_j step i}: a product per call where

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from coronawalk import (
     walk_matrix,
 )
 from coronawalk.cli import _csv_text, _fig3, _fmt, main, parse_graph_spec, parse_satellites
+from coronawalk.walk import _fidelity
 
 
 def run(capsys, *argv):
@@ -192,16 +194,21 @@ def test_fidelity_grid_guards(capsys, tmp_path):
     rc, out = run(capsys, *argv, "--t-max", "1", "--steps", "1")
     assert rc == 0 and out.splitlines()[2] == "0,0,,"
 
-    # A finite t_max whose t*lambda overflows: the rows would be nan. Under
-    # filterwarnings = error a numpy RuntimeWarning would escape main instead.
+    # A finite t_max whose phases t*lambda are rounding noise (1e300) or
+    # overflow (1e308): refused before any evaluation.
     curve = tmp_path / "curve.csv"
-    for source in (["--graph", "k2"], ["--g", "k2", "--h", "o3"]):
-        for output in (["--output", str(curve)], []):
-            argv = ["fidelity", *source, "--from", "0", "--to", "1", "--t-max", "1e308", "--steps", "3"]
-            assert main(argv + output) == 1
-            captured = capsys.readouterr()
-            assert captured.out == "" and not curve.exists()
-            assert captured.err.startswith("error: --t-max ") and captured.err.count("\n") == 1
+    for source, t_max, output in itertools.product(
+        (["--graph", "k2"], ["--g", "k2", "--h", "o3"]), ("1e300", "1e308"), (["--output", str(curve)], [])
+    ):
+        argv = ["fidelity", *source, "--from", "0", "--to", "1", "--t-max", t_max, "--steps", "3"]
+        assert main(argv + output) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not curve.exists()
+        assert captured.err.startswith("error: --t-max ") and captured.err.count("\n") == 1
+    # The bound is |t_max| * max|lambda| < 2**52; K2's largest eigenvalue is 2.
+    argv = ["fidelity", "--graph", "k2", "--from", "0", "--to", "1", "--steps", "3", "--t-max"]
+    assert run(capsys, *argv, str(2**51 - 1))[0] == 0
+    assert run(capsys, *argv, str(2**51)) == (1, "")
 
 
 def test_fidelity_corona_and_errors(capsys):
@@ -296,22 +303,30 @@ def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
     bad_n.write_text(json.dumps({"n": 2.9, "edges": [[0, 1]]}))
     bad_edge = tmp_path / "bad_edge.json"
     bad_edge.write_text(json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2]]}))
-    malformed = []
-    for i, doc in enumerate(([1, 2], None, {"n": 2, "edges": [[0, 1]], "labels": [1]}, {"edges": []})):
+    malformed = []  # (argv, what the message names)
+    for i, (doc, named) in enumerate((
+        ([1, 2], "JSON object"),
+        (None, "JSON object"),
+        ({"n": 2, "edges": [[0, 1]], "labels": [1]}, "labels"),
+        ({"edges": []}, "missing ['n']"),
+        ({"n": 3, "edges": 5}, "edges"),
+        ({"n": 3, "edges": [[0, 1, 2]]}, "edges"),
+        ({"n": 3, "edges": [[0, 1]], "labels": {"x": "a"}}, "labels"),
+    )):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))
-        malformed.append(("pst-check", "--graph", f"@{path}", "--from", "0", "--to", "1"))
-    for argv in (
-        ("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "0", "--to", "5"),
-        ("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "-1", "--to", "1"),
-        ("pst-check", "--graph", f"@{bad_edge}", "--from", "0", "--to", "2"),
-        ("pst-check", "--graph", f"@{bad_n}", "--from", "0", "--to", "1"),
+        malformed.append((("pst-check", "--graph", f"@{path}", "--from", "0", "--to", "1"), named))
+    for argv, named in (
+        (("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "0", "--to", "5"), "range"),
+        (("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "-1", "--to", "1"), "range"),
+        (("pst-check", "--graph", f"@{bad_edge}", "--from", "0", "--to", "2"), "integers"),
+        (("pst-check", "--graph", f"@{bad_n}", "--from", "0", "--to", "1"), "integers"),
         *malformed,
     ):
         assert main(list(argv)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "missing ['n']" in err
+        assert named in err, err
 
 
 def test_parse_graph_spec_units(tmp_path):
@@ -348,12 +363,12 @@ def test_figures_fig3(capsys, tmp_path):
 
 def test_figures_fig3_screen_finds_the_dense_grid_maximum(tmp_path):
     # The scan the screen replaced: every one of the 200,000 grid points
-    # through transition_values.
+    # through transition_values, and the maximum by the fidelity rule.
     summary, _, _ = _fig3(tmp_path, {})
     adj = eigendecompose(walk_matrix(corona(build_named("complete", 2), [build_named("empty", 6)] * 2).flat,
                                      "adjacency"))
     grid = np.linspace(0.0, 2000.0, 200_000)
-    dense = np.abs(transition_values(adj, 0, 7, grid)) ** 2
+    dense = _fidelity(transition_values(adj, 0, 7, grid))
     idx = int(np.argmax(dense))
     assert np.flatnonzero(grid == summary["adjacency_argmax_t"]).tolist() == [idx]
     # The candidates' matrix-vector product may round one entry differently.

@@ -159,6 +159,9 @@ def test_input_validation():
         eigendecompose(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # Hermitian with eigenvalues -1 and 1; a float cast would read the zero matrix.
+    with pytest.raises(ValueError, match="complex"):
+        eigendecompose(np.array([[0, 1j], [-1j, 0]]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             eigendecompose(np.array([[bad]]))

@@ -39,7 +39,7 @@ from coronawalk import (
 )
 from coronawalk import cli, spectral, statetransfer
 from coronawalk.spectral import SUPPORT_TOL
-from coronawalk.walk import corona_transition_values, transition_values
+from coronawalk.walk import _fidelity, corona_transition_values, transition_values
 
 
 def decomp(g):
@@ -493,7 +493,8 @@ def test_search_validation():
 def plain_scan(cs, gd, u, v, family, r, ell_max, target):
     """Reference for pgst_search: the unscreened scan it replaced. Every
     chunk of 2048 ell goes through the exact kernel and a per-ell loop picks
-    the records. Returns ((ell, t, fidelity, phase) per record, target met)."""
+    the records and the hit by the scalar fidelity rule, the fidelity a
+    record reports. Returns ((ell, t, fidelity, phase) per record, target met)."""
     best, records = -1.0, []
     for start in range(1, ell_max + 1, 2048):
         ells = np.arange(start, min(start + 2048, ell_max + 1)).astype(float)
@@ -502,12 +503,12 @@ def plain_scan(cs, gd, u, v, family, r, ell_max, target):
         else:
             ts = (4.0 * ells + 2.0 ** (1 - r)) * math.pi
         values = corona_transition_values(cs, gd, u, v, ts)
-        fidelities = np.abs(values) ** 2
-        for i in range(len(ells)):
-            if fidelities[i] > best:
-                best = float(fidelities[i])
-                records.append((int(ells[i]), float(ts[i]), *scalar_fidelity_phase(values[i])))
-            if fidelities[i] >= target:
+        for ell, t, value in zip(ells.tolist(), ts.tolist(), values):
+            fidelity, phase = scalar_fidelity_phase(value)
+            if fidelity > best:
+                best = fidelity
+                records.append((int(ell), t, fidelity, phase))
+            if fidelity >= target:
                 return records, True
     return records, False
 
@@ -528,6 +529,9 @@ def _screen_cases():
         one_row_last_chunk=(k2, [empty_graph(1)] * 2, 0, 1, "four_pi_ell", None, 2 * 2048 + 1, 0.999999999),
         below_one_chunk=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 2000, 0.9999999),
         target_zero=(cocktail_party_graph(3), [complete_graph(1)] * 6, 0, 3, "four_pi_ell", None, 20_000, 0.0),
+        # np.abs(values) ** 2 reaches this target at ell = 199, where the
+        # reported fidelity 0.9999430714061666 falls 2 ulps short of it.
+        ulps_below_target=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 2048, 0.9999430714061668),
     )
     return cases
 
@@ -544,6 +548,9 @@ def test_screened_search_equals_plain_scan(name):
     assert [(rec.ell, rec.t, rec.fidelity, rec.phase) for rec in result.history] == records
     assert result.target_met == met
     assert result.best == result.history[-1]
+    assert result.target_met == (result.best.fidelity >= target)
+    fidelities = [rec.fidelity for rec in result.history]
+    assert all(a < b for a, b in zip(fidelities, fidelities[1:]))
 
 
 def test_screen_skips_chunks_without_records(monkeypatch):
@@ -598,7 +605,7 @@ def test_screen_stays_within_its_bound(monkeypatch, name):
 
     def recording_kernel(*args):
         values = kernel(*args)
-        exact.update(zip(map(ell_of, args[-1].tolist()), (np.abs(values) ** 2).tolist()))
+        exact.update(zip(map(ell_of, args[-1].tolist()), _fidelity(values).tolist()))
         return values
 
     monkeypatch.setattr(statetransfer, "_fidelity_screen", recording_screen)
