@@ -13,9 +13,10 @@ never an integer (exact arithmetic when the base eigenvalue is integral).
 PGST can survive; the searches here scan the time families t = 4*pi*ell
 and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
 target. The shifted family is searched only from a base pair that
-check_pst certifies, with r the 2-adic valuation of its support gcd. Past
-the first chunk, the screen walk._phase_screen (which the CLI's fig3 also
-uses) leaves the exact kernel only the ell that may hold a record or a hit.
+check_pst certifies, with r the 2-adic valuation of its support gcd. The
+first chunk of ell runs exactly, in three growing runs that stop at a hit.
+Past it, the screen walk._phase_screen (which the CLI's fig3 also uses)
+leaves the exact kernel only the ell that may hold a record or a hit.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ ANTIPODAL_TOL = 1e-9
 PGST_FAMILIES = ("four_pi_ell", "shifted")
 
 _SEARCH_CHUNK = 2048
+# Where the exact runs over the first _SEARCH_CHUNK ell end: most searches
+# hit early, so the first run is short and each run after it longer.
+_FIRST_RUN_ENDS = (128, 512, _SEARCH_CHUNK)
 # Chunks screened per product: the block's values take about 256 KB.
 _SCREEN_BLOCK = 8
 
@@ -300,13 +304,16 @@ def pgst_search(
     The scan stops at the first hit; history records the strictly improving
     fidelities along the way. Hits and records are decided on the fidelity
     they report, walk._fidelity, so a hit's reported fidelity meets the
-    target. The first _SEARCH_CHUNK ell run exactly. Past them,
-    _fidelity_screen bounds every fidelity to within tol, one product
-    per _SCREEN_BLOCK chunks, and only the ell screened at or above
-    min(best, target) - tol (best as of the block's start) run the exact
-    kernel, in ascending order. No other ell can be a record or a hit, and
-    the kernel gives a time the bits it has in any call, so the result is
-    an unscreened scan's.
+    target. The first _SEARCH_CHUNK ell run exactly, in runs ending at
+    _FIRST_RUN_ENDS, so a search that hits early evaluates only the runs
+    up to its hit; a run whose largest fidelity is no record skips the
+    record pass. Past them, _fidelity_screen bounds every fidelity to
+    within tol, one product per _SCREEN_BLOCK chunks, and only the ell
+    screened at or above min(best, target) - tol (best as of the block's
+    start) run the exact kernel, a block's survivors together, in
+    ascending runs of at most _SEARCH_CHUNK. No other ell can be a record
+    or a hit, and the kernel gives a time the bits it has in any call, so
+    the result is an unscreened scan's.
 
     float64 loses about t*eps in the phase t*Delta/2: on cocktail_party(3)
     with pendant vertices at t = 4*pi*ell, the value errs (against 50-digit
@@ -344,6 +351,7 @@ def pgst_search(
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
         for w in pair_weights.tolist()
     ]
+    deltas = delta.tolist()  # the residual loop's Python floats, the bits of delta
 
     shift = 0.0 if r is None else 2.0 ** (1 - r)
     def time_of(ells: np.ndarray) -> np.ndarray:
@@ -351,9 +359,12 @@ def pgst_search(
 
     def candidates():
         """Ascending runs of at most _SEARCH_CHUNK ell that may hold a record or a hit."""
-        yield np.arange(1, min(1 + _SEARCH_CHUNK, ell_max + 1))
-        if ell_max <= _SEARCH_CHUNK:
-            return  # most searches end in the first chunk: no screen is built
+        start = 1
+        for end in _FIRST_RUN_ENDS:
+            yield np.arange(start, min(end, ell_max) + 1)
+            if ell_max <= end:
+                return  # ell_max ends in this run: no screen is built
+            start = end + 1
         screen, tol = _fidelity_screen(lam, delta, coef, pair_weights, time_of(ell_max))
         block = _SEARCH_CHUNK * _SCREEN_BLOCK
         for start in range(1 + _SEARCH_CHUNK, ell_max + 1, block):
@@ -361,8 +372,9 @@ def pgst_search(
             # best_fidelity is read on resuming, after every smaller ell ran.
             keep = screen(time_of(starts.astype(float))) >= min(best_fidelity, target) - tol
             keep[-1, ell_max + 1 - starts[-1] :] = False
-            for i in np.flatnonzero(keep.any(axis=1)).tolist():
-                yield starts[i] + np.flatnonzero(keep[i])
+            ells = start + np.flatnonzero(keep)  # keep[i, j] is ell start + i*_SEARCH_CHUNK + j
+            for i in range(0, len(ells), _SEARCH_CHUNK):
+                yield ells[i : i + _SEARCH_CHUNK]
 
     best_fidelity = -1.0
     history: list[PgstRecord] = []
@@ -373,6 +385,8 @@ def pgst_search(
         else:
             values = _corona_kernel(m, lam, delta, coef, pair_weights, ts)
         fidelities = _fidelity(values)
+        if fidelities.max() <= best_fidelity:
+            continue  # no record, so no hit: best_fidelity < target
         hits = np.nonzero(fidelities >= target)[0]
         last = int(hits[0]) + 1 if hits.size else len(ells)
         running = np.maximum.accumulate(np.concatenate(([best_fidelity], fidelities[:last])))
@@ -380,8 +394,7 @@ def pgst_search(
         _, phases = _fidelity_phase(values[new])
         for ell, t, f, p in zip(ells[new].tolist(), ts[new].tolist(), fidelities[new].tolist(), phases):
             residuals = tuple(
-                None if tgt is None else float(abs(math.cos(0.5 * t * dl) - tgt))
-                for dl, tgt in zip(delta, targets)
+                None if tgt is None else abs(math.cos(0.5 * t * dl) - tgt) for dl, tgt in zip(deltas, targets)
             )
             history.append(
                 PgstRecord(family=family, r=r, ell=ell, t=t, fidelity=f, phase=p, residuals=residuals)
@@ -389,7 +402,7 @@ def pgst_search(
         best_fidelity = float(running[-1])
         if hits.size:
             break
-    return PgstSearchResult(best=history[-1], history=tuple(history), target_met=bool(hits.size))
+    return PgstSearchResult(best=history[-1], history=tuple(history), target_met=best_fidelity >= target)
 
 
 def _fidelity_screen(lam, delta, coef, weights, t_max: float):

@@ -74,9 +74,8 @@ def evolve_operator(d: SpectralDecomposition, t: float) -> np.ndarray:
 
 def _check_base_consistency(cs: CoronaSpectrum, g_decomp: SpectralDecomposition) -> None:
     lams = np.array([entry.lam for entry in cs.class_c])
-    if len(lams) != len(g_decomp.eigenvalues) or not np.allclose(
-        lams, g_decomp.eigenvalues, atol=1e-8, rtol=0.0
-    ):
+    # Written so that a NaN fails: max propagates it and NaN <= atol is False.
+    if len(lams) != len(g_decomp.eigenvalues) or not np.max(np.abs(lams - g_decomp.eigenvalues)) <= 1e-8:
         raise ValueError("corona spectrum was built from a different base graph")
     mults = tuple(entry.multiplicity for entry in cs.class_c)
     if mults != g_decomp.multiplicities:

@@ -1,8 +1,10 @@
 import cmath
 import dataclasses
+import importlib.util
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,7 +534,16 @@ def _screen_cases():
         # np.abs(values) ** 2 reaches this target at ell = 199, where the
         # reported fidelity 0.9999430714061666 falls 2 ulps short of it.
         ulps_below_target=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 2048, 0.9999430714061668),
+        # A hit inside each exact run of the first chunk: [1, 128], [129, 512], [513, 2048].
+        hit_in_run1=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 20_000, 0.999),  # ell 4
+        hit_in_run2=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 20_000, 0.99999),  # ell 264
+        hit_in_run3=(k2, [empty_graph(3)] * 2, 0, 1, "four_pi_ell", None, 20_000, 0.999999),  # ell 1271
     )
+    # ell_max on each side of the run edges, on a search that has not hit by ell 513.
+    for ell_max in (1, 128, 129, 512, 513):
+        cases[f"ell_max_{ell_max}"] = (
+            cocktail_party_graph(3), [complete_graph(1)] * 6, 0, 3, "four_pi_ell", None, ell_max, 0.9999
+        )
     return cases
 
 
@@ -553,26 +564,56 @@ def test_screened_search_equals_plain_scan(name):
     assert all(a < b for a, b in zip(fidelities, fidelities[1:]))
 
 
-def test_screen_skips_chunks_without_records(monkeypatch):
-    # The unscreened scan runs all 200,000 ell of this search through the
-    # exact kernel; the screen leaves the first chunk, which runs through
-    # corona_transition_values, and the few ell that come close to a record.
+def count_exact_ell(monkeypatch):
+    """Patch pgst_search's two exact evaluators to record the times of each
+    call: {"checked": [...], "kernel": [...]} in call order."""
     evaluated = {"checked": [], "kernel": []}
 
     def counting(name, fn):
         def counted(*args):
-            evaluated[name].append(len(args[-1]))
+            evaluated[name].append(np.asarray(args[-1]))
             return fn(*args)
 
         return counted
 
     monkeypatch.setattr(statetransfer, "corona_transition_values", counting("checked", corona_transition_values))
     monkeypatch.setattr(statetransfer, "_corona_kernel", counting("kernel", statetransfer._corona_kernel))
+    return evaluated
+
+
+def test_screen_skips_chunks_without_records(monkeypatch):
+    # The unscreened scan runs all 200,000 ell of this search through the
+    # exact kernel; the screen leaves the first chunk, whose first run goes
+    # through corona_transition_values, and the few ell that come close to
+    # a record.
+    evaluated = count_exact_ell(monkeypatch)
     cs, gd = search_setup(hypercube_graph(2), MIXED3)
     pgst_search(cs, gd, 0, 3, "shifted", r=1, ell_max=200_000, target=0.999999)
-    assert evaluated["checked"] == [2048]  # the first chunk, whole
-    assert evaluated["kernel"], "no screened ell reached the patched kernel"
-    assert 2048 + sum(evaluated["kernel"]) <= 2048 + 64
+    assert [len(ts) for ts in evaluated["checked"]] == [128]  # the first run, [1, 128]
+    kernel = evaluated["kernel"]
+    assert [len(ts) for ts in kernel[:2]] == [384, 1536]  # the rest of the first chunk: [129, 512], [513, 2048]
+    screened = [np.rint((ts / math.pi - 1.0) / 4.0).astype(int) for ts in kernel[2:]]  # t = (4 ell + 1) pi
+    assert screened, "no screened ell reached the patched kernel"
+    assert sum(map(len, screened)) <= 64
+    # A screened block's candidates run together: one run per block.
+    blocks = [set(((ells - 2049) // (2048 * 8)).tolist()) for ells in screened]
+    assert all(len(b) == 1 for b in blocks) and len(set().union(*blocks)) == len(blocks)
+
+
+@pytest.mark.parametrize(
+    "satellites, target, hit, exact",
+    [
+        (empty_graph(2), 0.999, 4, 128),  # a hit in the first run leaves the other two unevaluated
+        (empty_graph(3), 0.999999, 1271, 2048),  # a hit in the third run evaluates the whole first chunk
+    ],
+)
+def test_early_hit_evaluates_only_its_runs(monkeypatch, satellites, target, hit, exact):
+    evaluated = count_exact_ell(monkeypatch)
+    cs, gd = search_setup(complete_graph(2), [satellites] * 2)
+    result = pgst_search(cs, gd, 0, 1, "four_pi_ell", ell_max=200_000, target=target)
+    assert result.target_met and result.best.ell == hit
+    assert [len(ts) for ts in evaluated["checked"]] == [128]
+    assert sum(len(ts) for runs in evaluated.values() for ts in runs) == exact
 
 
 @pytest.mark.parametrize("name", ["q2_mixed3", "cocktail3_k1", "cocktail5_k1"])
@@ -675,6 +716,20 @@ def test_antipodal_sign_check_rejects_other_graphs():
         antipodal_sign_check(path_graph(3))
     with pytest.raises(ValueError, match="not a cocktail party graph$"):
         antipodal_sign_check(complete_graph(2))
+
+
+def test_frozen_bounds_regenerate_byte_for_byte(tmp_path, capsys):
+    # The fixture's one writer is the freeze tool: its fresh output must be
+    # the committed file, every ell and every fidelity bit.
+    root = Path(__file__).parents[1]
+    fixture = root / "tests" / "fixtures" / "pgst_bounds.json"
+    spec = importlib.util.spec_from_file_location("freeze_pgst_bounds", root / "tools" / "freeze_pgst_bounds.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tmp_path / "pgst_bounds.json"
+    tool.main([str(out)])
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    assert out.read_bytes() == fixture.read_bytes()
 
 
 def test_cocktail_pgst_frozen_case():

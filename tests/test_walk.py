@@ -165,6 +165,14 @@ def test_base_consistency_guard():
     wrong = SpectralDecomposition(np.array([0.0, 2.0]), np.eye(3), (1, 2))
     with pytest.raises(ValueError, match="different base graph"):
         corona_transition_values(cs, wrong, 0, 1, [1.0])
+    # The eigenvalues must agree to 1e-8, and a NaN agrees with nothing.
+    vectors = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    for lams in ([0.0, np.nan], [np.nan, 2.0], [0.0, 2.0 + 2e-8], [-2e-8, 2.0]):
+        wrong = SpectralDecomposition(np.array(lams), vectors, (1, 1))
+        with pytest.raises(ValueError, match="different base graph"):
+            corona_transition_values(cs, wrong, 0, 1, [1.0])
+    near = SpectralDecomposition(np.array([0.0, 2.0 + 5e-9]), vectors, (1, 1))
+    assert corona_transition_values(cs, near, 0, 1, [1.0]).shape == (1,)
 
 
 def test_fidelity_phase_matches_the_scalar_rule():

@@ -1,13 +1,18 @@
-"""One-time search runs that pin the PGST regression fixtures.
+"""Search runs that pin the PGST regression fixtures.
+
+    PYTHONPATH=src python tools/freeze_pgst_bounds.py [OUT]
 
 Each case records the smallest ell at which the stated time family reaches
-the stated fidelity target, plus the achieved fidelity. The output file is
-committed at tests/fixtures/pgst_bounds.json; regression tests re-run the
-searches with ell_max set to the frozen bound and must reproduce it.
+the stated fidelity target, plus the achieved fidelity. OUT defaults to the
+committed tests/fixtures/pgst_bounds.json; regression tests re-run the
+searches with ell_max set to the frozen bound and must reproduce it, and a
+Tier-1 test writes OUT to a temporary file and compares it with the
+committed one byte for byte.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -25,6 +30,7 @@ from coronawalk import (
 )
 
 SEARCH_CEILING = 200_000
+FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pgst_bounds.json"
 
 
 def run_case(name, g, hs, u, v, family, target, r=None):
@@ -48,7 +54,10 @@ def run_case(name, g, hs, u, v, family, target, r=None):
     }
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", type=Path, default=FIXTURE, help="output file (default: %(default)s)")
+    out = parser.parse_args(argv).out
     cases = []
 
     for m in range(1, 7):
@@ -86,7 +95,6 @@ def main():
             )
         )
 
-    out = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pgst_bounds.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps({"search_ceiling": SEARCH_CEILING, "cases": cases}, indent=2) + "\n")
     print(f"wrote {out}")
