@@ -16,9 +16,9 @@ from coronawalk import (
     build_named,
     corona,
     corona_eigenprojectors,
-    corona_laplacian_blocks,
     corona_spectrum,
     eigendecompose,
+    laplacian,
 )
 
 # Base: the 4-cycle Q2. Satellites: all four 3-vertex graphs up to
@@ -66,6 +66,6 @@ for value, mult in cs.eigenvalue_list():
 # Same decomposition from the closed-form projectors versus the dense
 # eigensolver on the assembled 16 x 16 Laplacian.
 closed = corona_eigenprojectors(g, satellites)
-oracle = eigendecompose(corona_laplacian_blocks(g, satellites))
+oracle = eigendecompose(laplacian(corona(g, satellites).flat))
 print("\neigenvalue deviation from oracle: ", np.max(np.abs(closed.eigenvalues - oracle.eigenvalues)))
 print("projector deviation from oracle:  ", np.max(np.abs(closed.projectors - oracle.projectors)))

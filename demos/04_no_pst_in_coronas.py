@@ -15,11 +15,12 @@ asked. This script shows the witness machinery and the exact arithmetic.
 
 from coronawalk import (
     build_named,
-    corona_laplacian_blocks,
+    corona,
     corona_no_pst_witness,
     check_pst,
     eigendecompose,
     is_perfect_square,
+    laplacian,
     squarefree_split,
 )
 
@@ -42,7 +43,7 @@ print("\nC5 base witness reason:", w.reason)
 # brute-force confirmation: check every vertex pair of an actual corona.
 g = build_named("hypercube", 2)
 hs = [build_named("path", 3)] * 4
-d = eigendecompose(corona_laplacian_blocks(g, hs))
+d = eigendecompose(laplacian(corona(g, hs).flat))
 refuted = sum(
     not check_pst(d, u, v).pst for u in range(d.dim) for v in range(u + 1, d.dim)
 )

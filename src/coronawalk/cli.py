@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corona import corona
-from .corona_spectrum import corona_spectrum
+from .corona_spectrum import _corona_walk, corona_spectrum
 from .graphs import (
     FAMILIES,
     Graph,
@@ -185,11 +185,6 @@ def _corona_args(args) -> tuple:
     """The base graph --g and its satellites --h."""
     g = parse_graph_spec(args.g)
     return g, parse_satellites(args.h, g.n)
-
-
-def _corona_walk(g: Graph, hs) -> tuple:
-    """The (spectrum, L(G) decomposition) pair corona walks are evaluated from."""
-    return corona_spectrum(g, hs), eigendecompose(walk_matrix(g, "laplacian"))
 
 
 def cmd_build(args, config) -> tuple:

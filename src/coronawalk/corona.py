@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import Graph, _index, laplacian
+from .graphs import Graph, _index
 
 
 def common_satellite_order(g: Graph, hs) -> int:
@@ -78,26 +76,3 @@ def corona(g: Graph, hs) -> CoronaGraph:
     flat = Graph(g.n * stride, frozenset(edges), labels)
     return CoronaGraph(base=g, satellites=hs, flat=flat, m=m)
 
-
-def corona_laplacian_blocks(g: Graph, hs) -> np.ndarray:
-    """Assemble the corona Laplacian from its block form.
-
-    The result is (L(G) + mI) acting on the base coordinates plus, per base
-    vertex l, the bordered block [[0, -1^T], [-1, L(H_l) + I]] on its
-    (m+1)-dimensional slice. Entrywise equal to laplacian(corona(g, hs).flat).
-    """
-    hs = tuple(hs)
-    m = common_satellite_order(g, hs)
-    n = g.n
-    stride = m + 1
-    e00 = np.zeros((stride, stride))
-    e00[0, 0] = 1.0
-    out = np.kron(laplacian(g) + m * np.eye(n), e00)
-    for i, h in enumerate(hs):
-        block = np.zeros((stride, stride))
-        block[0, 1:] = -1.0
-        block[1:, 0] = -1.0
-        block[1:, 1:] = laplacian(h) + np.eye(m)
-        sl = slice(i * stride, (i + 1) * stride)
-        out[sl, sl] += block
-    return out

@@ -218,8 +218,9 @@ def _merge_pieces(m: int, a_mult: int, b, c) -> list:
     return pairs + plus
 
 
-def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
-    """Enumerate the closed-form corona eigenvalue classes."""
+def _corona_walk(g: Graph, hs) -> tuple:
+    """The pair corona walks are evaluated from: corona_spectrum(g, hs) and
+    g_decomp, the L(G) decomposition it was built from, at one base eigensolve."""
     _, m, _, a_mult, b_pieces, g_decomp = _corona_parts(g, hs)
     class_b = []
     for mu, members, k in b_pieces:
@@ -229,7 +230,12 @@ def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
     entries = zip(g_decomp.eigenvalues.tolist(), plus.tolist(), minus.tolist(), g_decomp.multiplicities)
     class_c = tuple(_class_c(lam, p, q, m, k) for lam, p, q, k in entries)
     class_a = ClassA(multiplicity=a_mult)
-    return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c)
+    return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c), g_decomp
+
+
+def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
+    """Enumerate the closed-form corona eigenvalue classes."""
+    return _corona_walk(g, hs)[0]
 
 
 def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, corona_spectrum
+from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, _corona_walk
 from .graphs import (
     Graph, _cocktail_party_edges, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 )
@@ -34,22 +34,20 @@ from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
     SpectralDecomposition,
+    _block_sums,
     _check_vertices,
     _pair_weights,
     eigendecompose,
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _corona_kernel, _fidelity, _fidelity_phase, _phase_screen, corona_transition_values
+from .walk import _corona_kernel, _fidelity, _fidelity_phase, _phase_screen, _phases, corona_transition_values
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
 
 # A certified PST verdict must reproduce this fidelity at t0.
 PST_FIDELITY_TOL = 1e-9
-
-# Tolerance for the antipodal matching to act as (-1)^j on eigenprojectors.
-ANTIPODAL_TOL = 1e-9
 
 PGST_FAMILIES = ("four_pi_ell", "shifted")
 
@@ -391,8 +389,9 @@ def pgst_search(
         last = int(hits[0]) + 1 if hits.size else len(ells)
         running = np.maximum.accumulate(np.concatenate(([best_fidelity], fidelities[:last])))
         new = np.nonzero(fidelities[:last] > running[:-1])[0]
-        _, phases = _fidelity_phase(values[new])
-        for ell, t, f, p in zip(ells[new].tolist(), ts[new].tolist(), fidelities[new].tolist(), phases):
+        record_fidelities = fidelities[new].tolist()
+        phases = _phases(values[new], record_fidelities)
+        for ell, t, f, p in zip(ells[new].tolist(), ts[new].tolist(), record_fidelities, phases):
             residuals = tuple(
                 None if tgt is None else abs(math.cos(0.5 * t * dl) - tgt) for dl, tgt in zip(deltas, targets)
             )
@@ -438,13 +437,14 @@ def antipodal_sign_check(g: Graph) -> list:
     n = g.n // 2
     if g.edges != _cocktail_party_edges(n):
         raise ValueError("not a cocktail party graph (antipode map is i <-> i+n)")
-    # The matching is the row permutation i <-> i+n: P F = +/-F iff P B = +/-B (F = B B^T, B^T B = I).
+    # The matching is the row permutation i <-> i+n: P F_j = (-1)^j F_j iff every
+    # ||F_j e_{i+n} - (-1)^j F_j e_i||, the block norm of V[i+n] - (-1)^j V[i], is
+    # zero, decided by SUPPORT_TOL as every per-block norm is.
     antipode = np.r_[n : 2 * n, 0:n]
     d = eigendecompose(laplacian(g))
-    return [
-        bool(np.max(np.abs(block[antipode] - ((-1) ** j) * block)) <= ANTIPODAL_TOL)
-        for j, block in enumerate(d.blocks())
-    ]
+    signs = np.repeat((-1.0) ** np.arange(len(d.multiplicities)), d.multiplicities)
+    residuals = np.sqrt(_block_sums(d, (d.vectors[antipode] - signs * d.vectors) ** 2))
+    return (residuals.max(axis=0) <= SUPPORT_TOL).tolist()
 
 
 def cocktail_pgst(n: int, ell_max: int = 10_000, target: float = 0.99) -> PgstRecord:
@@ -455,7 +455,5 @@ def cocktail_pgst(n: int, ell_max: int = 10_000, target: float = 0.99) -> PgstRe
         raise ValueError("cocktail party PGST needs n >= 2")
     g = cocktail_party_graph(n)
     hs = [complete_graph(1)] * g.n
-    cs = corona_spectrum(g, hs)
-    g_decomp = eigendecompose(laplacian(g))
-    result = pgst_search(cs, g_decomp, 0, n, "four_pi_ell", ell_max=ell_max, target=target)
+    result = pgst_search(*_corona_walk(g, hs), 0, n, "four_pi_ell", ell_max=ell_max, target=target)
     return result.best

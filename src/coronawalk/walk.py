@@ -10,8 +10,9 @@ as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 Transition values <u|U(t)|v> come only as arrays over a time array, from
 `transition_values` and `corona_transition_values`; the latter takes Delta
 and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`, the one class (c)
-evaluator. Every fidelity reported or decided on is `_fidelity`; CSV rows,
-PGST records and PST verdicts take it and the phase from `_fidelity_phase`.
+evaluator. Every fidelity reported or decided on is `_fidelity`; CSV rows
+and PST verdicts take it and the phase from `_fidelity_phase`, PGST records
+the phase alone from `_phases`, given the fidelities the search decided on.
 Long scans over evenly spaced times screen first with `_phase_screen`, a
 bounded stand-in for the fidelity, and evaluate exactly only where it
 cannot rule a time out.
@@ -42,14 +43,19 @@ def _fidelity(values) -> np.ndarray:
     return np.float_power(np.hypot(values.real, values.imag), 2.0)
 
 
-def _fidelity_phase(values) -> tuple[list, list]:
-    """_fidelity and the unit phase value/|value|, as lists of Python floats
-    and complexes; the phase is None where the fidelity is below PHASE_FLOOR."""
-    values = np.asarray(values, dtype=complex)
-    fidelity = _fidelity(values).tolist()
+def _phases(values: np.ndarray, fidelity) -> list:
+    """The unit phase value/|value| of complex values as Python complexes,
+    None where their fidelity is below PHASE_FLOOR."""
     with np.errstate(invalid="ignore"):  # an exact zero gives nan, below the floor
         phase = values / np.hypot(values.real, values.imag)
-    return fidelity, [p if f >= PHASE_FLOOR else None for f, p in zip(fidelity, phase.tolist())]
+    return [p if f >= PHASE_FLOOR else None for f, p in zip(fidelity, phase.tolist())]
+
+
+def _fidelity_phase(values) -> tuple[list, list]:
+    """_fidelity and _phases, as lists of Python floats and complexes."""
+    values = np.asarray(values, dtype=complex)
+    fidelity = _fidelity(values).tolist()
+    return fidelity, _phases(values, fidelity)
 
 
 def walk_matrix(g: Graph, kind: str = "laplacian") -> np.ndarray:

@@ -396,6 +396,25 @@ def test_figures_all(capsys, tmp_path, monkeypatch):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == reference
 
 
+@pytest.mark.parametrize(
+    "argv, eighs",
+    [
+        (["pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi"], 2),  # O6 and K2
+        (["fidelity", "--g", "q2", "--h", "o3,p3,p3,k3", "--from", "0", "--to", "3", "--t-max", "10"], 4),
+        (["figures", "all"], 10),  # three corona walks and fig3's adjacency oracle
+    ],
+    ids=["pgst-search", "fidelity", "figures"],
+)
+def test_corona_walks_decompose_the_base_once(capsys, tmp_path, monkeypatch, argv, eighs):
+    # One eigensolve per distinct satellite and one of the base per corona walk.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat.shape[0]) or eigh(mat))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) in (0, 2)
+    assert len(calls) == eighs
+
+
 def test_figures_default_outdir(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc, doc = run_json(capsys, "figures", "fig4")

@@ -5,7 +5,6 @@ from conftest import random_connected_graph, random_satellites
 from coronawalk import (
     complete_graph,
     corona,
-    corona_laplacian_blocks,
     cycle_graph,
     empty_graph,
     laplacian,
@@ -67,6 +66,25 @@ def test_satellite_edges_are_internal():
     assert not any((u in copy0 and v in copy1) for u, v in cg.flat.edges)
 
 
+def block_form_laplacian(g, hs):
+    """The corona Laplacian in the paper's block form: (L(G) + mI) (x) e00 on
+    the base coordinates plus, per base vertex l, the bordered block
+    [[0, -1^T], [-1, L(H_l) + I]] on its (m+1)-dimensional slice."""
+    n, m = g.n, hs[0].n
+    stride = m + 1
+    e00 = np.zeros((stride, stride))
+    e00[0, 0] = 1.0
+    out = np.kron(laplacian(g) + m * np.eye(n), e00)
+    for i, h in enumerate(hs):
+        block = np.zeros((stride, stride))
+        block[0, 1:] = -1.0
+        block[1:, 0] = -1.0
+        block[1:, 1:] = laplacian(h) + np.eye(m)
+        sl = slice(i * stride, (i + 1) * stride)
+        out[sl, sl] += block
+    return out
+
+
 def test_blocks_match_flat_laplacian():
     cases = [
         (complete_graph(2), [empty_graph(3), empty_graph(3)]),
@@ -81,7 +99,7 @@ def test_blocks_match_flat_laplacian():
         cases.append((g, random_satellites(rng, n, m)))
     for g, hs in cases:
         cg = corona(g, hs)
-        assert np.array_equal(corona_laplacian_blocks(g, hs), laplacian(cg.flat))
+        assert np.array_equal(block_form_laplacian(g, hs), laplacian(cg.flat))
 
 
 def test_validation():

@@ -17,8 +17,8 @@ from coronawalk import (
     SpectralDecomposition,
     complete_graph,
     component_count,
+    corona,
     corona_eigenprojectors,
-    corona_laplacian_blocks,
     corona_spectrum,
     cycle_graph,
     eigendecompose,
@@ -31,7 +31,7 @@ from coronawalk import (
     path_graph,
     reconstruct,
 )
-from coronawalk.corona_spectrum import _class_b_pieces
+from coronawalk.corona_spectrum import _class_b_pieces, _corona_walk
 from coronawalk.spectral import CLUSTER_TOL_SCALE
 
 
@@ -48,7 +48,7 @@ def kron_assembly(g, hs):
     m = hs[0].n
     stride = m + 1
     dim = g.n * stride
-    tol = CLUSTER_TOL_SCALE * max(1.0, float(np.max(np.abs(corona_laplacian_blocks(g, hs)))))
+    tol = CLUSTER_TOL_SCALE * max(1.0, float(np.max(np.abs(laplacian(corona(g, hs).flat)))))
     sats = [eigendecompose(laplacian(h)) for h in hs]
     cells = [slice(ell * stride + 1, (ell + 1) * stride) for ell in range(g.n)]
 
@@ -206,7 +206,7 @@ def test_projectors_reconstruct_blocks():
     assert sum(d.multiplicities) == 16
     total = np.sum(d.projectors, axis=0)
     assert np.max(np.abs(total - np.eye(d.dim))) < 1e-10
-    assert np.max(np.abs(reconstruct(d) - corona_laplacian_blocks(g, hs))) < 1e-9
+    assert np.max(np.abs(reconstruct(d) - laplacian(corona(g, hs).flat))) < 1e-9
     for i, fi in enumerate(d.projectors):
         assert np.max(np.abs(fi @ fi - fi)) < 1e-9
 
@@ -224,7 +224,7 @@ def test_projectors_match_dense_oracle():
         cases.append((g, random_satellites(rng, n, int(rng.integers(1, 4)))))
     for g, hs in cases:
         closed = corona_eigenprojectors(g, hs)
-        oracle = eigendecompose(corona_laplacian_blocks(g, hs))
+        oracle = eigendecompose(laplacian(corona(g, hs).flat))
         assert len(closed.eigenvalues) == len(oracle.eigenvalues)
         assert np.max(np.abs(closed.eigenvalues - oracle.eigenvalues)) < 1e-9
         assert closed.multiplicities == oracle.multiplicities
@@ -329,7 +329,7 @@ def test_spectrum_matches_the_exact_characteristic_polynomial(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = random_graph(rng, n, data.draw(st.floats(0.0, 1.0)))
     hs = [random_graph(rng, m, data.draw(st.floats(0.0, 1.0))) for _ in range(n)]
-    exact = exact_spectrum(corona_laplacian_blocks(g, hs))
+    exact = exact_spectrum(laplacian(corona(g, hs).flat))
     listed = corona_spectrum(g, hs).eigenvalue_list()
     d = corona_eigenprojectors(g, hs)
     assert [k for _, k in exact] == [k for _, k in listed] == list(d.multiplicities)
@@ -415,6 +415,18 @@ def test_one_eigensolve_per_distinct_satellite(monkeypatch):
         calls.clear()
         fn(g, hs)
         assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
+
+
+def test_corona_walk_returns_the_base_decomposition():
+    # The pair corona walks run on: the spectrum and the very L(G)
+    # decomposition it was built from, the bits of a fresh eigendecompose.
+    for g, hs in [(hypercube_graph(2), MIXED3), (cycle_graph(5), [path_graph(3)] * 5)]:
+        cs, g_decomp = _corona_walk(g, hs)
+        want = eigendecompose(laplacian(g))
+        assert cs == corona_spectrum(g, hs)
+        assert g_decomp.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert g_decomp.vectors.tobytes() == want.vectors.tobytes()
+        assert g_decomp.multiplicities == want.multiplicities
 
 
 @pytest.mark.parametrize(

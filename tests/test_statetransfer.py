@@ -39,7 +39,7 @@ from coronawalk import (
     strongly_cospectral,
     support_gcd_and_valuation,
 )
-from coronawalk import cli, spectral, statetransfer
+from coronawalk import cli, spectral, statetransfer, walk
 from coronawalk.spectral import SUPPORT_TOL
 from coronawalk.walk import _fidelity, corona_transition_values, transition_values
 
@@ -250,17 +250,33 @@ def test_whole_stack_reads_equal_the_loops():
 
 
 def test_antipodal_rows_equal_the_stack_rule():
-    # The stack rule: the matching maps each projector to (-1)^j times itself.
+    # The stack rule: the matching maps each projector to (-1)^j times itself,
+    # read as the row norms ||F_j e_{i+n} - (-1)^j F_j e_i|| against SUPPORT_TOL.
     for n in range(2, 9):
         g = cocktail_party_graph(n)
         antipode = np.r_[n : 2 * n, 0:n]
         stack = oracle_stack(decomp(g))
         want = [
-            bool(np.max(np.abs(proj[antipode] - ((-1) ** j) * proj)) <= statetransfer.ANTIPODAL_TOL)
+            bool(np.max(np.linalg.norm(proj[antipode] - ((-1) ** j) * proj, axis=1)) <= SUPPORT_TOL)
             for j, proj in enumerate(stack)
         ]
         assert want == [True] * 3
         assert antipodal_sign_check(g) == want
+
+
+def test_antipodal_sign_check_refuses_a_perturbed_decomposition(monkeypatch):
+    # Rotate two eigenvectors of different eigenvalues into each other by
+    # 1e-6: the columns stay orthonormal, but both projectors lose the sign
+    # the matching gives them, by far more than SUPPORT_TOL.
+    g = cocktail_party_graph(3)
+    d = decomp(g)
+    vectors = d.vectors.copy()
+    a, b = 0, d.multiplicities[0]  # the first columns of blocks 0 and 1
+    c, s = math.cos(1e-6), math.sin(1e-6)
+    vectors[:, [a, b]] = vectors[:, [a, b]] @ np.array([[c, -s], [s, c]])
+    perturbed = SpectralDecomposition(eigenvalues=d.eigenvalues, vectors=vectors, multiplicities=d.multiplicities)
+    monkeypatch.setattr(statetransfer, "eigendecompose", lambda mat: perturbed)
+    assert antipodal_sign_check(g) == [False, False, True]
 
 
 def test_verdicts_build_no_projector_stack(monkeypatch, tmp_path, capsys):
@@ -616,6 +632,27 @@ def test_early_hit_evaluates_only_its_runs(monkeypatch, satellites, target, hit,
     assert sum(len(ts) for runs in evaluated.values() for ts in runs) == exact
 
 
+@pytest.mark.parametrize("name", ["cocktail3_k1", "p4_random_sats"])
+def test_each_evaluated_ell_is_squared_once(monkeypatch, name):
+    # A record's phase comes with the fidelity the search decided on, so no
+    # value is squared twice. Both cases are on the four_pi_ell family, whose
+    # search runs no check_pst (that squares its t0 value).
+    evaluated = count_exact_ell(monkeypatch)
+    squared = []
+
+    def counting(values):
+        squared.append(np.size(values))
+        return _fidelity(values)
+
+    monkeypatch.setattr(walk, "_fidelity", counting)
+    monkeypatch.setattr(statetransfer, "_fidelity", counting)
+    g, hs, u, v, family, r, ell_max, target = SCREEN_CASES[name]
+    cs, gd = search_setup(g, hs)
+    result = pgst_search(cs, gd, u, v, family, r=r, ell_max=ell_max, target=target)
+    assert len(result.history) > 1
+    assert sum(squared) == sum(len(ts) for runs in evaluated.values() for ts in runs)
+
+
 @pytest.mark.parametrize("name", ["q2_mixed3", "cocktail3_k1", "cocktail5_k1"])
 def test_screen_stays_within_its_bound(monkeypatch, name):
     case = next(c for c in PGST_BOUNDS["cases"] if c["name"] == name)
@@ -739,6 +776,14 @@ def test_cocktail_pgst_frozen_case():
     assert abs(record.t - 4 * math.pi * 342) < 1e-9
     with pytest.raises(ValueError):
         cocktail_pgst(1)
+
+
+def test_cocktail_pgst_decomposes_the_base_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat.shape[0]) or eigh(mat))
+    cocktail_pgst(3)
+    assert calls == [1, 6]  # the K1 satellite, then the base
 
 
 def test_cocktail_pendant_delta_pair_stays_incommensurable():

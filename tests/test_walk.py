@@ -12,7 +12,6 @@ from coronawalk import (
     cocktail_party_graph,
     complete_graph,
     corona,
-    corona_laplacian_blocks,
     corona_spectrum,
     corona_transition_values,
     cycle_graph,
@@ -103,7 +102,7 @@ def test_corona_element_matches_direct_evolution():
         cs = corona_spectrum(g, hs)
         g_decomp = eigendecompose(laplacian(g))
         cg = corona(g, hs)
-        oracle = eigendecompose(corona_laplacian_blocks(g, hs))
+        oracle = eigendecompose(laplacian(corona(g, hs).flat))
         ts = rng.uniform(0.0, 100.0, size=40)
         got = corona_transition_values(cs, g_decomp, u, v, ts)
         expect = transition_values(oracle, cg.flat_index(u, 0), cg.flat_index(v, 0), ts)
@@ -130,7 +129,7 @@ def test_pendant_pair_element_at_revival_times():
         hs = [empty_graph(m)] * 2
         cs = corona_spectrum(g, hs)
         g_decomp = eigendecompose(laplacian(g))
-        oracle = eigendecompose(corona_laplacian_blocks(g, hs))
+        oracle = eigendecompose(laplacian(corona(g, hs).flat))
         delta = math.sqrt((m + 1) ** 2 + 4 * m)
         for ell in range(1, 9):
             t = 4.0 * math.pi * ell
