@@ -16,8 +16,8 @@ from coronawalk import (
     build_named,
     check_pst,
     eigendecompose,
+    evolve_operator,
     laplacian,
-    transition_values,
 )
 
 
@@ -55,9 +55,9 @@ print(f"P3 endpoints: pst={verdict.pst}  conditions={verdict.conditions}")
 verdict = check_pst(decomp("cycle", 5), 0, 2)
 print(f"C5: pst={verdict.pst}  witness: {verdict.witness}")
 
-# A certificate is checked against direct evolution before it is returned;
-# re-verify by hand for Q3.
+# A certificate is re-checked at t0 through transition_values before it is
+# returned; re-verify it for Q3 with the full operator U(t0) instead.
 d = decomp("hypercube", 3)
 verdict = check_pst(d, 0, 7)
-value = transition_values(d, 0, 7, [verdict.t0])[0]
+value = evolve_operator(d, verdict.t0)[0, 7]
 print(f"Q3 direct evolution at t0: fidelity={abs(value) ** 2:.15f}  phase={value / abs(value):.6f}")

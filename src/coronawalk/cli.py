@@ -40,6 +40,7 @@ from .statetransfer import (
 )
 from .walk import (
     WALK_KINDS,
+    _check_phase_range,
     _fidelity,
     _fidelity_phase,
     _phase_screen,
@@ -242,9 +243,7 @@ def cmd_fidelity(args, config) -> tuple:
         cs, g_decomp = _corona_walk(*_corona_args(args))
         walk = functools.partial(corona_transition_values, cs, g_decomp)
         scale = max(entry.lam_plus for entry in cs.class_c)  # bounds t(m+1)/2, t*lam/2 and t*Delta/2
-    # From 2**52 up, one ulp of a phase t*lambda is a radian or more.
-    if abs(args.t_max) * scale >= 2.0**52:
-        raise ValueError(f"--t-max {args.t_max:g} is too large: |t_max| * max|eigenvalue| reaches 2**52")
+    _check_phase_range(args.t_max, scale, f"--t-max {args.t_max:g}")
     return _csv_text(config, ts, walk(u, v, ts)), 0
 
 

@@ -41,7 +41,10 @@ from .spectral import (
     eigenvalue_support,
     strongly_cospectral,
 )
-from .walk import _corona_kernel, _fidelity, _fidelity_phase, _phase_screen, _phases, corona_transition_values
+from .walk import (
+    _check_phase_range, _corona_kernel, _fidelity, _fidelity_phase, _phase_screen, _phases,
+    corona_transition_values, transition_values,
+)
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
 SIGN_TOL = 1e-10
@@ -111,9 +114,8 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     The decomposition must come from a Laplacian; the criterion is not
     valid for adjacency walks. It reads rows of d.vectors, never the
     projector stack: it signs the entries _pair_weights gives. A certified
-    verdict is re-verified by direct evolution at t0, the (u, v) entry of
-    evolve_operator, and an ArithmeticError is raised if the fidelity falls
-    short, since that would mean the numerics contradict the certificate.
+    verdict is re-checked at t0 by transition_values: a fidelity below
+    1 - PST_FIDELITY_TOL there contradicts it and raises ArithmeticError.
     """
     if u == v:
         raise ValueError("PST is a property of distinct vertices")
@@ -149,9 +151,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     t0 = phase = fidelity = None
     if pst:
         t0 = math.pi / g
-        a, b = d.vectors[u], d.vectors[v]
-        value = (np.exp(-1j * t0 * np.repeat(d.eigenvalues, d.multiplicities)) * a) @ b
-        (fidelity,), (phase,) = _fidelity_phase([value])
+        (fidelity,), (phase,) = _fidelity_phase(transition_values(d, u, v, [t0]))
         if fidelity < 1.0 - PST_FIDELITY_TOL:
             raise ArithmeticError(
                 f"conditions certify PST but fidelity at t0 is {fidelity:.15f}"
@@ -342,18 +342,19 @@ def pgst_search(
     elif r is not None:
         raise ValueError("r only applies to the shifted family")
 
+    shift = 0.0 if r is None else 2.0 ** (1 - r)
+    def time_of(ells: np.ndarray) -> np.ndarray:
+        return (4.0 * ells + shift) * math.pi
+
     lam = g_decomp.eigenvalues
-    delta, coef, _, _ = _class_c_arrays(lam, m)
+    delta, coef, pluses, _ = _class_c_arrays(lam, m)
+    _check_phase_range(time_of(ell_max), float(pluses.max()), f"ell_max={ell_max}")  # lambda_+ >= every rate
     pair_weights = _pair_weights(g_decomp, u, v)
     targets = [
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
         for w in pair_weights.tolist()
     ]
     deltas = delta.tolist()  # the residual loop's Python floats, the bits of delta
-
-    shift = 0.0 if r is None else 2.0 ** (1 - r)
-    def time_of(ells: np.ndarray) -> np.ndarray:
-        return (4.0 * ells + shift) * math.pi
 
     def candidates():
         """Ascending runs of at most _SEARCH_CHUNK ell that may hold a record or a hit."""

@@ -8,14 +8,13 @@ spectral._pair_weights reads from two eigenvector rows, the full operator
 as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 
 Transition values <u|U(t)|v> come only as arrays over a time array, from
-`transition_values` and `corona_transition_values`; the latter takes Delta
-and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`, the one class (c)
-evaluator. Every fidelity reported or decided on is `_fidelity`; CSV rows
-and PST verdicts take it and the phase from `_fidelity_phase`, PGST records
-the phase alone from `_phases`, given the fidelities the search decided on.
-Long scans over evenly spaced times screen first with `_phase_screen`, a
-bounded stand-in for the fidelity, and evaluate exactly only where it
-cannot rule a time out.
+one evaluator per walk: `transition_values` on a decomposition, which PST
+verdicts re-check t0 with, and `corona_transition_values` on a corona,
+with Delta and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`.
+`_fidelity` squares every fidelity reported, decided on or screened, and
+`_phases` gives the phase. Long scans over evenly spaced times screen with
+`_phase_screen`, a bounded stand-in for the fidelity, and evaluate exactly
+only where it cannot rule a time out.
 """
 
 from __future__ import annotations
@@ -32,15 +31,18 @@ WALK_KINDS = ("laplacian", "adjacency")
 PHASE_FLOOR = 1e-24
 
 
-def _fidelity(values) -> np.ndarray:
-    """The fidelity |value|^2 of an array of transition values.
+def _fidelity(values: np.ndarray) -> np.ndarray:
+    """|value|^2 of a complex array as re*re + im*im (np.square: faster than
+    x*x on strided views), the one square in the package. Barring underflow
+    it is within 2u = 2^-52 relative of the exact |value|^2 (n*u for n-term
+    dot products: Jeannerod and Rump 2013; Higham, section 3.1)."""
+    return np.square(values.real) + np.square(values.imag)
 
-    The modulus is np.hypot and the square np.float_power: these give the
-    bits of the scalar abs(value) ** 2 on numpy scalars, where np.abs on a
-    complex array and ** 2 on a float array round differently in some entries.
-    """
-    values = np.asarray(values, dtype=complex)
-    return np.float_power(np.hypot(values.real, values.imag), 2.0)
+
+def _check_phase_range(t_max: float, scale: float, what: str) -> None:
+    """Refuse phases t*lambda past 2^52 (scale >= every |lambda|): one ulp of them is a radian or more."""
+    if abs(t_max) * scale >= 2.0**52:
+        raise ValueError(f"{what} is too large: |t_max| * max|eigenvalue| reaches 2**52")
 
 
 def _phases(values: np.ndarray, fidelity) -> list:
@@ -51,9 +53,8 @@ def _phases(values: np.ndarray, fidelity) -> list:
     return [p if f >= PHASE_FLOOR else None for f, p in zip(fidelity, phase.tolist())]
 
 
-def _fidelity_phase(values) -> tuple[list, list]:
+def _fidelity_phase(values: np.ndarray) -> tuple[list, list]:
     """_fidelity and _phases, as lists of Python floats and complexes."""
-    values = np.asarray(values, dtype=complex)
     fidelity = _fidelity(values).tolist()
     return fidelity, _phases(values, fidelity)
 
@@ -151,7 +152,6 @@ def _phase_screen(amps, omega, step: float, width: int, t_max: float):
     table = np.exp(-1j * np.outer(omega, step * np.arange(width)))
 
     def screen(t0s: np.ndarray) -> np.ndarray:
-        values = (amps * np.exp(-1j * np.outer(t0s, omega))) @ table
-        return values.real**2 + values.imag**2
+        return _fidelity((amps * np.exp(-1j * np.outer(t0s, omega))) @ table)
 
     return screen, tol

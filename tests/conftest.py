@@ -65,9 +65,9 @@ def random_symmetric_int_matrix(rng: np.random.Generator, dim: int, bound: int =
 
 
 def scalar_fidelity_phase(value):
-    """Reference for the fidelity/phase rule: the scalar arithmetic records
-    were built with, one numpy scalar at a time, before the rule went to
-    arrays. Returns (fidelity, phase), phase None below PHASE_FLOOR."""
-    fidelity = float(abs(value) ** 2)
+    """Reference for the fidelity/phase rule, one scalar at a time: the
+    fidelity re*re + im*im and the phase value/|value|. Returns
+    (fidelity, phase), phase None below PHASE_FLOOR."""
+    fidelity = float(value.real * value.real + value.imag * value.imag)
     phase = complex(value / abs(value)) if fidelity >= PHASE_FLOOR else None
     return fidelity, phase

@@ -23,6 +23,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
+from coronawalk import statetransfer
 from coronawalk.cli import _csv_text, _fig3, _fmt, main, parse_graph_spec, parse_satellites
 from coronawalk.walk import _fidelity
 
@@ -270,6 +271,23 @@ def test_pgst_search_command(capsys):
                        "--family", "4pi", "--target", "0.999", "--ell-max", "3")
     assert rc == 2
     assert doc["target_met"] is False
+
+
+def test_pgst_search_refuses_noise_phases(capsys, monkeypatch):
+    # t = 4*pi*1e14 against lambda_+ = 3 + sqrt(5) passes 2**52: one line on
+    # stderr and exit 1 before any evaluation, where the search used to run
+    # for minutes. An evaluation fails the test at once instead.
+    def evaluated(*args):
+        raise AssertionError("the search evaluated an ell past its range check")
+
+    monkeypatch.setattr(statetransfer, "corona_transition_values", evaluated)
+    monkeypatch.setattr(statetransfer, "_corona_kernel", evaluated)
+    argv = ["pgst-search", "--g", "c6", "--h", "k1", "--from", "0", "--to", "3", "--family", "4pi",
+            "--target", "0.9", "--ell-max", str(10**14)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ell_max=100000000000000 is too large: |t_max| * max|eigenvalue| reaches 2**52\n"
 
 
 def test_pgst_search_default_pair_and_satellite_file(capsys, tmp_path):

@@ -30,6 +30,7 @@ from coronawalk import (
     eigendecompose,
     eigenvalue_support,
     empty_graph,
+    evolve_operator,
     hypercube_graph,
     integer_eigenvalue,
     laplacian,
@@ -41,7 +42,7 @@ from coronawalk import (
 )
 from coronawalk import cli, spectral, statetransfer, walk
 from coronawalk.spectral import SUPPORT_TOL
-from coronawalk.walk import _fidelity, corona_transition_values, transition_values
+from coronawalk.walk import _fidelity, _phases, corona_transition_values, transition_values
 
 
 def decomp(g):
@@ -69,6 +70,26 @@ def test_pst_positive_pairs():
         assert verdict.fidelity_at_t0 >= 1.0 - 1e-9
         assert abs(abs(verdict.phase) - 1.0) < 1e-12
         assert verdict.witness is None
+
+
+@pytest.mark.parametrize(
+    "g, u, v",
+    [(hypercube_graph(k), 0, 2**k - 1) for k in (3, 4, 5, 6)] + [(cocktail_party_graph(n), 0, n) for n in (2, 4, 6, 8)],
+    ids=[f"q{k}" for k in (3, 4, 5, 6)] + [f"cp{n}" for n in (2, 4, 6, 8)],
+)
+def test_pst_t0_value_comes_from_transition_values(g, u, v):
+    # The re-check at t0 is transition_values squared by _fidelity, bit for
+    # bit; evolve_operator, a different sum, agrees within rounding.
+    d = decomp(g)
+    verdict = check_pst(d, u, v)
+    assert verdict.pst
+    value = transition_values(d, u, v, [verdict.t0])
+    fidelity = _fidelity(value).tolist()
+    assert verdict.fidelity_at_t0 == fidelity[0]
+    assert [verdict.phase] == _phases(value, fidelity)
+    direct = evolve_operator(d, verdict.t0)[u, v]
+    assert abs(verdict.fidelity_at_t0 - abs(direct) ** 2) <= 1e-12
+    assert abs(verdict.phase - direct / abs(direct)) <= 1e-12
 
 
 def test_p3_endpoints_fail_sign_pattern():
@@ -452,6 +473,55 @@ def test_search_respects_ell_max():
     assert result.best.fidelity < 0.999
 
 
+def first_refused_ell(cs, shift):
+    """The smallest ell_max whose time (4*ell_max + shift)*pi reaches 2**52
+    against the largest corona eigenvalue lambda_+."""
+    scale = max(entry.lam_plus for entry in cs.class_c)
+    ell = int(2.0**52 / (4.0 * math.pi * scale))
+    while (4.0 * ell + shift) * math.pi * scale < 2.0**52:
+        ell += 1
+    while (4.0 * (ell - 1) + shift) * math.pi * scale >= 2.0**52:
+        ell -= 1
+    return ell
+
+
+class Evaluated(Exception):
+    """Raised by a patched evaluator: the search got past its checks."""
+
+
+@pytest.mark.parametrize(
+    "g, hs, u, v, family, shift",
+    [
+        (cycle_graph(6), [complete_graph(1)] * 6, 0, 3, "four_pi_ell", 0.0),
+        (hypercube_graph(2), MIXED3, 0, 3, "shifted", 1.0),
+    ],
+    ids=["c6_k1", "q2_mixed3_shifted"],
+)
+def test_search_refuses_noise_phases_before_evaluating(monkeypatch, g, hs, u, v, family, shift):
+    # Past |t| * lambda_+ = 2**52 the phases are rounding noise and the
+    # screen's tol exceeds 1, so every ell would run exactly: C6 corona K1
+    # to ell_max = 1e14 used to run for minutes. The check runs before any
+    # evaluation, so no ell near the limit is scanned here.
+    def refuse(*args):
+        raise Evaluated
+
+    monkeypatch.setattr(statetransfer, "corona_transition_values", refuse)
+    monkeypatch.setattr(statetransfer, "_corona_kernel", refuse)
+    cs, gd = search_setup(g, hs)
+    limit = first_refused_ell(cs, shift)
+    for ell_max in (limit, 10**14):
+        with pytest.raises(ValueError, match=rf"^ell_max={ell_max} is too large: .* reaches 2\*\*52$"):
+            pgst_search(cs, gd, u, v, family, ell_max=ell_max, target=0.9)
+    with pytest.raises(Evaluated):
+        pgst_search(cs, gd, u, v, family, ell_max=limit - 1, target=0.9)
+
+
+def test_search_to_ell_1e7_still_runs():
+    cs, gd = search_setup(cycle_graph(6), [complete_graph(1)] * 6)
+    result = pgst_search(cs, gd, 0, 3, "four_pi_ell", ell_max=10**7, target=0.9)
+    assert not result.target_met and 1 <= result.best.ell <= 10**7
+
+
 def test_shifted_family_hits_mixed_satellites():
     cs, gd = search_setup(hypercube_graph(2), MIXED3)
     result = pgst_search(cs, gd, 0, 3, "shifted", r=1, target=0.99)
@@ -548,7 +618,7 @@ def _screen_cases():
         below_one_chunk=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 2000, 0.9999999),
         target_zero=(cocktail_party_graph(3), [complete_graph(1)] * 6, 0, 3, "four_pi_ell", None, 20_000, 0.0),
         # np.abs(values) ** 2 reaches this target at ell = 199, where the
-        # reported fidelity 0.9999430714061666 falls 2 ulps short of it.
+        # reported fidelity 0.9999430714061667 falls 1 ulp short of it.
         ulps_below_target=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 2048, 0.9999430714061668),
         # A hit inside each exact run of the first chunk: [1, 128], [129, 512], [513, 2048].
         hit_in_run1=(k2, [empty_graph(2)] * 2, 0, 1, "four_pi_ell", None, 20_000, 0.999),  # ell 4
@@ -636,12 +706,14 @@ def test_early_hit_evaluates_only_its_runs(monkeypatch, satellites, target, hit,
 def test_each_evaluated_ell_is_squared_once(monkeypatch, name):
     # A record's phase comes with the fidelity the search decided on, so no
     # value is squared twice. Both cases are on the four_pi_ell family, whose
-    # search runs no check_pst (that squares its t0 value).
+    # search runs no check_pst (that squares its t0 value). The screen squares
+    # its (rows, width) products through _fidelity too: those are counted
+    # apart, as they are no exact values.
     evaluated = count_exact_ell(monkeypatch)
-    squared = []
+    squared, screened = [], []
 
     def counting(values):
-        squared.append(np.size(values))
+        (squared if values.ndim == 1 else screened).append(values.size)
         return _fidelity(values)
 
     monkeypatch.setattr(walk, "_fidelity", counting)
@@ -649,7 +721,7 @@ def test_each_evaluated_ell_is_squared_once(monkeypatch, name):
     g, hs, u, v, family, r, ell_max, target = SCREEN_CASES[name]
     cs, gd = search_setup(g, hs)
     result = pgst_search(cs, gd, u, v, family, r=r, ell_max=ell_max, target=target)
-    assert len(result.history) > 1
+    assert len(result.history) > 1 and screened
     assert sum(squared) == sum(len(ts) for runs in evaluated.values() for ts in runs)
 
 

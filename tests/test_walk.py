@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
-from coronawalk.walk import _fidelity_phase, _phase_screen
+from coronawalk.walk import _fidelity, _fidelity_phase, _phase_screen
 
 
 def test_walk_matrix_kinds():
@@ -194,6 +195,22 @@ def test_fidelity_phase_matches_the_scalar_rule():
     got = np.array([p for p in phase if p is not None])
     expected = np.array([p for _, p in reference if p is not None])
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))  # signed zeros too
+
+
+def test_fidelity_is_within_2u_of_the_exact_square():
+    # re*re + im*im errs by at most 2u = 2**-52 relative to the exact |z|**2
+    # (the n*u bound of an n-term dot product); squaring np.hypot's modulus
+    # with np.float_power reached 3.19e-16 on these values.
+    rng = np.random.default_rng(20_000)
+    n = 20_000
+    scale = 10.0 ** rng.uniform(-30.0, 30.0, n)  # no square under- or overflows
+    values = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 0.0, n)
+              + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 0.0, n)) * scale
+    worst = Fraction(0)
+    for f, re, im in zip(_fidelity(values).tolist(), values.real.tolist(), values.imag.tolist()):
+        exact = Fraction(re) ** 2 + Fraction(im) ** 2
+        worst = max(worst, abs(Fraction(f) - exact) / exact)
+    assert worst <= Fraction(1, 2**52)
 
 
 def test_vertex_range_validation():
