@@ -1,14 +1,17 @@
 """Symmetric eigendecomposition into distinct eigenvalues and blocks of
 orthonormal eigenvectors, plus eigenvalue supports and strong cospectrality
 of vertex pairs. With F_i = B_i B_i^T, projector entries and column norms
-are row sums over a block B_i (_block_sums); every pair entry <u|F_i|v> the
-package reads comes from _pair_weights, so no library computation builds the
+are row sums over a block B_i (_block_sums, which reads the block starts a
+decomposition computes once); every pair entry <u|F_i|v> the package reads
+comes from _pair_weights, so no library computation builds the
 (k, dim, dim) stack. The projectors field builds it on demand, for
 `spectrum --projectors`, benchmark checks and test oracles."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,11 +75,17 @@ class SpectralDecomposition:
     def __repr__(self) -> str:  # not the dataclass repr, which reads projectors
         return f"SpectralDecomposition({self.eigenvalues!r}, {self.vectors!r}, {self.multiplicities!r})"
 
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """The first column of each block, computed once per decomposition."""
+        starts = np.fromiter(accumulate(self.multiplicities, initial=0), int, len(self.multiplicities))
+        starts.flags.writeable = False  # one array serves every reduction and blocks()
+        return starts
+
     def blocks(self) -> list:
         """Per eigenvalue, its dim x multiplicity block of eigenvector
         columns, as views of vectors."""
-        stops = np.cumsum(self.multiplicities, dtype=int)
-        return [self.vectors[:, stop - mult : stop] for mult, stop in zip(self.multiplicities, stops)]
+        return [self.vectors[:, a : a + mult] for a, mult in zip(self._starts.tolist(), self.multiplicities)]
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,7 @@ def _cluster(values, mults, norm: float) -> tuple[list, list, list]:
 
 def _block_sums(d: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
     """Per-block sums of rows (..., dim): entry i adds the columns of block i."""
-    return np.add.reduceat(rows, np.cumsum((0,) + d.multiplicities[:-1]), axis=-1)
+    return np.add.reduceat(rows, d._starts, axis=-1)
 
 
 def _pair_weights(d: SpectralDecomposition, u: int, v: int) -> np.ndarray:

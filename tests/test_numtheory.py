@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronawalk import (
     INTEGRALITY_TOL,
+    SquareFreeSplit,
     integer_eigenvalue,
     is_perfect_square,
     squarefree_split,
     support_gcd_and_valuation,
 )
-from coronawalk.numtheory import MAX_EXACT
+from coronawalk.numtheory import MAX_EXACT, _PEEL_BOUND
 
 
 def test_perfect_square_basics():
@@ -77,6 +81,7 @@ def _is_prime(p):
         ([7], [73, 127, 337, 92_737, 649_657]),  # n = MAX_EXACT
         ([3_037_000_493], []),  # the largest prime square below MAX_EXACT
         ([], [2_147_483_647, 2_147_483_659]),  # q*r near MAX_EXACT
+        ([257], [257]),  # rem is the peel cube: trial division runs and finds 257^3
     ],
 )
 def test_squarefree_split_construction_oracle(square_primes, free_primes):
@@ -89,6 +94,59 @@ def test_squarefree_split_construction_oracle(square_primes, free_primes):
     assert n <= MAX_EXACT
     sp = squarefree_split(n)
     assert (sp.n, sp.s, sp.c) == (n, s, c)
+
+
+def test_squarefree_split_is_a_named_tuple():
+    sp = squarefree_split(73)
+    assert repr(sp) == "SquareFreeSplit(n=73, s=1, c=73)"
+    assert SquareFreeSplit._fields == ("n", "s", "c")
+    assert type(sp) is SquareFreeSplit and sp == (73, 1, 73) == SquareFreeSplit(73, 1, 73)
+    n, s, c = squarefree_split(360)
+    assert (n, s, c) == (360, 6, 10)
+    for field in SquareFreeSplit._fields:
+        with pytest.raises(AttributeError):
+            setattr(sp, field, 2)
+    assert hash(sp) == hash((73, 1, 73))
+    assert {sp: "seen"}[(73, 1, 73)] == "seen"
+
+
+def split_from_factorint(n):
+    s = c = 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        c *= p ** (e % 2)
+    return n, s, c
+
+
+SMALL_PRIMES = [p for p in range(2, _PEEL_BOUND) if _is_prime(p)]
+# Primes above the peel bound: MID ones up to cbrt(MAX_EXACT), which trial
+# division can find, and BIG ones that only the cofactor test sees.
+MID_PRIMES = st.integers(_PEEL_BOUND + 1, 2**20).map(sympy.nextprime)
+BIG_PRIMES = st.integers(2**21, 2**31).map(sympy.nextprime)
+
+
+@st.composite
+def split_inputs(draw):
+    """n in [1, MAX_EXACT], biased to each branch of squarefree_split: a small
+    part of distinct primes (the sq == 1 exit) or repeated ones, times a
+    cofactor q, q*r or q^2, or a product of mid primes that puts rem at or
+    above the peel cube for trial division, or any integer."""
+    exponents = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 8]), max_size=6))
+    small = math.prod(p**e for p, e in zip(draw(st.permutations(SMALL_PRIMES)), exponents))
+    a, b = draw(MID_PRIMES), draw(MID_PRIMES)
+    q, r = draw(BIG_PRIMES), draw(BIG_PRIMES)
+    cofactors = [1, q, q * r, q * q, a * q, a * a * b, a**3, draw(st.integers(1, MAX_EXACT))]
+    cofactor = draw(st.sampled_from(cofactors))
+    for n in (small * cofactor, cofactor):
+        if n <= MAX_EXACT:
+            return n
+    return q * r
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_inputs())
+def test_squarefree_split_matches_factorint(n):
+    assert squarefree_split(n) == split_from_factorint(n)
 
 
 def test_squarefree_split_round_trip_exhaustive():

@@ -8,6 +8,7 @@ from conftest import random_graph, random_symmetric_int_matrix
 from coronawalk import (
     Graph,
     SpectralDecomposition,
+    check_pst,
     cocktail_party_graph,
     complete_graph,
     corona,
@@ -22,6 +23,7 @@ from coronawalk import (
     strongly_cospectral,
     walk_matrix,
 )
+from coronawalk.spectral import SUPPORT_TOL, _block_sums, _pair_weights
 
 
 def test_k2_decomposition():
@@ -241,3 +243,73 @@ def test_vanishing_signs_reported_none():
     assert rep.strongly_cospectral
     # eigenvalues 1 and 3 live entirely on the P3 component
     assert rep.signs == (1, None, -1, None)
+
+
+def old_block_sums(d, rows):
+    """The per-call form _block_sums replaced: the starts from a cumsum on every call."""
+    return np.add.reduceat(rows, np.cumsum((0,) + d.multiplicities[:-1]), axis=-1)
+
+
+def repeated_and_random_laplacians():
+    rng = np.random.default_rng(20)
+    graphs = [hypercube_graph(3), cocktail_party_graph(4), complete_graph(5), cycle_graph(8)]
+    graphs.append(corona(cycle_graph(4), [complete_graph(1)] * 4).flat)
+    graphs += [random_graph(rng, int(rng.integers(2, 11)), p=float(rng.uniform(0.2, 0.9))) for _ in range(40)]
+    return [laplacian(g) for g in graphs]
+
+
+def test_block_sums_read_starts_computed_once(monkeypatch):
+    # Every array the starts could be built with is counted: one build serves every reduction.
+    d = eigendecompose(laplacian(cocktail_party_graph(4)))
+    calls = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("cumsum", "fromiter"):
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    verdicts = [check_pst(d, u, v) for u in range(d.dim) for v in range(u + 1, d.dim)]
+    assert any(verdict.pst for verdict in verdicts)
+    assert len(calls) == 1
+    d.blocks()
+    eigenvalue_support(d, 0)
+    assert len(calls) == 1
+
+
+def test_block_sums_equal_the_per_call_form_bit_for_bit():
+    mats = repeated_and_random_laplacians()
+    assert any(max(eigendecompose(mat).multiplicities) > 1 for mat in mats)
+    for mat in mats:
+        d = eigendecompose(mat)
+        for u in range(d.dim):
+            a = d.vectors[u]
+            weights = old_block_sums(d, a * a)
+            assert eigenvalue_support(d, u).weights == tuple(weights.tolist())
+            for v in range(u + 1, d.dim):
+                b = d.vectors[v]
+                assert _pair_weights(d, u, v).tobytes() == old_block_sums(d, a * b).tobytes()
+                rows = np.stack((a * a, b * b, (a - b) ** 2, (a + b) ** 2))
+                assert _block_sums(d, rows).tobytes() == old_block_sums(d, rows).tobytes()
+                # The report strongly_cospectral derives from the per-call residuals.
+                norm_u, norm_v, res_plus, res_minus = np.sqrt(old_block_sums(d, rows))
+                vanish = (norm_u <= SUPPORT_TOL) & (norm_v <= SUPPORT_TOL)
+                ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= SUPPORT_TOL)))
+                signs = [None if gone else (1 if p <= m else -1) for gone, p, m in zip(vanish, res_plus, res_minus)]
+                report = strongly_cospectral(d, u, v)
+                assert (report.strongly_cospectral, report.signs) == (ok, tuple(signs))
+
+
+def test_blocks_are_the_same_views():
+    for mat in repeated_and_random_laplacians() + [np.zeros((0, 0))]:
+        d = eigendecompose(mat)
+        stops = np.cumsum(d.multiplicities, dtype=int)
+        old = [d.vectors[:, stop - mult : stop] for mult, stop in zip(d.multiplicities, stops)]
+        new = d.blocks()
+        assert len(new) == len(old) == len(d.multiplicities)
+        for block, ref in zip(new, old):
+            assert block.__array_interface__ == ref.__array_interface__
+        assert d._starts.flags.writeable is False

@@ -41,6 +41,7 @@ from coronawalk import (
     support_gcd_and_valuation,
 )
 from coronawalk import cli, spectral, statetransfer, walk
+from coronawalk.corona_spectrum import _class_c_arrays
 from coronawalk.spectral import SUPPORT_TOL
 from coronawalk.walk import _fidelity, _phases, corona_transition_values, transition_values
 
@@ -489,7 +490,23 @@ class Evaluated(Exception):
     """Raised by a patched evaluator: the search got past its checks."""
 
 
-@pytest.mark.parametrize(
+def refuse_evaluations(monkeypatch):
+    def refuse(*args):
+        raise Evaluated
+
+    monkeypatch.setattr(statetransfer, "corona_transition_values", refuse)
+    monkeypatch.setattr(statetransfer, "_corona_kernel", refuse)
+
+
+def search_screen_tol(cs, gd, u, v, shift, ell_max):
+    """The tol of the fidelity screen pgst_search builds for ell_max."""
+    delta, coef, _, _ = _class_c_arrays(gd.eigenvalues, cs.m)
+    weights = spectral._pair_weights(gd, u, v)
+    _, tol = statetransfer._fidelity_screen(gd.eigenvalues, delta, coef, weights, (4.0 * ell_max + shift) * math.pi)
+    return tol
+
+
+REFUSAL_CASES = pytest.mark.parametrize(
     "g, hs, u, v, family, shift",
     [
         (cycle_graph(6), [complete_graph(1)] * 6, 0, 3, "four_pi_ell", 0.0),
@@ -497,23 +514,44 @@ class Evaluated(Exception):
     ],
     ids=["c6_k1", "q2_mixed3_shifted"],
 )
-def test_search_refuses_noise_phases_before_evaluating(monkeypatch, g, hs, u, v, family, shift):
-    # Past |t| * lambda_+ = 2**52 the phases are rounding noise and the
-    # screen's tol exceeds 1, so every ell would run exactly: C6 corona K1
-    # to ell_max = 1e14 used to run for minutes. The check runs before any
-    # evaluation, so no ell near the limit is scanned here.
-    def refuse(*args):
-        raise Evaluated
 
-    monkeypatch.setattr(statetransfer, "corona_transition_values", refuse)
-    monkeypatch.setattr(statetransfer, "_corona_kernel", refuse)
+
+@REFUSAL_CASES
+def test_search_refuses_noise_phases_before_evaluating(monkeypatch, g, hs, u, v, family, shift):
+    # Past |t| * lambda_+ = 2**52 the phases are rounding noise: C6 corona K1
+    # to ell_max = 1e14 used to run for minutes. The check runs before any
+    # evaluation, and before the screen's own refusal, which is what stops
+    # a search one ell below the limit.
+    refuse_evaluations(monkeypatch)
     cs, gd = search_setup(g, hs)
     limit = first_refused_ell(cs, shift)
     for ell_max in (limit, 10**14):
         with pytest.raises(ValueError, match=rf"^ell_max={ell_max} is too large: .* reaches 2\*\*52$"):
             pgst_search(cs, gd, u, v, family, ell_max=ell_max, target=0.9)
-    with pytest.raises(Evaluated):
+    with pytest.raises(ValueError, match=rf"^ell_max={limit - 1} is too large: the fidelity screen's tol"):
         pgst_search(cs, gd, u, v, family, ell_max=limit - 1, target=0.9)
+
+
+@REFUSAL_CASES
+def test_search_refuses_a_screen_that_prunes_nothing(monkeypatch, g, hs, u, v, family, shift):
+    # From tol >= 1 every screened value clears min(best, target) - tol, so
+    # every ell would run the exact kernel; on C6 corona K1 that starts near
+    # ell = 1.3e12, far below the 2**52 refusal. The refusal comes before any
+    # evaluation, so no ell near the limit is scanned here.
+    refuse_evaluations(monkeypatch)
+    cs, gd = search_setup(g, hs)
+    # The search builds no screen to check while t_max * lambda_+ < 2**45: the tol stays under 1/2 there.
+    scale = max(entry.lam_plus for entry in cs.class_c)
+    assert search_screen_tol(cs, gd, u, v, shift, int(2.0**45 / (4.0 * math.pi * scale))) < 0.5
+    lo, hi = statetransfer._SEARCH_CHUNK, first_refused_ell(cs, shift)
+    assert search_screen_tol(cs, gd, u, v, shift, lo) < 1.0 <= search_screen_tol(cs, gd, u, v, shift, hi - 1)
+    while hi - lo > 1:  # hi: the smallest ell_max whose screen has tol >= 1
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if search_screen_tol(cs, gd, u, v, shift, mid) >= 1.0 else (mid, hi)
+    with pytest.raises(ValueError, match=rf"^ell_max={hi} is too large: the fidelity screen's tol \S+ reaches 1$"):
+        pgst_search(cs, gd, u, v, family, ell_max=hi, target=0.9)
+    with pytest.raises(Evaluated):
+        pgst_search(cs, gd, u, v, family, ell_max=hi - 1, target=0.9)
 
 
 def test_search_to_ell_1e7_still_runs():
