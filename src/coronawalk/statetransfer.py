@@ -349,18 +349,16 @@ def pgst_search(
 
     lam = g_decomp.eigenvalues
     delta, coef, pluses, _ = _class_c_arrays(lam, m)
-    t_max, scale = time_of(ell_max), float(pluses.max())
-    _check_phase_range(t_max, scale, f"ell_max={ell_max}")  # lambda_+ >= every rate
+    t_max = time_of(ell_max)
+    _check_phase_range(t_max, float(pluses.max()), f"ell_max={ell_max}")  # lambda_+ >= every rate
     pair_weights = _pair_weights(g_decomp, u, v)
     targets = [
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
         for w in pair_weights.tolist()
     ]
     deltas = delta.tolist()  # the residual loop's Python floats, the bits of delta
-    # A screen (past the exact runs) with tol >= 1 prunes nothing. tol <= 2**-46 * S^2 * t_max * lambda_+, as
-    # max|omega| <= lambda_+ and S = sum|<u|F|v>| <= 1 (Cauchy-Schwarz): under 1/2 while t_max * lambda_+ < 2**45.
-    if ell_max > _SEARCH_CHUNK and t_max * scale >= 2.0**45:
-        _, tol = _fidelity_screen(lam, delta, coef, pair_weights, t_max)
+    if ell_max > _SEARCH_CHUNK:  # the screen past the exact runs: with tol >= 1 it would prune nothing
+        screen, tol = _fidelity_screen(lam, delta, coef, pair_weights, t_max)
         if tol >= 1.0:
             raise ValueError(f"ell_max={ell_max} is too large: the fidelity screen's tol {tol:.3g} reaches 1")
 
@@ -372,7 +370,6 @@ def pgst_search(
             if ell_max <= end:
                 return  # ell_max ends in this run: no screen is built
             start = end + 1
-        screen, tol = _fidelity_screen(lam, delta, coef, pair_weights, t_max)
         block = _SEARCH_CHUNK * _SCREEN_BLOCK
         for start in range(1 + _SEARCH_CHUNK, ell_max + 1, block):
             starts = np.arange(start, min(start + block, ell_max + 1), _SEARCH_CHUNK)

@@ -147,11 +147,14 @@ def _phase_screen(amps, omega, step: float, width: int, t_max: float):
     tol takes 64 for the 10; the remainder is negligible once
     t_max*max|omega| is large against k, as on every caller.
     """
-    size = float(np.sum(np.abs(amps)))
-    tol = 64.0 * np.finfo(float).eps * size * size * t_max * float(np.max(np.abs(omega)))
-    table = np.exp(-1j * np.outer(omega, step * np.arange(width)))
+    size = float(np.abs(amps).sum())
+    tol = 64.0 * np.finfo(float).eps * size * size * t_max * float(np.abs(omega).max())
+    table = None
 
     def screen(t0s: np.ndarray) -> np.ndarray:
+        nonlocal table
+        if table is None:  # built on the first call, so a caller reading only tol pays no exp
+            table = np.exp(-1j * np.outer(omega, step * np.arange(width)))
         return _fidelity((amps * np.exp(-1j * np.outer(t0s, omega))) @ table)
 
     return screen, tol

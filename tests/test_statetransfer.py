@@ -540,9 +540,6 @@ def test_search_refuses_a_screen_that_prunes_nothing(monkeypatch, g, hs, u, v, f
     # evaluation, so no ell near the limit is scanned here.
     refuse_evaluations(monkeypatch)
     cs, gd = search_setup(g, hs)
-    # The search builds no screen to check while t_max * lambda_+ < 2**45: the tol stays under 1/2 there.
-    scale = max(entry.lam_plus for entry in cs.class_c)
-    assert search_screen_tol(cs, gd, u, v, shift, int(2.0**45 / (4.0 * math.pi * scale))) < 0.5
     lo, hi = statetransfer._SEARCH_CHUNK, first_refused_ell(cs, shift)
     assert search_screen_tol(cs, gd, u, v, shift, lo) < 1.0 <= search_screen_tol(cs, gd, u, v, shift, hi - 1)
     while hi - lo > 1:  # hi: the smallest ell_max whose screen has tol >= 1
