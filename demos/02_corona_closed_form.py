@@ -34,7 +34,7 @@ satellites = [
 
 cg = corona(g, satellites)
 print(f"corona on {cg.flat.n} vertices, satellite order m = {cg.m}")
-print("flat index of base vertex 2:", cg.flat_index(2, 0), "label:", cg.flat.labels[cg.flat_index(2, 0)])
+print("base vertex 2, (l,w) = (3,0) with l 1-based, sits at flat index", cg.flat_index(2, 0))
 
 cs = corona_spectrum(g, satellites)
 

@@ -194,8 +194,10 @@ def cmd_build(args, config) -> tuple:
 
 def cmd_corona(args, config) -> tuple:
     cg = corona(*_corona_args(args))
-    satellites = [graph_to_dict(h) for h in cg.satellites]
-    return {**graph_to_dict(cg.flat), "m": cg.m, "base": graph_to_dict(cg.base), "satellites": satellites}, 0
+    # Provenance "(l,w)" per flat vertex, l 1-based; graph_from_dict reads back n and edges only.
+    labels = {str(cg.flat_index(v, w)): f"({v + 1},{w})" for v in range(cg.base.n) for w in range(cg.m + 1)}
+    base, satellites = graph_to_dict(cg.base), [graph_to_dict(h) for h in cg.satellites]
+    return {**graph_to_dict(cg.flat), "labels": labels, "m": cg.m, "base": base, "satellites": satellites}, 0
 
 
 def cmd_spectrum(args, config) -> tuple:
@@ -223,7 +225,7 @@ def cmd_corona_spectrum(args, config) -> tuple:
 
 
 def cmd_fidelity(args, config) -> tuple:
-    if (args.g is None) == (args.graph is None):
+    if (args.g is None) == (args.graph is None) or (args.g is None and args.h is not None):
         raise ValueError("give exactly one of --graph or --g/--h")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")

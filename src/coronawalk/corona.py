@@ -4,7 +4,8 @@ off the l-th base vertex, every satellite vertex joined to its base vertex.
 Flat vertex order is block-by-block: base vertex l first, then its m
 satellite vertices, so vertex (l, w) with l in {1..n}, w in {0..m} sits at
 flat index (l-1)(m+1) + w. This keeps the tensor blocks of the Laplacian
-contiguous.
+contiguous. CoronaGraph.flat_index maps (l, w) to that index; the flat
+graph itself stores no vertex names.
 """
 
 from __future__ import annotations
@@ -52,11 +53,7 @@ class CoronaGraph:
 
 
 def corona(g: Graph, hs) -> CoronaGraph:
-    """Build G o (H_1, ..., H_n) for equal-order satellites (m >= 1 each).
-
-    The flat graph carries "(l,w)" labels with l 1-based, matching the
-    (l, w) coordinate convention.
-    """
+    """Build G o (H_1, ..., H_n) for equal-order satellites (m >= 1 each)."""
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
     stride = m + 1
@@ -69,10 +66,6 @@ def corona(g: Graph, hs) -> CoronaGraph:
             edges.add((root, root + 1 + w))
         for a, b in h.edges:
             edges.add((root + 1 + a, root + 1 + b))
-    labels = {}
-    for i in range(g.n):
-        for w in range(stride):
-            labels[i * stride + w] = f"({i + 1},{w})"
-    flat = Graph(g.n * stride, frozenset(edges), labels)
+    flat = Graph(g.n * stride, frozenset(edges))
     return CoronaGraph(base=g, satellites=hs, flat=flat, m=m)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corona import common_satellite_order
-from .graphs import Graph, component_count, degrees, laplacian
+from .graphs import Graph, component_count, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
 from .spectral import SpectralDecomposition, _cluster, eigendecompose
 
@@ -146,24 +146,29 @@ def _class_c(lam: float, plus: float, minus: float, m: int, multiplicity: int) -
     )
 
 
-def _satellite_decompositions(hs) -> dict:
+def _satellite_decompositions(hs) -> tuple:
     """Decompose the Laplacian of each distinct satellite once.
 
-    Maps every distinct satellite (Graph equality ignores labels) to
-    eigendecompose(laplacian(h)). Each decomposition is checked to hold the
-    zero eigenvalue at index 0 with multiplicity the exact component count.
+    Returns the map from every distinct satellite (Graph equality compares n
+    and edges) to eigendecompose(laplacian(h)), and the largest entry of
+    those Laplacians, which is the largest satellite degree. Each
+    decomposition is checked to hold the zero eigenvalue at index 0 with
+    multiplicity the exact component count.
     """
     out = {}
+    norm = 0.0
     for h in hs:
         if h in out:
             continue
-        d = eigendecompose(laplacian(h))
+        lap = laplacian(h)
+        norm = max(norm, float(np.max(lap)))
+        d = eigendecompose(lap)
         if integer_eigenvalue(d.eigenvalues[0]) != 0:
             raise ArithmeticError("satellite Laplacian kernel not found")
         if d.multiplicities[0] != component_count(h):
             raise ArithmeticError("satellite kernel multiplicity disagrees with component count")
         out[h] = d
-    return out
+    return out, norm
 
 
 def _class_b_pieces(sat_decomps, norm: float):
@@ -189,10 +194,10 @@ def _corona_parts(g: Graph, hs):
     gap eigendecompose gives the direct sum of the satellite Laplacians."""
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
-    by_graph = _satellite_decompositions(hs)
+    by_graph, norm = _satellite_decompositions(hs)
     sat_decomps = [by_graph[h] for h in hs]
     a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
-    b_pieces = _class_b_pieces(sat_decomps, max(float(np.max(degrees(h))) for h in by_graph))
+    b_pieces = _class_b_pieces(sat_decomps, norm)
     g_decomp = eigendecompose(laplacian(g))
     return hs, m, by_graph, a_mult, b_pieces, g_decomp
 

@@ -1,9 +1,9 @@
-"""Labeled undirected simple graphs: named constructors, adjacency/Laplacian
+"""Undirected simple graphs: named constructors, adjacency/Laplacian
 assembly, connectivity, and JSON serialization.
 
 Vertices are 0-based contiguous integers. Named constructors use a canonical
 vertex order (hypercube = binary counting order, cocktail party = antipodal
-pairs (i, i+n)) so that matrices and labels are bit-exact reproducible.
+pairs (i, i+n)) so that matrices are bit-exact reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,13 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Edges (any iterable of integer pairs) are stored as a frozenset of (u, v)
-    pairs normalized to u < v; no self-loops or duplicates. ``labels`` is an
-    optional vertex -> string map (corona constructions use it for "(l,w)"
-    provenance labels). n and the label keys are integers too (ValueError
-    otherwise). Instances are immutable and safe to share across threads.
+    pairs normalized to u < v; no self-loops or duplicates. n is an integer
+    too (ValueError otherwise). Instances are immutable and safe to share
+    across threads.
     """
 
     n: int
     edges: frozenset
-    labels: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _index(self.n))
@@ -52,9 +50,6 @@ class Graph:
                 raise ValueError(f"edge {e} out of range for n={self.n}")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
-        for k in self.labels or ():
-            if not (0 <= _index(k) < self.n):
-                raise ValueError(f"label key {k} out of range")
 
     def degree(self, u: int) -> int:
         return sum(1 for a, b in self.edges if a == u or b == u)
@@ -150,17 +145,11 @@ def matching_graph(n: int) -> Graph:
     return Graph(2 * n, frozenset((i, i + n) for i in range(n)))
 
 
-def _cocktail_party_edges(n: int) -> frozenset:
-    """Edges of cocktail_party_graph(n), u < v. A frozenset, not a Graph: antipodal_sign_check
-    compares edges with it, and building a Graph costs several times the comprehension."""
-    return frozenset((i, j) for i in range(2 * n) for j in range(i + 1, 2 * n) if j != i + n)
-
-
 def cocktail_party_graph(n: int) -> Graph:
     """Complement of a perfect matching on 2n vertices: every vertex is
     adjacent to all others except its antipode i <-> i+n."""
     n = _index(n)
-    return Graph(2 * n, _cocktail_party_edges(n))
+    return Graph(2 * n, frozenset((i, j) for i in range(2 * n) for j in range(i + 1, 2 * n) if j != i + n))
 
 
 _BUILDERS = {
@@ -191,19 +180,15 @@ def build_named(family: str, size_param: int) -> Graph:
 
 
 def graph_to_dict(g: Graph) -> dict:
-    """JSON-ready dict: {"n": ..., "edges": [[u, v], ...], "labels": {...}?}
-    with edges sorted and normalized to u < v."""
-    out = {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges)]}
-    if g.labels:
-        out["labels"] = {str(k): str(v) for k, v in sorted(g.labels.items())}
-    return out
+    """JSON-ready dict: {"n": ..., "edges": [[u, v], ...]} with edges sorted
+    and normalized to u < v."""
+    return {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges)]}
 
 
 def graph_from_dict(data: dict) -> Graph:
-    """Inverse of graph_to_dict; n and the vertex ids must be integers. JSON
-    label keys are strings and are read through int(). A value of another
-    shape (not an object, no n or edges, edges not a list of pairs, labels
-    not an object or a label key not an integer) is a ValueError naming the
+    """Inverse of graph_to_dict; n and the vertex ids must be integers, and
+    every other key is ignored. A value of another shape (not an object, no
+    n or edges, edges not a list of pairs) is a ValueError naming the
     field."""
     if not isinstance(data, dict):
         raise ValueError(f"a graph is a JSON object, got {type(data).__name__}")
@@ -213,15 +198,7 @@ def graph_from_dict(data: dict) -> Graph:
     edges = data["edges"]
     if not isinstance(edges, list) or any(not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges):
         raise ValueError("graph edges are a list of vertex pairs [u, v]")
-    labels = data.get("labels")
-    if labels is not None:
-        if not isinstance(labels, dict):
-            raise ValueError(f"graph labels are a JSON object, got {type(labels).__name__}")
-        try:
-            labels = {int(k): str(v) for k, v in labels.items()}
-        except ValueError:
-            raise ValueError(f"graph labels are keyed by integer vertex ids, got keys {list(labels)}") from None
-    return Graph(data["n"], edges, labels)
+    return Graph(data["n"], edges)
 
 
 def load_graph(path) -> Graph:

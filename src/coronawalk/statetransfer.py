@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, _corona_walk
-from .graphs import (
-    Graph, _cocktail_party_edges, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
-)
+from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL,
@@ -441,7 +439,9 @@ def antipodal_sign_check(g: Graph) -> list:
     if g.n < 4 or g.n % 2 != 0:
         raise ValueError("not a cocktail party graph")
     n = g.n // 2
-    if g.edges != _cocktail_party_edges(n):
+    # Of the n(2n-1) vertex pairs, all but the n antipodal pairs (i, i+n) are edges of CP(n):
+    # 2n(n-1) edges with none antipodal (u < v, so v - u == n) make exactly CP(n).
+    if len(g.edges) != 2 * n * (n - 1) or any(v - u == n for u, v in g.edges):
         raise ValueError("not a cocktail party graph (antipode map is i <-> i+n)")
     # The matching is the row permutation i <-> i+n: P F_j = (-1)^j F_j iff every
     # ||F_j e_{i+n} - (-1)^j F_j e_i||, the block norm of V[i+n] - (-1)^j V[i], is

@@ -181,11 +181,11 @@ def test_criterion_5_pgst_frozen_bounds():
             case["u"],
             case["v"],
             case["family"],
-            r=case["r"],
             ell_max=case["ell"],
             target=case["target"],
         )
         ok = ok and result.target_met
+        ok = ok and result.best.r == case["r"]
         ok = ok and result.best.ell == case["ell"]
         ok = ok and abs(result.best.fidelity - case["fidelity"]) <= 1e-9
         ok = ok and result.best.fidelity >= case["target"]

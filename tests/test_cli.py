@@ -91,6 +91,31 @@ def test_corona_command(capsys):
     assert flat.degree(0) == 7
 
 
+def test_corona_labels_follow_flat_index(capsys, tmp_path):
+    # Each flat vertex is labelled "(l,w)", l 1-based, by CoronaGraph.flat_index.
+    rc, doc = run_json(capsys, "corona", "--g", "k2", "--h", "k1")
+    assert rc == 0
+    assert doc["labels"] == {"0": "(1,0)", "1": "(1,1)", "2": "(2,0)", "3": "(2,1)"}
+    for g, h in (("k2", "o6"), ("q2", "o3,p3,p3,k3"), ("c5", "k1"), ("p3", "k2,o2,p2")):
+        rc, doc = run_json(capsys, "corona", "--g", g, "--h", h)
+        assert rc == 0
+        base = parse_graph_spec(g)
+        cg = corona(base, parse_satellites(h, base.n))
+        want = {str(cg.flat_index(v, w)): f"({v + 1},{w})" for v in range(base.n) for w in range(cg.m + 1)}
+        assert doc["labels"] == want
+        assert sorted(map(int, doc["labels"])) == list(range(doc["n"]))
+
+    # a corona output file is a graph file: its labels, m, base and satellites are ignored
+    out = tmp_path / "corona.json"
+    assert main(["corona", "--g", "k2", "--h", "o6", "--output", str(out)]) == 0
+    rc, echo = run_json(capsys, "build", "--graph", f"@{out}")
+    assert rc == 0
+    assert graph_from_dict(echo) == corona(build_named("complete", 2), [build_named("empty", 6)] * 2).flat
+    assert "labels" not in echo
+    rc, doc = run_json(capsys, "pst-check", "--graph", f"@{out}", "--from", "0", "--to", "7")
+    assert rc == 2 and doc["verdict"]["pst"] is False
+
+
 def test_corona_satellite_list_and_errors(capsys):
     rc, doc = run_json(capsys, "corona", "--g", "k2", "--h", "o3,p3")
     assert rc == 0 and doc["n"] == 8
@@ -221,6 +246,12 @@ def test_fidelity_corona_and_errors(capsys):
     rc, _ = run(capsys, "fidelity", "--graph", "k2", "--g", "k2", "--h", "o3",
                 "--from", "0", "--to", "1", "--t-max", "1")
     assert rc == 1  # both sources
+    # --h belongs to --g: with --graph it is an error, not ignored
+    assert main(["fidelity", "--graph", "k2", "--h", "o3", "--from", "0", "--to", "1", "--t-max", "1",
+                 "--steps", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: give exactly one of --graph or --g/--h\n")
+    rc, _ = run(capsys, "fidelity", "--h", "o3", "--from", "0", "--to", "1", "--t-max", "1")
+    assert rc == 1  # --h alone
     rc, _ = run(capsys, "fidelity", "--from", "0", "--to", "1", "--t-max", "1")
     assert rc == 1  # no source
     assert main(["fidelity", "--g", "k2", "--from", "0", "--to", "1", "--t-max", "1"]) == 1
@@ -325,11 +356,9 @@ def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
     for i, (doc, named) in enumerate((
         ([1, 2], "JSON object"),
         (None, "JSON object"),
-        ({"n": 2, "edges": [[0, 1]], "labels": [1]}, "labels"),
         ({"edges": []}, "missing ['n']"),
         ({"n": 3, "edges": 5}, "edges"),
         ({"n": 3, "edges": [[0, 1, 2]]}, "edges"),
-        ({"n": 3, "edges": [[0, 1]], "labels": {"x": "a"}}, "labels"),
     )):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))

@@ -47,14 +47,6 @@ def test_flat_index():
     assert cg.flat_index(np.int64(1), np.int64(1)) == 4
 
 
-def test_labels():
-    cg = corona(complete_graph(2), [empty_graph(1)] * 2)
-    assert cg.flat.labels[0] == "(1,0)"
-    assert cg.flat.labels[1] == "(1,1)"
-    assert cg.flat.labels[2] == "(2,0)"
-    assert cg.flat.labels[3] == "(2,1)"
-
-
 def test_satellite_edges_are_internal():
     cg = corona(complete_graph(2), [path_graph(3), complete_graph(3)])
     # satellite copy of K3 on base vertex 1 occupies flat vertices 5,6,7

@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from coronawalk import (
     Graph,
     SpectralDecomposition,
+    adjacency,
     complete_graph,
     component_count,
     corona,
@@ -31,13 +32,14 @@ from coronawalk import (
     path_graph,
     reconstruct,
 )
+from coronawalk import graphs
 from coronawalk.corona_spectrum import _class_b_pieces, _corona_walk
 from coronawalk.spectral import CLUSTER_TOL_SCALE
 
 
-def labelled_copies(h, count):
-    """count equal satellites as separate Graph objects with distinct labels."""
-    return [Graph(h.n, h.edges, {0: f"copy{i}"}) for i in range(count)]
+def equal_copies(h, count):
+    """count equal satellites as separate Graph objects."""
+    return [Graph(h.n, h.edges) for _ in range(count)]
 
 
 def kron_assembly(g, hs):
@@ -358,8 +360,8 @@ BIT_EXACT_CASES = {
     "distinct_random": (cycle_graph(7), random_satellites(_RNG, 7, 5)),
     "random_base_distinct_random": (random_connected_graph(_RNG, 6), random_satellites(_RNG, 6, 4)),
     # equal satellites as separate objects: decomposed once, by equality
-    "equal_relabelled_P4": (complete_graph(5), labelled_copies(path_graph(4), 5)),
-    "equal_relabelled_disconnected": (cycle_graph(5), labelled_copies(Graph(4, frozenset({(0, 1)})), 5)),
+    "equal_relabelled_P4": (complete_graph(5), equal_copies(path_graph(4), 5)),
+    "equal_relabelled_disconnected": (cycle_graph(5), equal_copies(Graph(4, frozenset({(0, 1)})), 5)),
 }
 
 
@@ -410,11 +412,28 @@ def test_one_eigensolve_per_distinct_satellite(monkeypatch):
     module = importlib.import_module("coronawalk.corona_spectrum")
     monkeypatch.setattr(module, "eigendecompose", counting)
     g = cycle_graph(6)
-    hs = labelled_copies(path_graph(3), 3) + [complete_graph(3)] * 3
+    hs = equal_copies(path_graph(3), 3) + [complete_graph(3)] * 3
     for fn in (corona_spectrum, corona_eigenprojectors):
         calls.clear()
         fn(g, hs)
         assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
+
+
+def test_one_adjacency_per_distinct_satellite(monkeypatch):
+    # The class (b) cluster norm is read off the satellite Laplacians the
+    # eigensolves use, so no satellite adjacency is built a second time.
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return adjacency(g)
+
+    monkeypatch.setattr(graphs, "adjacency", counting)
+    corona_spectrum(cycle_graph(6), equal_copies(path_graph(3), 3) + [complete_graph(3)] * 3)
+    assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
+    calls.clear()
+    corona_spectrum(cycle_graph(5), [empty_graph(4), path_graph(4), empty_graph(4), cycle_graph(4), path_graph(4)])
+    assert sorted(calls) == [4, 4, 4, 5]
 
 
 def test_corona_walk_returns_the_base_decomposition():

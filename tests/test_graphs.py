@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -42,16 +43,24 @@ def test_edge_normalization_and_validation():
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         Graph(-1, frozenset())
-    with pytest.raises(ValueError):
-        Graph(2, frozenset(), labels={5: "x"})
     # Non-integers used to be truncated, or to fail later inside numpy.
-    for n, edges, labels in ((3, {(0, 1.7), (1, 2)}, None), (2.9, {(0, 1)}, None), (3, (), {1.7: "x"})):
+    for n, edges in ((3, {(0, 1.7), (1, 2)}), (2.9, {(0, 1)})):
         with pytest.raises(ValueError, match="must be integers"):
-            Graph(n, frozenset(edges), labels)
+            Graph(n, frozenset(edges))
     # numpy integers are integers, stored as ints
-    g = Graph(np.int64(3), frozenset({(np.int64(0), np.int64(1)), (1, 2)}), {np.int64(2): "x"})
+    g = Graph(np.int64(3), frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
     assert g == path_graph(3) and type(g.n) is int
     assert all(type(x) is int for e in g.edges for x in e)
+
+
+def test_graph_is_a_value_of_n_and_edges():
+    # Every field is compared and hashed: equal graphs are one dict key.
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "edges"]
+    for g in (path_graph(4), cocktail_party_graph(3), hypercube_graph(3), empty_graph(2)):
+        twin = Graph(g.n, frozenset((v, u) for u, v in g.edges))
+        assert twin == g and hash(twin) == hash(g) == hash((g.n, g.edges))
+    assert Graph(3, frozenset()) != Graph(4, frozenset())
+    assert len({path_graph(3), Graph(3, {(2, 1), (0, 1)}), complete_graph(3)}) == 2
 
 
 def test_degree():
@@ -180,18 +189,18 @@ def test_constructors_take_integer_sizes(builder):
 
 
 def test_json_round_trip(tmp_path):
-    g = Graph(4, frozenset({(0, 1), (2, 3)}), labels={0: "(1,0)", 1: "(1,1)"})
+    g = Graph(4, frozenset({(0, 1), (2, 3)}))
     d = graph_to_dict(g)
-    assert d["edges"] == [[0, 1], [2, 3]]
-    back = graph_from_dict(d)
-    assert back == g and back.labels == g.labels
+    assert d == {"n": 4, "edges": [[0, 1], [2, 3]]}
+    assert graph_from_dict(d) == g
 
     path = tmp_path / "g.json"
     path.write_text(json.dumps(d))
     assert load_graph(path) == g
 
-    # extra keys (e.g. embedded run config) are ignored on load
+    # extra keys (e.g. embedded run config, or a corona output's labels) are ignored on load
     d["config"] = {"command": "build"}
+    d["labels"] = {"0": "(1,0)", "x": 5}
     assert graph_from_dict(d) == g
 
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import tracemalloc
@@ -410,6 +411,43 @@ def test_witness_validation():
         corona_no_pst_witness(complete_graph(2), 1, 2)  # vertex range
 
 
+def crafted_decomposition(g, vectors):
+    """decomp(g) with its eigenvector columns replaced by vectors."""
+    d = decomp(g)
+    return SpectralDecomposition(eigenvalues=d.eigenvalues, vectors=vectors, multiplicities=d.multiplicities)
+
+
+def test_witness_skips_a_support_eigenvalue_whose_corona_weights_vanish(monkeypatch):
+    # P3 (eigenvalues 0, 1, 3) with the vectors of 1 and 3 rotated so that vertex 0
+    # keeps weight 2e-16 on eigenvalue 1: in its support (sqrt > SUPPORT_TOL), but the
+    # lambda_minus weight (1 - x)^2 / ((1 - x)^2 + m) * 2e-16 is below SUPPORT_TOL**2,
+    # so eigenvalue 1 is skipped and the witness comes from eigenvalue 3.
+    g = path_graph(3)
+    w1, w2 = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0), np.array([2.0, -1.0, -1.0]) / math.sqrt(6.0)
+    s = math.sqrt(2e-16) / w2[0]
+    c = math.sqrt(1.0 - s * s)
+    crafted = crafted_decomposition(g, np.column_stack((np.ones(3) / math.sqrt(3.0), c * w1 + s * w2, c * w2 - s * w1)))
+    assert eigenvalue_support(crafted, 0).support == (0, 1, 2)
+    assert corona_no_pst_witness(g, 1, 0).delta_sq == 5  # the true P3: eigenvalue 1 is the witness
+    monkeypatch.setattr(statetransfer, "eigendecompose", lambda mat: crafted)
+    w = corona_no_pst_witness(g, 1, 0)
+    assert integer_eigenvalue(w.lam) == 3 and w.delta_sq == 13
+    assert min(w.support_weights) > SUPPORT_TOL**2
+
+
+def test_witness_refuses_a_support_with_no_certified_eigenvalue(monkeypatch):
+    # K2 with its eigenvectors rotated so that vertex 0 keeps weight 4e-16 on
+    # eigenvalue 2: the one nonzero support eigenvalue is skipped, no witness is left.
+    g = complete_graph(2)
+    s = 2e-8
+    c = math.sqrt(1.0 - s * s)
+    crafted = crafted_decomposition(g, np.array([[c, -s], [s, c]]))
+    assert eigenvalue_support(crafted, 0).support == (0, 1)
+    monkeypatch.setattr(statetransfer, "eigendecompose", lambda mat: crafted)
+    with pytest.raises(ArithmeticError, match="no certified positive support eigenvalue found"):
+        corona_no_pst_witness(g, 1, 0)
+
+
 def test_non_integer_vertices_and_orders_rejected():
     g = complete_graph(2)
     d = decomp(g)
@@ -559,7 +597,7 @@ def test_search_to_ell_1e7_still_runs():
 
 def test_shifted_family_hits_mixed_satellites():
     cs, gd = search_setup(hypercube_graph(2), MIXED3)
-    result = pgst_search(cs, gd, 0, 3, "shifted", r=1, target=0.99)
+    result = pgst_search(cs, gd, 0, 3, "shifted", target=0.99)
     assert result.target_met
     assert result.best.r == 1
     assert abs(result.best.t - (4 * result.best.ell + 1) * math.pi) < 1e-9
@@ -675,7 +713,7 @@ SCREEN_CASES = _screen_cases()
 def test_screened_search_equals_plain_scan(name):
     g, hs, u, v, family, r, ell_max, target = SCREEN_CASES[name]
     cs, gd = search_setup(g, hs)
-    result = pgst_search(cs, gd, u, v, family, r=r, ell_max=ell_max, target=target)
+    result = pgst_search(cs, gd, u, v, family, ell_max=ell_max, target=target)
     records, met = plain_scan(cs, gd, u, v, family, r, ell_max, target)
     assert [(rec.ell, rec.t, rec.fidelity, rec.phase) for rec in result.history] == records
     assert result.target_met == met
@@ -709,7 +747,7 @@ def test_screen_skips_chunks_without_records(monkeypatch):
     # a record.
     evaluated = count_exact_ell(monkeypatch)
     cs, gd = search_setup(hypercube_graph(2), MIXED3)
-    pgst_search(cs, gd, 0, 3, "shifted", r=1, ell_max=200_000, target=0.999999)
+    pgst_search(cs, gd, 0, 3, "shifted", ell_max=200_000, target=0.999999)
     assert [len(ts) for ts in evaluated["checked"]] == [128]  # the first run, [1, 128]
     kernel = evaluated["kernel"]
     assert [len(ts) for ts in kernel[:2]] == [384, 1536]  # the rest of the first chunk: [129, 512], [513, 2048]
@@ -753,9 +791,9 @@ def test_each_evaluated_ell_is_squared_once(monkeypatch, name):
 
     monkeypatch.setattr(walk, "_fidelity", counting)
     monkeypatch.setattr(statetransfer, "_fidelity", counting)
-    g, hs, u, v, family, r, ell_max, target = SCREEN_CASES[name]
+    g, hs, u, v, family, _, ell_max, target = SCREEN_CASES[name]
     cs, gd = search_setup(g, hs)
-    result = pgst_search(cs, gd, u, v, family, r=r, ell_max=ell_max, target=target)
+    result = pgst_search(cs, gd, u, v, family, ell_max=ell_max, target=target)
     assert len(result.history) > 1 and screened
     assert sum(squared) == sum(len(ts) for runs in evaluated.values() for ts in runs)
 
@@ -795,7 +833,7 @@ def test_screen_stays_within_its_bound(monkeypatch, name):
 
     monkeypatch.setattr(statetransfer, "_fidelity_screen", recording_screen)
     monkeypatch.setattr(statetransfer, "_corona_kernel", recording_kernel)
-    pgst_search(cs, gd, case["u"], case["v"], case["family"], r=case["r"], ell_max=300_000, target=0.999999)
+    pgst_search(cs, gd, case["u"], case["v"], case["family"], ell_max=300_000, target=0.999999)
     (tol,) = bounds
     gaps = [
         abs(float(screened[start][ell - start]) - f)
@@ -852,14 +890,42 @@ def test_antipodal_sign_check_rejects_other_graphs():
         antipodal_sign_check(path_graph(4))
     with pytest.raises(ValueError, match=r"antipode map is i <-> i\+n"):
         antipodal_sign_check(complete_graph(4))
-    # Edge (0, 1) traded for the antipodal pair (0, 3): same order and size, another matching.
-    shifted = Graph(6, cocktail_party_graph(3).edges - {(0, 1)} | {(0, 3)})
-    with pytest.raises(ValueError, match=r"antipode map is i <-> i\+n"):
-        antipodal_sign_check(shifted)
+    for n in range(2, 6):
+        cp = cocktail_party_graph(n)
+        swap_1_n = {1: n, n: 1}  # moves the antipode of 0 from n to 1
+        near_misses = [
+            Graph(2 * n, cp.edges - {(0, 1)}),  # one edge short
+            # Edge (0, 1) traded for the antipodal pair (0, n): same order and size, another matching.
+            Graph(2 * n, cp.edges - {(0, 1)} | {(0, n)}),
+            Graph(2 * n, {(swap_1_n.get(u, u), swap_1_n.get(v, v)) for u, v in cp.edges}),  # relabelled
+        ]
+        for g in near_misses:
+            with pytest.raises(ValueError, match=r"antipode map is i <-> i\+n"):
+                antipodal_sign_check(g)
+        # a relabelling that keeps every antipodal pair is CP(n) itself
+        swap_0_n = {0: n, n: 0}
+        same = Graph(2 * n, {(swap_0_n.get(u, u), swap_0_n.get(v, v)) for u, v in cp.edges})
+        assert same == cp and all(antipodal_sign_check(same))
     with pytest.raises(ValueError, match="not a cocktail party graph$"):
         antipodal_sign_check(path_graph(3))
     with pytest.raises(ValueError, match="not a cocktail party graph$"):
         antipodal_sign_check(complete_graph(2))
+
+
+def test_antipodal_sign_check_accepts_only_the_cocktail_party_graph():
+    # Every graph on 4 vertices, and every 12-edge graph on 6: only CP(2) and CP(3) pass.
+    pairs4, pairs6 = list(itertools.combinations(range(4), 2)), list(itertools.combinations(range(6), 2))
+    candidates = [Graph(4, edges) for k in range(7) for edges in itertools.combinations(pairs4, k)]
+    candidates += [Graph(6, edges) for edges in itertools.combinations(pairs6, 12)]
+    accepted = []
+    for g in candidates:
+        try:
+            flags = antipodal_sign_check(g)
+        except ValueError:
+            continue
+        accepted.append(g)
+        assert all(flags)
+    assert accepted == [cocktail_party_graph(2), cocktail_party_graph(3)]
 
 
 def test_frozen_bounds_regenerate_byte_for_byte(tmp_path, capsys):

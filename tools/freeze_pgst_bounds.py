@@ -3,7 +3,8 @@
     PYTHONPATH=src python tools/freeze_pgst_bounds.py [OUT]
 
 Each case records the smallest ell at which the stated time family reaches
-the stated fidelity target, plus the achieved fidelity. OUT defaults to the
+the stated fidelity target, plus the achieved fidelity and the r the search
+derives (null outside the shifted family). OUT defaults to the
 committed tests/fixtures/pgst_bounds.json; regression tests re-run the
 searches with ell_max set to the frozen bound and must reproduce it, and a
 Tier-1 test writes OUT to a temporary file and compares it with the
@@ -33,10 +34,10 @@ SEARCH_CEILING = 200_000
 FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pgst_bounds.json"
 
 
-def run_case(name, g, hs, u, v, family, target, r=None):
+def run_case(name, g, hs, u, v, family, target):
     cs = corona_spectrum(g, hs)
     g_decomp = eigendecompose(laplacian(g))
-    result = pgst_search(cs, g_decomp, u, v, family, r=r, ell_max=SEARCH_CEILING, target=target)
+    result = pgst_search(cs, g_decomp, u, v, family, ell_max=SEARCH_CEILING, target=target)
     if not result.target_met:
         raise SystemExit(f"{name}: target {target} not met within {SEARCH_CEILING}")
     best = result.best
@@ -44,7 +45,7 @@ def run_case(name, g, hs, u, v, family, target, r=None):
     return {
         "name": name,
         "family": family,
-        "r": r,
+        "r": best.r,
         "u": u,
         "v": v,
         "target": target,
@@ -79,7 +80,7 @@ def main(argv=None):
         build_named("path", 3),
         complete_graph(3),
     ]
-    cases.append(run_case("q2_mixed3", hypercube_graph(2), mixed, 0, 3, "shifted", 0.99, r=1))
+    cases.append(run_case("q2_mixed3", hypercube_graph(2), mixed, 0, 3, "shifted", 0.99))
 
     for n in range(2, 6):
         g = cocktail_party_graph(n)
