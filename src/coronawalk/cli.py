@@ -32,7 +32,7 @@ from .graphs import (
     graph_to_dict,
     load_graph,
 )
-from .spectral import _pair_weights, eigendecompose
+from .spectral import _pair_measure, eigendecompose
 from .statetransfer import (
     check_pst,
     corona_no_pst_witness,
@@ -301,7 +301,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     product (the grid starts at 0, so linspace gives t_k = fl(k*grid[1])).
     Only the points screened at or above max(screen) - 2*tol can hold the
     grid's maximum; transition_values evaluates those, and the first
-    maximum among them is the grid's argmax. Both read _pair_weights, no stack.
+    maximum among them is the grid's argmax. Both read _pair_measure, no stack.
     """
     g = build_named("complete", 2)
     hs = [build_named("empty", 6)] * 2
@@ -312,7 +312,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     adj = eigendecompose(walk_matrix(cg.flat, "adjacency"))
     u, v = cg.flat_index(0, 0), cg.flat_index(1, 0)
     grid = np.linspace(0.0, 2000.0, 200_000)
-    screen, tol = _phase_screen(_pair_weights(adj, u, v), adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
+    screen, tol = _phase_screen(_pair_measure(adj, u, v).uv, adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
     screened = screen(grid[::_GRID_ROW]).ravel()[: grid.size]  # drops a ragged last row's overhang
     cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
     fidelities = _fidelity(transition_values(adj, u, v, grid[cands]))

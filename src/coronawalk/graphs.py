@@ -63,10 +63,6 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def degrees(g: Graph) -> np.ndarray:
-    return adjacency(g).sum(axis=1)
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian L = D - A. Row sums are exactly zero; the diagonal holds the
     vertex degrees. Entries are small integers stored in floating form."""

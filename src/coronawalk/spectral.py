@@ -2,16 +2,17 @@
 orthonormal eigenvectors, plus eigenvalue supports and strong cospectrality
 of vertex pairs. With F_i = B_i B_i^T, projector entries and column norms
 are row sums over a block B_i (_block_sums, which reads the block starts a
-decomposition computes once); every pair entry <u|F_i|v> the package reads
-comes from _pair_weights, so no library computation builds the
-(k, dim, dim) stack. The projectors field builds it on demand, for
-`spectrum --projectors`, benchmark checks and test oracles."""
+decomposition computes once); every pair entry <u|F_i|v> and norm the
+package reads comes from one reduction, _pair_measure, so no library
+computation builds the (k, dim, dim) stack. The projectors field builds
+it on demand, for `spectrum --projectors`, benchmark checks and test oracles."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,16 +153,25 @@ def _block_sums(d: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, d._starts, axis=-1)
 
 
-def _pair_weights(d: SpectralDecomposition, u: int, v: int) -> np.ndarray:
-    """Every <u|F_i|v> as the per-block sums of V[u]*V[v]: the one rule, O(dim)."""
-    return _block_sums(d, d.vectors[u] * d.vectors[v])
+class _PairMeasure(NamedTuple):
+    """Per distinct eigenvalue i of a decomposition: uv[i] = <u|F_i|v>, and
+    norms (4, k): ||F_i e_u||, ||F_i e_v||, ||F_i e_u - F_i e_v||, ||F_i e_u + F_i e_v||."""
+
+    eigenvalues: np.ndarray
+    uv: np.ndarray
+    norms: np.ndarray
 
 
-def _check_vertices(d: SpectralDecomposition, *vertices) -> None:
-    """ValueError unless every vertex is an integer vertex id of d."""
-    for x in vertices:
+def _pair_measure(d: SpectralDecomposition, u: int, v: int) -> _PairMeasure:
+    """The pair's measure from one reduction over five rows, O(dim); ValueError unless u and v
+    are vertex ids of d. The residuals are norms of differences: a + b -/+ 2c would cancel at a
+    strongly cospectral pair, leaving about sqrt(eps) > SUPPORT_TOL."""
+    for x in (u, v):
         if not (0 <= _index(x) < d.dim):
             raise ValueError(f"vertex {x} out of range for dim {d.dim}")
+    a, b = d.vectors[u], d.vectors[v]
+    sums = _block_sums(d, np.array((a * b, a * a, b * b, (a - b) ** 2, (a + b) ** 2)))
+    return _PairMeasure(d.eigenvalues, sums[0], np.sqrt(sums[1:]))
 
 
 def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
@@ -210,11 +220,9 @@ def eigenvalue_support(d: SpectralDecomposition, u: int) -> SupportInfo:
     For the Laplacian of a connected graph the support always contains the
     eigenvalue 0 (its projector is the all-ones matrix / n).
     """
-    _check_vertices(d, u)
-    row = d.vectors[u]
-    weights = _block_sums(d, row * row)  # <u|F_i|u> = ||F_i e_u||^2
-    support = tuple(np.flatnonzero(np.sqrt(weights) > SUPPORT_TOL).tolist())
-    return SupportInfo(vertex=u, support=support, weights=tuple(weights.tolist()))
+    measure = _pair_measure(d, u, u)  # uv[i] = <u|F_i|u> = ||F_i e_u||^2
+    support = tuple(np.flatnonzero(measure.norms[0] > SUPPORT_TOL).tolist())
+    return SupportInfo(vertex=u, support=support, weights=tuple(measure.uv.tolist()))
 
 
 def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> CospectralityReport:
@@ -226,11 +234,12 @@ def strongly_cospectral(d: SpectralDecomposition, u: int, v: int) -> Cospectrali
     """
     if u == v:
         raise ValueError("strong cospectrality is a property of distinct vertices")
-    _check_vertices(d, u, v)
-    a, b = d.vectors[u], d.vectors[v]
-    # One reduction gives the per-block ||F e_u||, ||F e_v||, ||F e_u - F e_v||, ||F e_u + F e_v||.
-    rows = np.stack((a * a, b * b, (a - b) ** 2, (a + b) ** 2))
-    norm_u, norm_v, res_plus, res_minus = np.sqrt(_block_sums(d, rows))
+    return _cospectrality(_pair_measure(d, u, v), u, v)
+
+
+def _cospectrality(measure: _PairMeasure, u: int, v: int) -> CospectralityReport:
+    """strongly_cospectral's report from the pair's measure: the one rule."""
+    norm_u, norm_v, res_plus, res_minus = measure.norms
     vanish = (norm_u <= SUPPORT_TOL) & (norm_v <= SUPPORT_TOL)
     ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= SUPPORT_TOL)))
     signs = np.where(res_plus <= res_minus, 1, -1).tolist()

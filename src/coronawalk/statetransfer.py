@@ -30,18 +30,12 @@ from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, _corona_
 from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
-    SUPPORT_TOL,
-    SpectralDecomposition,
-    _block_sums,
-    _check_vertices,
-    _pair_weights,
-    eigendecompose,
+    SUPPORT_TOL, SpectralDecomposition, _block_sums, _cospectrality, _pair_measure, eigendecompose,
     eigenvalue_support,
-    strongly_cospectral,
 )
 from .walk import (
-    _check_phase_range, _corona_kernel, _fidelity, _fidelity_phase, _phase_screen, _phases,
-    corona_transition_values, transition_values,
+    _check_phase_range, _corona_kernel, _fidelity, _fidelity_phase, _measure_transition_values, _phase_screen,
+    _phases, corona_transition_values,
 )
 
 # |<u|F_lam|v>| below this cannot be signed reliably.
@@ -110,14 +104,15 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     """Decide Laplacian PST between u and v from a spectral decomposition.
 
     The decomposition must come from a Laplacian; the criterion is not
-    valid for adjacency walks. It reads rows of d.vectors, never the
-    projector stack: it signs the entries _pair_weights gives. A certified
-    verdict is re-checked at t0 by transition_values: a fidelity below
-    1 - PST_FIDELITY_TOL there contradicts it and raises ArithmeticError.
+    valid for adjacency walks. It reads one _pair_measure (rows of d.vectors,
+    never the projector stack) for its cospectrality, its signs and its t0
+    value: a fidelity below 1 - PST_FIDELITY_TOL at t0 contradicts a
+    certified verdict and raises ArithmeticError.
     """
     if u == v:
         raise ValueError("PST is a property of distinct vertices")
-    report = strongly_cospectral(d, u, v)
+    measure = _pair_measure(d, u, v)
+    report = _cospectrality(measure, u, v)
     # The report signs exactly the joint support: it tests the norms that
     # eigenvalue_support tests against SUPPORT_TOL.
     joint = [i for i, sign in enumerate(report.signs) if sign is not None]
@@ -138,7 +133,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     sign_ok = False
     if report.strongly_cospectral and integer_support and g is not None:
         sign_ok = True
-        for lam, w in zip(ints, _pair_weights(d, u, v)[joint].tolist()):
+        for lam, w in zip(ints, measure.uv[joint].tolist()):
             if not _signable(w):
                 raise IndeterminateVerdictError(lam, u, v)
             if (w > 0) != ((lam // g) % 2 == 0):
@@ -149,7 +144,7 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     t0 = phase = fidelity = None
     if pst:
         t0 = math.pi / g
-        (fidelity,), (phase,) = _fidelity_phase(transition_values(d, u, v, [t0]))
+        (fidelity,), (phase,) = _fidelity_phase(_measure_transition_values(measure, [t0]))
         if fidelity < 1.0 - PST_FIDELITY_TOL:
             raise ArithmeticError(
                 f"conditions certify PST but fidelity at t0 is {fidelity:.15f}"
@@ -323,7 +318,7 @@ def pgst_search(
         raise ValueError("ell_max must be >= 1")
     if not (0.0 <= target < 1.0):
         raise ValueError("target must lie in [0, 1)")
-    _check_vertices(g_decomp, u, v)
+    pair_weights = _pair_measure(g_decomp, u, v).uv
     if u == v:
         raise ValueError("PGST is a property of distinct vertices")
     m = cs.m
@@ -349,7 +344,6 @@ def pgst_search(
     delta, coef, pluses, _ = _class_c_arrays(lam, m)
     t_max = time_of(ell_max)
     _check_phase_range(t_max, float(pluses.max()), f"ell_max={ell_max}")  # lambda_+ >= every rate
-    pair_weights = _pair_weights(g_decomp, u, v)
     targets = [
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
         for w in pair_weights.tolist()

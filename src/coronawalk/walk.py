@@ -3,14 +3,14 @@ decomposition, plus the closed-form corona transition values.
 
 M is either the Laplacian (XYZ model) or the adjacency matrix (XY model).
 Everything is evaluated through the spectral decomposition, never a series
-matrix exponential: matrix elements through the projector entries that
-spectral._pair_weights reads from two eigenvector rows, the full operator
-as V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
+matrix exponential: matrix elements through the entries <u|F|v> of the
+pair's measure (spectral._pair_measure), the full operator as
+V diag(e^{-i lam t}) V^T, so unitarity holds to their orthonormality.
 
 Transition values <u|U(t)|v> come only as arrays over a time array, from
-one evaluator per walk: `transition_values` on a decomposition, which PST
-verdicts re-check t0 with, and `corona_transition_values` on a corona,
-with Delta and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`.
+one evaluator per walk: `_measure_transition_values` on a pair's measure,
+which PST verdicts re-check t0 with, and `corona_transition_values` on a
+corona, with Delta and (m+lam-1)/Delta from `corona_spectrum._class_c_arrays`.
 `_fidelity` squares every fidelity reported, decided on or screened, and
 `_phases` gives the phase. Long scans over evenly spaced times screen with
 `_phase_screen`, a bounded stand-in for the fidelity, and evaluate exactly
@@ -23,7 +23,7 @@ import numpy as np
 
 from .corona_spectrum import CoronaSpectrum, _class_c_arrays
 from .graphs import Graph, adjacency, laplacian
-from .spectral import SpectralDecomposition, _check_vertices, _pair_weights
+from .spectral import SpectralDecomposition, _pair_measure, _PairMeasure
 
 WALK_KINDS = ("laplacian", "adjacency")
 
@@ -68,9 +68,12 @@ def walk_matrix(g: Graph, kind: str = "laplacian") -> np.ndarray:
 
 def transition_values(d: SpectralDecomposition, u: int, v: int, ts) -> np.ndarray:
     """<u|U(t)|v> = sum_lam e^{-i lam t} <u|F_lam|v> on an array of times."""
-    _check_vertices(d, u, v)
-    ts = np.asarray(ts, dtype=float)
-    return np.exp(-1j * np.outer(ts, d.eigenvalues)) @ _pair_weights(d, u, v)
+    return _measure_transition_values(_pair_measure(d, u, v), ts)
+
+
+def _measure_transition_values(measure: _PairMeasure, ts) -> np.ndarray:
+    """transition_values from the pair's measure."""
+    return np.exp(-1j * np.outer(np.asarray(ts, dtype=float), measure.eigenvalues)) @ measure.uv
 
 
 def evolve_operator(d: SpectralDecomposition, t: float) -> np.ndarray:
@@ -102,10 +105,9 @@ def corona_transition_values(
     times have in the full call.
     """
     _check_base_consistency(cs, g_decomp)
-    _check_vertices(g_decomp, u, v)
-    lam = g_decomp.eigenvalues
-    delta, coef, _, _ = _class_c_arrays(lam, cs.m)
-    return _corona_kernel(cs.m, lam, delta, coef, _pair_weights(g_decomp, u, v), ts)
+    measure = _pair_measure(g_decomp, u, v)
+    delta, coef, _, _ = _class_c_arrays(measure.eigenvalues, cs.m)
+    return _corona_kernel(cs.m, measure.eigenvalues, delta, coef, measure.uv, ts)
 
 
 def _corona_kernel(m: int, lam, delta, coef, weights, ts) -> np.ndarray:

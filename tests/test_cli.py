@@ -24,7 +24,7 @@ from coronawalk import (
     walk_matrix,
 )
 from coronawalk import statetransfer
-from coronawalk.cli import _csv_text, _fig3, _fmt, main, parse_graph_spec, parse_satellites
+from coronawalk.cli import _csv_text, _fig3, _fmt, _jsonable, main, parse_graph_spec, parse_satellites
 from coronawalk.walk import _fidelity
 
 
@@ -65,6 +65,14 @@ def test_config_header(capsys):
         "output": "-",
         "format": "json",
     }
+
+
+def test_jsonable_refuses_what_it_cannot_serialize():
+    # A value of no JSON kind is an error, not a str() of it in the document.
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        _jsonable(object())
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        _jsonable({"flags": [1, {2}]})
 
 
 def test_build_and_file_round_trip(capsys, tmp_path):

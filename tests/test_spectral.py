@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from coronawalk import (
     strongly_cospectral,
     walk_matrix,
 )
-from coronawalk.spectral import SUPPORT_TOL, _block_sums, _pair_weights
+from coronawalk import spectral
+from coronawalk.spectral import SUPPORT_TOL, _pair_measure
 
 
 def test_k2_decomposition():
@@ -291,16 +294,33 @@ def test_block_sums_equal_the_per_call_form_bit_for_bit():
             assert eigenvalue_support(d, u).weights == tuple(weights.tolist())
             for v in range(u + 1, d.dim):
                 b = d.vectors[v]
-                assert _pair_weights(d, u, v).tobytes() == old_block_sums(d, a * b).tobytes()
-                rows = np.stack((a * a, b * b, (a - b) ** 2, (a + b) ** 2))
-                assert _block_sums(d, rows).tobytes() == old_block_sums(d, rows).tobytes()
+                # The measure's five stacked rows give the bits of each row reduced on its own.
+                measure = _pair_measure(d, u, v)
+                assert measure.uv.tobytes() == old_block_sums(d, a * b).tobytes()
+                rows = (a * a, b * b, (a - b) ** 2, (a + b) ** 2)
+                norms = [np.sqrt(old_block_sums(d, row)) for row in rows]
+                assert measure.norms.tobytes() == np.array(norms).tobytes()
                 # The report strongly_cospectral derives from the per-call residuals.
-                norm_u, norm_v, res_plus, res_minus = np.sqrt(old_block_sums(d, rows))
+                norm_u, norm_v, res_plus, res_minus = norms
                 vanish = (norm_u <= SUPPORT_TOL) & (norm_v <= SUPPORT_TOL)
                 ok = bool(np.all(vanish | (np.minimum(res_plus, res_minus) <= SUPPORT_TOL)))
                 signs = [None if gone else (1 if p <= m else -1) for gone, p, m in zip(vanish, res_plus, res_minus)]
                 report = strongly_cospectral(d, u, v)
                 assert (report.strongly_cospectral, report.signs) == (ok, tuple(signs))
+
+
+def test_only_the_pair_measure_and_the_antipodal_check_reduce_rows():
+    # Every pair number comes from _pair_measure's one reduction; the antipodal
+    # check reduces whole permuted rows, which no pair measure holds.
+    callers = set()
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_block_sums"
+                for node in ast.walk(fn)
+            ):
+                callers.add(fn.name)
+    assert callers == {"_pair_measure", "antipodal_sign_check"}
 
 
 def test_blocks_are_the_same_views():

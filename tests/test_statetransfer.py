@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -92,6 +93,16 @@ def test_pst_t0_value_comes_from_transition_values(g, u, v):
     direct = evolve_operator(d, verdict.t0)[u, v]
     assert abs(verdict.fidelity_at_t0 - abs(direct) ** 2) <= 1e-12
     assert abs(verdict.phase - direct / abs(direct)) <= 1e-12
+
+
+def test_certified_conditions_with_a_low_t0_fidelity_raise():
+    # K2 with its eigenvector rows halved: the norms stay above SUPPORT_TOL,
+    # the residuals at 0 and the signs are those of K2, so every condition
+    # certifies PST, but <0|U(pi/2)|1> = 1/8 + 1/8 has fidelity 1/16.
+    d = decomp(complete_graph(2))
+    halved = SpectralDecomposition(d.eigenvalues, d.vectors / 2.0, d.multiplicities)
+    with pytest.raises(ArithmeticError, match="conditions certify PST but fidelity at t0 is 0.062500000000000"):
+        check_pst(halved, 0, 1)
 
 
 def test_p3_endpoints_fail_sign_pattern():
@@ -327,6 +338,45 @@ def test_verdicts_build_no_projector_stack(monkeypatch, tmp_path, capsys):
     assert set(json.loads(capsys.readouterr().out)["summaries"]) == {"fig2", "fig3", "fig4"}
 
 
+def count_block_sums(monkeypatch) -> list:
+    """The caller of every _block_sums call, by function name, in call order."""
+    callers = []
+    block_sums = spectral._block_sums
+
+    def counting(d, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return block_sums(d, rows)
+
+    monkeypatch.setattr(spectral, "_block_sums", counting)
+    monkeypatch.setattr(statetransfer, "_block_sums", counting)
+    return callers
+
+
+def test_each_pair_call_reads_one_measure(monkeypatch):
+    # One reduction per pair measure: check_pst reads its cospectrality, its
+    # signs and its t0 value from one. A search builds its own, and runs
+    # another in the checking wrapper of its first run; the shifted family
+    # adds check_pst's.
+    callers = count_block_sums(monkeypatch)
+    d = decomp(hypercube_graph(3))
+    cs, gd = search_setup(hypercube_graph(2), MIXED3)
+    calls = [
+        (lambda: check_pst(d, 0, 7).pst, 1),  # certified: the sign and t0 paths run
+        (lambda: not check_pst(d, 0, 1).pst, 1),
+        (lambda: not check_pst(d, 0, 3).conditions.strongly_cospectral, 1),
+        (lambda: strongly_cospectral(d, 0, 7).strongly_cospectral, 1),
+        (lambda: eigenvalue_support(d, 0).support == (0, 1, 2, 3), 1),
+        (lambda: transition_values(d, 0, 7, [1.0]).shape == (1,), 1),
+        (lambda: corona_transition_values(cs, gd, 0, 3, [1.0]).shape == (1,), 1),
+        (lambda: pgst_search(cs, gd, 0, 3, "four_pi_ell", ell_max=5000, target=0.9999), 2),
+        (lambda: pgst_search(cs, gd, 0, 3, "shifted", ell_max=5000, target=0.9999), 3),
+    ]
+    for call, reductions in calls:
+        callers.clear()
+        assert call()
+        assert callers == ["_pair_measure"] * reductions
+
+
 def test_verdicts_at_dim_3100_stay_small():
     # dim 3,100 and k = 131 distinct eigenvalues: the projector stack would
     # take 131 * 3100^2 * 8 B = 10.1 GB, where a verdict reads a few rows.
@@ -539,7 +589,7 @@ def refuse_evaluations(monkeypatch):
 def search_screen_tol(cs, gd, u, v, shift, ell_max):
     """The tol of the fidelity screen pgst_search builds for ell_max."""
     delta, coef, _, _ = _class_c_arrays(gd.eigenvalues, cs.m)
-    weights = spectral._pair_weights(gd, u, v)
+    weights = spectral._pair_measure(gd, u, v).uv
     _, tol = statetransfer._fidelity_screen(gd.eigenvalues, delta, coef, weights, (4.0 * ell_max + shift) * math.pi)
     return tol
 
@@ -856,7 +906,7 @@ def test_vanishing_pair_entry_gets_no_residual_target():
     # signs it) and one ulp below it does not; SIGN_TOL itself used to get none.
     for w, signable in ((statetransfer.SIGN_TOL, True), (np.nextafter(statetransfer.SIGN_TOL, 0.0), False)):
         given = pair_entry_decomposition(gd.eigenvalues, w)
-        assert spectral._pair_weights(given, 0, 1)[1] == w
+        assert spectral._pair_measure(given, 0, 1).uv[1] == w
         residual = pgst_search(cs, given, 0, 1, "four_pi_ell", target=0.0).best.residuals[1]
         assert (residual is not None) == signable
 
@@ -947,6 +997,11 @@ def test_cocktail_pgst_frozen_case():
     assert record.ell == 342
     assert record.fidelity >= 0.99
     assert abs(record.t - 4 * math.pi * 342) < 1e-9
+    # n = 2, the smallest cocktail party graph, is the fixture's cocktail2_k1 (pair 0, 2).
+    case = next(c for c in PGST_BOUNDS["cases"] if c["name"] == "cocktail2_k1")
+    assert (case["u"], case["v"], case["family"], case["target"]) == (0, 2, "four_pi_ell", 0.99)
+    record = cocktail_pgst(2)
+    assert (record.ell, record.fidelity, record.t) == (case["ell"], case["fidelity"], case["t"])
     with pytest.raises(ValueError):
         cocktail_pgst(1)
 

@@ -294,3 +294,10 @@ def test_phase_screen_bounds_every_grid_point(data):
     cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
     values = np.abs(np.exp(-1j * np.outer(grid[cands], omega)) @ amps) ** 2
     assert cands[np.argmax(values)] == np.argmax(exact)
+
+
+def test_phase_screen_tol_is_its_stated_bound():
+    # tol = 64 eps S^2 t_max max|omega|, pinned where S = 1 and max|omega| = 10,
+    # so that neither factor can drop out unnoticed.
+    _, tol = _phase_screen(np.array([0.5, 0.5]), np.array([1.0, 10.0]), 0.1, 4, 1e6)
+    assert tol == 64.0 * np.finfo(float).eps * 1e6 * 10.0 == 1.4210854715202004e-07
