@@ -451,7 +451,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

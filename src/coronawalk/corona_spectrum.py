@@ -20,7 +20,8 @@ corona_spectrum and corona_eigenprojectors share one setup, _corona_parts;
 eigenvalue_list and corona_eigenprojectors merge values by one rule,
 _merge_pieces, so the two agree exactly. Delta, (m+lam-1)/Delta and
 lambda_pm are evaluated in one place, _class_c_arrays, for every class (c)
-reader here and in walk and statetransfer.
+reader here and in walk and statetransfer, and _class_c_entries alone builds
+ClassC entries, for corona_spectrum and the no-PST witness.
 """
 
 from __future__ import annotations
@@ -124,26 +125,22 @@ def lambda_pm(lam: float, m: int) -> tuple[float, float]:
     return float(plus), float(minus)
 
 
-def _class_c(lam: float, plus: float, minus: float, m: int, multiplicity: int) -> ClassC:
-    """The class (c) entry of base eigenvalue lam, given its lambda_pm pair
-    from _class_c_arrays, with delta_sq = (m+lam-1)^2 + 4m kept exactly and
-    split square-free when lam is an integer."""
-    lam_int = integer_eigenvalue(lam)
-    if lam_int is None:
+def _class_c_entries(d: SpectralDecomposition, m: int) -> tuple:
+    """The class (c) entry of every distinct eigenvalue lam of the base
+    decomposition d, ascending: its lambda_pm pair from _class_c_arrays, and
+    delta_sq = (m+lam-1)^2 + 4m kept exactly and split square-free when lam
+    is an integer."""
+    _, _, plus, minus = _class_c_arrays(d.eigenvalues, m)
+    entries = []
+    for lam, p, q, k in zip(d.eigenvalues.tolist(), plus.tolist(), minus.tolist(), d.multiplicities):
+        lam_int = integer_eigenvalue(lam)
         delta_sq = s = c = None
-    else:
-        delta_sq = (m + lam_int - 1) ** 2 + 4 * m
-        split = squarefree_split(delta_sq)
-        s, c = split.s, split.c
-    return ClassC(
-        lam=lam,
-        lam_plus=plus,
-        lam_minus=minus,
-        multiplicity=multiplicity,
-        delta_sq=delta_sq,
-        s=s,
-        c=c,
-    )
+        if lam_int is not None:
+            delta_sq = (m + lam_int - 1) ** 2 + 4 * m
+            split = squarefree_split(delta_sq)
+            s, c = split.s, split.c
+        entries.append(ClassC(lam=lam, lam_plus=p, lam_minus=q, multiplicity=k, delta_sq=delta_sq, s=s, c=c))
+    return tuple(entries)
 
 
 def _satellite_decompositions(hs) -> tuple:
@@ -231,9 +228,7 @@ def _corona_walk(g: Graph, hs) -> tuple:
     for mu, members, k in b_pieces:
         cells = tuple(sorted({ell for ell, _ in members}))
         class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=k))
-    _, _, plus, minus = _class_c_arrays(g_decomp.eigenvalues, m)
-    entries = zip(g_decomp.eigenvalues.tolist(), plus.tolist(), minus.tolist(), g_decomp.multiplicities)
-    class_c = tuple(_class_c(lam, p, q, m, k) for lam, p, q, k in entries)
+    class_c = _class_c_entries(g_decomp, m)
     class_a = ClassA(multiplicity=a_mult)
     return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c), g_decomp
 

@@ -195,12 +195,8 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     if mat.size and float(np.max(np.abs(mat - mat.T))) > 1e-12 * max(1.0, norm):
         raise ValueError("matrix is not symmetric")
 
-    dim = mat.shape[0]
-    if dim == 0:
-        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)), ())
-
     w, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    values, mults, _ = _cluster(w, [1] * dim, norm)
+    values, mults, _ = _cluster(w, [1] * len(w), norm)
     return SpectralDecomposition(
         eigenvalues=np.array(values),
         vectors=vecs,

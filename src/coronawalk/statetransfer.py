@@ -13,8 +13,9 @@ never an integer (exact arithmetic when the base eigenvalue is integral).
 PGST can survive; the searches here scan the time families t = 4*pi*ell
 and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
 target. The shifted family is searched only from a base pair that
-check_pst certifies, with r the 2-adic valuation of its support gcd. The
-first chunk of ell runs exactly, in three growing runs that stop at a hit.
+check_pst's rule, _pst_verdict, certifies on the search's own pair measure,
+with r the 2-adic valuation of its support gcd. The first chunk of ell runs
+exactly, in three growing runs that stop at a hit.
 Past it, the screen walk._phase_screen (which the CLI's fig3 also uses)
 leaves the exact kernel only the ell that may hold a record or a hit.
 """
@@ -26,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum, _class_c, _class_c_arrays, _corona_walk
+from .corona_spectrum import CoronaSpectrum, _class_c_arrays, _class_c_entries, _corona_walk
 from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
-    SUPPORT_TOL, SpectralDecomposition, _block_sums, _cospectrality, _pair_measure, eigendecompose,
-    eigenvalue_support,
+    SUPPORT_TOL, SpectralDecomposition, _block_sums, _cospectrality, _pair_measure, _PairMeasure,
+    eigendecompose, eigenvalue_support,
 )
 from .walk import (
     _check_phase_range, _corona_kernel, _fidelity, _fidelity_phase, _measure_transition_values, _phase_screen,
@@ -111,12 +112,16 @@ def check_pst(d: SpectralDecomposition, u: int, v: int) -> TransferVerdict:
     """
     if u == v:
         raise ValueError("PST is a property of distinct vertices")
-    measure = _pair_measure(d, u, v)
+    return _pst_verdict(_pair_measure(d, u, v), u, v)
+
+
+def _pst_verdict(measure: _PairMeasure, u: int, v: int) -> TransferVerdict:
+    """check_pst's verdict from the pair's measure: the one PST rule."""
     report = _cospectrality(measure, u, v)
     # The report signs exactly the joint support: it tests the norms that
     # eigenvalue_support tests against SUPPORT_TOL.
     joint = [i for i, sign in enumerate(report.signs) if sign is not None]
-    values = d.eigenvalues[joint].tolist()
+    values = measure.eigenvalues[joint].tolist()
     ints = [integer_eigenvalue(x) for x in values]
     integer_support = all(k is not None for k in ints)
     support = tuple(ints) if integer_support else tuple(values)
@@ -206,16 +211,13 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
 
     d = eigendecompose(laplacian(g))
     info = eigenvalue_support(d, base_vertex)
-    _, _, pluses, minuses = _class_c_arrays(d.eigenvalues, m)
+    class_c = _class_c_entries(d, m)
     for idx in info.support:
         if idx == 0:
             continue  # the zero eigenvalue of the connected base
-        weight = info.weights[idx]
-        pair = _class_c(float(d.eigenvalues[idx]), float(pluses[idx]), float(minuses[idx]), m, 1)
+        pair = class_c[idx]
         lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
-        weights = tuple(
-            (1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * weight for x in (plus, minus)
-        )
+        weights = tuple((1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * info.weights[idx] for x in (plus, minus))
         if min(weights) <= SUPPORT_TOL**2:
             continue
 
@@ -287,10 +289,11 @@ def pgst_search(
     each cos(t*Delta_lam/2) approaches the sign of <u|F_lam|v>. family
     "shifted" uses t = (4*ell + 2^(1-r))*pi with 2^r the largest power of
     two dividing the support gcd, and its cosine targets are all +1. It
-    raises ValueError unless check_pst certifies PST between u and v in the
-    base and 2^(r+1) | m+1; r is derived from the verdict's support, and an
-    r passed in must equal it. An entry |<u|F_lam|v>| below SIGN_TOL sets no
-    target: _signable is the rule check_pst signs by.
+    raises ValueError unless check_pst's rule, read on the search's own pair
+    measure, certifies PST between u and v in the base and 2^(r+1) | m+1; r
+    is derived from the verdict's support, and an r passed in must equal
+    it. An entry |<u|F_lam|v>| below SIGN_TOL sets no target: _signable is
+    the rule check_pst signs by.
 
     The scan stops at the first hit; history records the strictly improving
     fidelities along the way. Hits and records are decided on the fidelity
@@ -318,13 +321,13 @@ def pgst_search(
         raise ValueError("ell_max must be >= 1")
     if not (0.0 <= target < 1.0):
         raise ValueError("target must lie in [0, 1)")
-    pair_weights = _pair_measure(g_decomp, u, v).uv
+    measure = _pair_measure(g_decomp, u, v)
     if u == v:
         raise ValueError("PGST is a property of distinct vertices")
-    m = cs.m
+    m, pair_weights = cs.m, measure.uv
 
     if family == "shifted":
-        verdict = check_pst(g_decomp, u, v)
+        verdict = _pst_verdict(measure, u, v)
         if not verdict.pst:
             raise ValueError(f"shifted family needs PST between base vertices {u} and {v}")
         _, r_support = support_gcd_and_valuation(verdict.support)

@@ -529,9 +529,11 @@ def test_output_flag_writes_the_stdout_document(capsys, tmp_path, monkeypatch, a
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "coronawalk", "spectrum", "--graph", "k2"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["eigenvalues"] == [0.0, 2.0]
+    # python -m coronawalk (__main__.py) is the one module entry point.
+    def run_module(*argv):
+        proc = subprocess.run([sys.executable, "-m", "coronawalk", *argv], capture_output=True, text=True)
+        assert proc.returncode == 0
+        return json.loads(proc.stdout)
+
+    assert run_module("spectrum", "--graph", "k2")["eigenvalues"] == [0.0, 2.0]
+    assert graph_from_dict(run_module("build", "--graph", "k2")) == build_named("complete", 2)

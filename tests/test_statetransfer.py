@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_graph, scalar_fidelity_phase
+from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_connected_graph, random_graph, scalar_fidelity_phase
 
 from coronawalk import (
     CospectralityReport,
@@ -43,7 +43,7 @@ from coronawalk import (
     support_gcd_and_valuation,
 )
 from coronawalk import cli, spectral, statetransfer, walk
-from coronawalk.corona_spectrum import _class_c_arrays
+from coronawalk.corona_spectrum import _class_c_arrays, _corona_walk
 from coronawalk.spectral import SUPPORT_TOL
 from coronawalk.walk import _fidelity, _phases, corona_transition_values, transition_values
 
@@ -356,7 +356,7 @@ def test_each_pair_call_reads_one_measure(monkeypatch):
     # One reduction per pair measure: check_pst reads its cospectrality, its
     # signs and its t0 value from one. A search builds its own, and runs
     # another in the checking wrapper of its first run; the shifted family
-    # adds check_pst's.
+    # applies check_pst's rule to the search's own.
     callers = count_block_sums(monkeypatch)
     d = decomp(hypercube_graph(3))
     cs, gd = search_setup(hypercube_graph(2), MIXED3)
@@ -369,7 +369,7 @@ def test_each_pair_call_reads_one_measure(monkeypatch):
         (lambda: transition_values(d, 0, 7, [1.0]).shape == (1,), 1),
         (lambda: corona_transition_values(cs, gd, 0, 3, [1.0]).shape == (1,), 1),
         (lambda: pgst_search(cs, gd, 0, 3, "four_pi_ell", ell_max=5000, target=0.9999), 2),
-        (lambda: pgst_search(cs, gd, 0, 3, "shifted", ell_max=5000, target=0.9999), 3),
+        (lambda: pgst_search(cs, gd, 0, 3, "shifted", ell_max=5000, target=0.9999), 2),
     ]
     for call, reductions in calls:
         callers.clear()
@@ -448,6 +448,21 @@ def test_witness_weights_match_assembled_projectors():
         idx = int(np.argmin(np.abs(d.eigenvalues - value)))
         assert abs(d.eigenvalues[idx] - value) < 1e-9
         assert abs(d.projectors[idx][0, 0] - expect) < 1e-10
+
+
+def test_witness_reads_the_corona_spectrum_entry():
+    # One class (c) builder: each witness field is the bits of the ClassC entry
+    # corona_spectrum gives its lam, whatever the satellites.
+    k4_minus_e = Graph(4, complete_graph(4).edges - {(0, 1)})
+    bases = [path_graph(4), cycle_graph(5), k4_minus_e, hypercube_graph(2)]
+    bases.append(random_connected_graph(np.random.default_rng(27), 7))
+    for g in bases:
+        for m in (1, 2, 5):
+            entries = {c.lam: c for c in _corona_walk(g, [empty_graph(m)] * g.n)[0].class_c}
+            for u in range(g.n):
+                w = corona_no_pst_witness(g, m, u)
+                c = entries[w.lam]
+                assert (w.lam_plus, w.lam_minus, w.delta_sq) == (c.lam_plus, c.lam_minus, c.delta_sq)
 
 
 def test_witness_validation():
