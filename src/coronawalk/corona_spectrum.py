@@ -16,7 +16,10 @@ lam, every lambda_minus < 1 < mu + 1 <= m + 1 <= lambda_plus. The only values
 that can coincide are mu = m from class (b) and lambda_plus(0) = m + 1; their
 eigenvectors span one eigenspace.
 
-corona_spectrum and corona_eigenprojectors share one setup, _corona_parts;
+corona_spectrum and corona_eigenprojectors share one setup, _corona_parts:
+one eigensolve of L(G), and one np.linalg.eigh over the (k, m, m) stack of
+the k distinct satellite Laplacians, each row clustered by the rule of
+eigendecompose and pooled into class (b) from those arrays.
 eigenvalue_list and corona_eigenprojectors merge values by one rule,
 _merge_pieces, so the two agree exactly. Delta, (m+lam-1)/Delta and
 lambda_pm are evaluated in one place, _class_c_arrays, for every class (c)
@@ -27,13 +30,14 @@ ClassC entries, for corona_spectrum and the no-PST witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .corona import common_satellite_order
-from .graphs import Graph, component_count, laplacian
+from .graphs import Graph, _laplacian_stack, component_count, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
-from .spectral import SpectralDecomposition, _cluster, eigendecompose
+from .spectral import SpectralDecomposition, _cluster, _eigh, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -125,14 +129,14 @@ def lambda_pm(lam: float, m: int) -> tuple[float, float]:
     return float(plus), float(minus)
 
 
-def _class_c_entries(d: SpectralDecomposition, m: int) -> tuple:
-    """The class (c) entry of every distinct eigenvalue lam of the base
-    decomposition d, ascending: its lambda_pm pair from _class_c_arrays, and
+def _class_c_entries(lams: np.ndarray, mults, m: int) -> tuple:
+    """The class (c) entry of each distinct base eigenvalue lams[i] of
+    multiplicity mults[i]: its lambda_pm pair from _class_c_arrays, and
     delta_sq = (m+lam-1)^2 + 4m kept exactly and split square-free when lam
     is an integer."""
-    _, _, plus, minus = _class_c_arrays(d.eigenvalues, m)
+    _, _, plus, minus = _class_c_arrays(lams, m)
     entries = []
-    for lam, p, q, k in zip(d.eigenvalues.tolist(), plus.tolist(), minus.tolist(), d.multiplicities):
+    for lam, p, q, k in zip(lams.tolist(), plus.tolist(), minus.tolist(), mults):
         lam_int = integer_eigenvalue(lam)
         delta_sq = s = c = None
         if lam_int is not None:
@@ -143,60 +147,78 @@ def _class_c_entries(d: SpectralDecomposition, m: int) -> tuple:
     return tuple(entries)
 
 
-def _satellite_decompositions(hs) -> tuple:
-    """Decompose the Laplacian of each distinct satellite once.
+class _Satellites(NamedTuple):
+    """The distinct satellites, decomposed by one stacked eigensolve: cell
+    ell's satellite is stack row rows[ell], and row r holds
+    eigendecompose(laplacian(h)) bit for bit, as vectors[r] and the distinct
+    eigenvalues and multiplicities at first[r]:first[r + 1]. norm is the
+    largest satellite degree, the largest entry of the Laplacians."""
 
-    Returns the map from every distinct satellite (Graph equality compares n
-    and edges) to eigendecompose(laplacian(h)), and the largest entry of
-    those Laplacians, which is the largest satellite degree. Each
-    decomposition is checked to hold the zero eigenvalue at index 0 with
-    multiplicity the exact component count.
-    """
-    out = {}
-    norm = 0.0
-    for h in hs:
-        if h in out:
-            continue
-        lap = laplacian(h)
-        norm = max(norm, float(np.max(lap)))
-        d = eigendecompose(lap)
-        if integer_eigenvalue(d.eigenvalues[0]) != 0:
+    rows: np.ndarray
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
+    first: np.ndarray
+    norm: float
+
+
+class _Pooled(NamedTuple):
+    """The class (b) pieces. Entry e, in (mu, cell, index) order, is the
+    satellite eigenvalue clusters[e] of cell cells[e]; piece j, of value
+    mus[j] and multiplicity multiplicities[j], holds entries bounds[j]:bounds[j + 1]."""
+
+    mus: np.ndarray
+    multiplicities: np.ndarray
+    bounds: np.ndarray
+    cells: np.ndarray
+    clusters: np.ndarray
+
+
+def _satellite_decompositions(hs, m: int) -> _Satellites:
+    """One eigensolve over the stacked Laplacians of the distinct satellites
+    (Graph equality compares n and edges), each checked to hold the zero
+    eigenvalue at index 0 with multiplicity the exact component count."""
+    stack_rows = {}
+    rows = np.array([stack_rows.setdefault(h, len(stack_rows)) for h in hs])
+    w, vectors, norm = _eigh(_laplacian_stack(list(stack_rows), m))
+    eigenvalues, mults, bounds = _cluster(w, norm[:, None])
+    first = bounds.searchsorted(np.arange(0, w.size + 1, m))  # each row starts a cluster
+    for h, zero, k in zip(stack_rows, eigenvalues[first[:-1]].tolist(), mults[first[:-1]].tolist()):
+        if integer_eigenvalue(zero) != 0:
             raise ArithmeticError("satellite Laplacian kernel not found")
-        if d.multiplicities[0] != component_count(h):
+        if k != component_count(h):
             raise ArithmeticError("satellite kernel multiplicity disagrees with component count")
-        out[h] = d
-    return out, norm
+    return _Satellites(rows, vectors, eigenvalues, mults, first, max(norm.tolist()))
 
 
-def _class_b_pieces(sat_decomps, norm: float):
-    """Nonzero satellite eigenvalues pooled across cells: list of
-    (mu, [(cell, projector_index)], multiplicity), clustered on mu by
-    _cluster at the gap of a matrix of max-norm norm."""
-    entries = sorted(
-        (float(d.eigenvalues[i]), ell, i, d.multiplicities[i])
-        for ell, d in enumerate(sat_decomps)
-        for i in range(1, len(d.eigenvalues))
-    )
-    mus, mults, index = _cluster([e[0] for e in entries], [e[3] for e in entries], norm)
-    members = [[] for _ in mus]
-    for (_, ell, i, _), k in zip(entries, index):
-        members[k].append((ell, i))
-    return list(zip(mus, members, mults))
+def _class_b_pieces(sats: _Satellites) -> _Pooled:
+    """Nonzero satellite eigenvalues pooled across cells, sorted by
+    (mu, cell, index) and clustered on mu at the gap of max-norm sats.norm."""
+    if sats.eigenvalues.size == sats.first.size - 1:  # one eigenvalue per satellite: all edgeless
+        none = np.zeros(0, dtype=int)
+        return _Pooled(np.zeros(0), none, np.zeros(1, dtype=int), none, none)
+    firsts = sats.first[sats.rows]
+    counts = sats.first[sats.rows + 1] - firsts - 1  # nonzero eigenvalues per cell
+    cells, offsets = (np.arange(counts.max()) < counts[:, None]).nonzero()  # in (cell, index) order
+    clusters = firsts[cells] + offsets + 1
+    order = sats.eigenvalues[clusters].argsort(kind="stable")  # ties keep (cell, index) order
+    cells, clusters = cells[order], clusters[order]
+    means, totals, bounds = _cluster(sats.eigenvalues[clusters], sats.norm, sats.multiplicities[clusters])
+    return _Pooled(means, totals, bounds, cells, clusters)
 
 
 def _corona_parts(g: Graph, hs):
-    """The setup of both corona functions, each step run once: the satellites,
-    their order m, the distinct satellite decompositions, the class (a)
+    """The setup of both corona functions, each step run once: the satellite
+    order m, the distinct satellite decompositions, the class (a)
     multiplicity, the class (b) pieces and g_decomp. Class (b) pools at the
     gap eigendecompose gives the direct sum of the satellite Laplacians."""
     hs = tuple(hs)
     m = common_satellite_order(g, hs)
-    by_graph, norm = _satellite_decompositions(hs)
-    sat_decomps = [by_graph[h] for h in hs]
-    a_mult = sum(d.multiplicities[0] - 1 for d in sat_decomps)
-    b_pieces = _class_b_pieces(sat_decomps, norm)
+    sats = _satellite_decompositions(hs, m)
+    a_mult = int(sats.multiplicities[sats.first[sats.rows]].sum()) - len(hs)
+    pooled = _class_b_pieces(sats)
     g_decomp = eigendecompose(laplacian(g))
-    return hs, m, by_graph, a_mult, b_pieces, g_decomp
+    return m, sats, a_mult, pooled, g_decomp
 
 
 def _merge_pieces(m: int, a_mult: int, b, c) -> list:
@@ -223,14 +245,15 @@ def _merge_pieces(m: int, a_mult: int, b, c) -> list:
 def _corona_walk(g: Graph, hs) -> tuple:
     """The pair corona walks are evaluated from: corona_spectrum(g, hs) and
     g_decomp, the L(G) decomposition it was built from, at one base eigensolve."""
-    _, m, _, a_mult, b_pieces, g_decomp = _corona_parts(g, hs)
-    class_b = []
-    for mu, members, k in b_pieces:
-        cells = tuple(sorted({ell for ell, _ in members}))
-        class_b.append(ClassB(mu=mu, value=mu + 1.0, satellites=cells, multiplicity=k))
-    class_c = _class_c_entries(g_decomp, m)
+    m, _, a_mult, pooled, g_decomp = _corona_parts(g, hs)
+    bounds, cells = pooled.bounds.tolist(), pooled.cells.tolist()
+    class_b = tuple(
+        ClassB(mu=mu, value=mu + 1.0, satellites=tuple(sorted(set(cells[a:b]))), multiplicity=k)
+        for mu, k, a, b in zip(pooled.mus.tolist(), pooled.multiplicities.tolist(), bounds, bounds[1:])
+    )
+    class_c = _class_c_entries(g_decomp.eigenvalues, g_decomp.multiplicities, m)
     class_a = ClassA(multiplicity=a_mult)
-    return CoronaSpectrum(m=m, class_a=class_a, class_b=tuple(class_b), class_c=class_c), g_decomp
+    return CoronaSpectrum(m=m, class_a=class_a, class_b=class_b, class_c=class_c), g_decomp
 
 
 def corona_spectrum(g: Graph, hs) -> CoronaSpectrum:
@@ -255,10 +278,9 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     decomposition into distinct eigenvalues; its projectors are built only
     when read. Nothing is kept between calls.
     """
-    hs, m, by_graph, a_mult, b_pieces, g_decomp = _corona_parts(g, hs)
+    m, sats, a_mult, pooled, g_decomp = _corona_parts(g, hs)
     n, stride = g.n, m + 1
     dim = n * stride
-    sat_blocks = {h: d.blocks() for h, d in by_graph.items()}
     _, _, plus, minus = _class_c_arrays(g_decomp.eigenvalues, m)
     vectors = np.zeros((dim, dim))
     cells = vectors.reshape(n, stride, dim)  # cells[ell, w] is the row of vertex (ell, w)
@@ -272,24 +294,28 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     # adjacent pieces, so the columns are written in turn.
     class_c_side(minus, slice(0, n))
     col = n
-    for ell, h in enumerate(hs):
-        kernel = sat_blocks[h][0]
-        if kernel.shape[1] > 1:
+    kernel_mults = sats.multiplicities[sats.first[:-1]].tolist()
+    for ell, r in enumerate(sats.rows.tolist()):
+        if kernel_mults[r] > 1:
             # Class (a): the ones direction in kernel coordinates; complete it
             # to an orthonormal basis and keep the other columns.
+            kernel = sats.vectors[r, :, : kernel_mults[r]]
             ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
             basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
             cells[ell, 1:, col : col + basis.shape[1]] = kernel @ basis
             col += basis.shape[1]
-    for _, members, _ in b_pieces:
-        for ell, i in members:
-            block = sat_blocks[hs[ell]][i]
-            cells[ell, 1:, col : col + block.shape[1]] = block
-            col += block.shape[1]
-    class_c_side(plus, slice(col, dim))
+    # Class (b): each entry's satellite eigenvector columns, in one write.
+    # Flat stack column j is vectors[j // m, :, j % m]; a cluster's are consecutive.
+    b_mults = sats.multiplicities[pooled.clusters]
+    starts = (sats.multiplicities.cumsum() - sats.multiplicities)[pooled.clusters]
+    source = np.arange(b_mults.sum()) + np.repeat(starts - (b_mults.cumsum() - b_mults), b_mults)
+    cols = np.arange(col, col + len(source))
+    cells[np.repeat(pooled.cells, b_mults), 1:, cols] = sats.vectors[source // m, :, source % m]
+    class_c_side(plus, slice(col + len(source), dim))
 
     c_values = list(zip(plus.tolist(), minus.tolist(), g_decomp.multiplicities))  # walked twice
-    values, mults = zip(*_merge_pieces(m, a_mult, [(mu, mult) for mu, _, mult in b_pieces], c_values))
+    b_values = list(zip(pooled.mus.tolist(), pooled.multiplicities.tolist()))
+    values, mults = zip(*_merge_pieces(m, a_mult, b_values, c_values))
     return SpectralDecomposition(
         eigenvalues=np.array(values),
         vectors=vectors,

@@ -55,19 +55,35 @@ class Graph:
         return sum(1 for a, b in self.edges if a == u or b == u)
 
 
+def _adjacency_stack(gs, m: int) -> np.ndarray:
+    """The (len(gs), m, m) stack of adjacency(g) for graphs gs on m vertices."""
+    sizes = [len(g.edges) for g in gs]
+    ends = itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges) for g in gs)
+    e = np.fromiter(ends, int, 2 * sum(sizes)).reshape(-1, 2)
+    which = np.repeat(np.arange(len(gs)), sizes)[:, None] if len(gs) > 1 else 0  # one graph needs no array
+    a = np.zeros((len(gs), m, m))
+    a[which, e, e[:, ::-1]] = 1.0  # (u, v) and (v, u) for every edge row (u, v)
+    return a
+
+
+def _laplacian_stack(gs, m: int) -> np.ndarray:
+    """The (len(gs), m, m) stack of laplacian(g) for graphs gs on m vertices."""
+    a = _adjacency_stack(gs, m)
+    lap = np.subtract(0.0, a)  # off the diagonal 0 - a: +0.0, where -a would write -0.0
+    lap.reshape(len(gs), m * m)[:, :: m + 1] = a.sum(axis=2)
+    return lap
+
+
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix (float entries, exact values)."""
-    a = np.zeros((g.n, g.n))
-    e = np.fromiter(itertools.chain.from_iterable(g.edges), int, 2 * len(g.edges)).reshape(-1, 2)
-    a[e, e[:, ::-1]] = 1.0  # (u, v) and (v, u) for every edge row (u, v)
-    return a
+    return _adjacency_stack((g,), g.n)[0]
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian L = D - A. Row sums are exactly zero; the diagonal holds the
-    vertex degrees. Entries are small integers stored in floating form."""
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    vertex degrees. Entries are small integers stored in floating form, and
+    every zero is +0.0."""
+    return _laplacian_stack((g,), g.n)[0]
 
 
 def component_count(g: Graph) -> int:

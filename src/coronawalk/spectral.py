@@ -9,6 +9,7 @@ it on demand, for `spectrum --projectors`, benchmark checks and test oracles."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -117,35 +118,37 @@ class CospectralityReport:
     signs: tuple
 
 
-def _cluster(values, mults, norm: float) -> tuple[list, list, list]:
+def _cluster(values, norm, mults=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster ascending values by single linkage: neighbours whose gap is at
     most tol = CLUSTER_TOL_SCALE * max(1, norm) share a cluster, so a chain of
     small gaps is one cluster however long it gets. norm is the max-norm of
-    the matrix whose eigenvalues the values are.
+    the matrix whose eigenvalues the values are; the rows of a 2-D values are
+    clustered apart, each at its entry of the column norm. mults defaults to
+    ones.
 
-    Returns (means, totals, index): the mults-weighted mean and the total
-    multiplicity of each cluster, ascending, and the cluster index of each
-    input. Each mean is np.add.reduce(values[a:b] * mults[a:b]) / total,
-    which for unit mults is the arithmetic of np.mean. This is the one
-    clustering rule of the package; eigendecompose and the corona class (b)
-    pooling use it. The corona merge (corona_spectrum._merge_pieces) needs no
-    tolerance: it follows the class order.
+    Returns (means, totals, bounds): per cluster, in row order, the
+    mults-weighted mean np.add.reduce(values[a:b] * mults[a:b]) / total
+    (a one-member cluster needs no reduction) and the total multiplicity,
+    and the flat index where each cluster starts, then values.size. This is
+    the one clustering rule of the package. The corona merge
+    (corona_spectrum._merge_pieces) needs no tolerance: it follows the class
+    order.
     """
-    tol = CLUSTER_TOL_SCALE * max(1.0, norm)
-    values = np.asarray(values, dtype=float)
-    mults = np.asarray(mults, dtype=int)
-    weighted = values * mults
-    vals, counts = values.tolist(), mults.tolist()
-    starts = [i for i in range(len(vals)) if i == 0 or vals[i] - vals[i - 1] > tol]
-    means, totals, index = [], [], []
-    for k, (a, b) in enumerate(zip(starts, starts[1:] + [len(vals)])):
-        total = sum(counts[a:b])
-        # A one-member sum is the member itself: skip the reduction call.
-        head = weighted[a] if b - a == 1 else np.add.reduce(weighted[a:b])
-        means.append(float(head / total))
-        totals.append(total)
-        index += [k] * (b - a)
-    return means, totals, index
+    split = values[..., 1:] - values[..., :-1] > CLUSTER_TOL_SCALE * np.maximum(1.0, norm)
+    weighted = values.ravel() if mults is None else (values * mults).ravel()  # values * 1 is values
+    if split.all():  # nothing merges
+        totals = np.ones(values.size, dtype=int) if mults is None else mults.ravel()
+        return weighted / totals, totals, np.arange(values.size + 1)
+    new = np.ones(values.size + 1, dtype=bool)  # True where a cluster starts, and at the end
+    new[:-1].reshape(values.shape)[..., 1:] = split
+    bounds = new.nonzero()[0]
+    sizes = bounds[1:] - bounds[:-1]
+    totals = sizes if mults is None else np.add.reduceat(mults.ravel(), bounds[:-1])
+    sums = weighted[bounds[:-1]]
+    merged = (sizes > 1).nonzero()[0]
+    edges = bounds.tolist()
+    sums[merged] = [np.add.reduce(weighted[edges[k] : edges[k + 1]]) for k in merged.tolist()]
+    return sums / totals, totals, bounds
 
 
 def _block_sums(d: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:
@@ -174,6 +177,21 @@ def _pair_measure(d: SpectralDecomposition, u: int, v: int) -> _PairMeasure:
     return _PairMeasure(d.eigenvalues, sums[0], np.sqrt(sums[1:]))
 
 
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.eigh of (M + M^T)/2 and the max-norm of each real matrix M in
+    the (..., n, n) stack mats; ValueError on a NaN or infinite entry or an
+    asymmetric M. One call runs LAPACK over the whole stack, with the bits of
+    one call per matrix."""
+    norm = np.abs(mats).max(axis=(-2, -1), initial=0.0)
+    if not math.isfinite(norm.max()):  # max(1.0, nan) would read 1.0
+        raise ValueError("matrix has a NaN or infinite entry")
+    flipped = mats.swapaxes(-2, -1)
+    if (np.abs(mats - flipped).max(axis=(-2, -1), initial=0.0) > 1e-12 * np.maximum(1.0, norm)).any():
+        raise ValueError("matrix is not symmetric")
+    w, vecs = np.linalg.eigh((mats + flipped) / 2.0)
+    return w, vecs, norm
+
+
 def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     """Decompose a real symmetric matrix into distinct eigenvalues and
     their eigenvector blocks.
@@ -189,18 +207,12 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    norm = float(np.max(np.abs(mat))) if mat.size else 1.0
-    if not np.isfinite(norm):  # max(1.0, nan) would read 1.0
-        raise ValueError("matrix has a NaN or infinite entry")
-    if mat.size and float(np.max(np.abs(mat - mat.T))) > 1e-12 * max(1.0, norm):
-        raise ValueError("matrix is not symmetric")
-
-    w, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    values, mults, _ = _cluster(w, [1] * len(w), norm)
+    w, vecs, norm = _eigh(mat)
+    values, mults, _ = _cluster(w, norm)
     return SpectralDecomposition(
-        eigenvalues=np.array(values),
+        eigenvalues=values,
         vectors=vecs,
-        multiplicities=tuple(mults),
+        multiplicities=tuple(mults.tolist()),
     )
 
 

@@ -211,11 +211,10 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
 
     d = eigendecompose(laplacian(g))
     info = eigenvalue_support(d, base_vertex)
-    class_c = _class_c_entries(d, m)
     for idx in info.support:
         if idx == 0:
             continue  # the zero eigenvalue of the connected base
-        pair = class_c[idx]
+        (pair,) = _class_c_entries(d.eigenvalues[idx : idx + 1], d.multiplicities[idx : idx + 1], m)
         lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
         weights = tuple((1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * info.weights[idx] for x in (plus, minus))
         if min(weights) <= SUPPORT_TOL**2:

@@ -455,13 +455,14 @@ def test_figures_all(capsys, tmp_path, monkeypatch):
     "argv, eighs",
     [
         (["pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi"], 2),  # O6 and K2
-        (["fidelity", "--g", "q2", "--h", "o3,p3,p3,k3", "--from", "0", "--to", "3", "--t-max", "10"], 4),
-        (["figures", "all"], 10),  # three corona walks and fig3's adjacency oracle
+        (["fidelity", "--g", "q2", "--h", "o3,p3,p3,k3", "--from", "0", "--to", "3", "--t-max", "10"], 2),
+        (["figures", "all"], 7),  # three corona walks and fig3's adjacency oracle
     ],
     ids=["pgst-search", "fidelity", "figures"],
 )
 def test_corona_walks_decompose_the_base_once(capsys, tmp_path, monkeypatch, argv, eighs):
-    # One eigensolve per distinct satellite and one of the base per corona walk.
+    # One stacked eigensolve over the distinct satellites and one of the base
+    # per corona walk.
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat.shape[0]) or eigh(mat))

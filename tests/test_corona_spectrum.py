@@ -1,5 +1,3 @@
-import dataclasses
-import importlib
 import itertools
 import math
 import tracemalloc
@@ -14,8 +12,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from coronawalk import (
     Graph,
-    SpectralDecomposition,
-    adjacency,
     complete_graph,
     component_count,
     corona,
@@ -33,8 +29,8 @@ from coronawalk import (
     reconstruct,
 )
 from coronawalk import graphs
-from coronawalk.corona_spectrum import _class_b_pieces, _corona_walk
-from coronawalk.spectral import CLUSTER_TOL_SCALE
+from coronawalk.corona_spectrum import _class_b_pieces, _corona_walk, _satellite_decompositions, _Satellites
+from coronawalk.spectral import CLUSTER_TOL_SCALE, _cluster
 
 
 def equal_copies(h, count):
@@ -273,12 +269,17 @@ def test_class_b_pooling_links_a_chain_like_eigendecompose():
     # cluster's running mean would split off the third.
     tol = CLUSTER_TOL_SCALE * 3.0
     chain = [3.0, 3.0 + 0.9 * tol, 3.0 + 1.8 * tol]
-    sats = [SpectralDecomposition(np.array([0.0, mu]), np.eye(2), (1, 1)) for mu in chain]
-    pooled = _class_b_pieces(sats, 3.0)  # max-norm 3: the gap is tol
-    assert [(members, k) for _, members, k in pooled] == [([(0, 1), (1, 1), (2, 1)], 3)]
+    # Satellite row r has eigenvalues (0, chain[r]) at indices 2r, 2r + 1;
+    # max-norm 3: the gap is tol.
+    eigenvalues = np.array([x for mu in chain for x in (0.0, mu)])
+    ones = np.ones(6, int)
+    sats = _Satellites(np.arange(3), np.stack([np.eye(2)] * 3), eigenvalues, ones, np.arange(0, 7, 2), 3.0)
+    pooled = _class_b_pieces(sats)
+    assert pooled.multiplicities.tolist() == [3] and pooled.bounds.tolist() == [0, 3]
+    assert pooled.cells.tolist() == [0, 1, 2] and pooled.clusters.tolist() == [1, 3, 5]
     d = eigendecompose(np.diag(chain))
     assert d.multiplicities == (3,)
-    assert abs(pooled[0][0] - d.eigenvalues[0]) <= 1e-15
+    assert abs(pooled.mus[0] - d.eigenvalues[0]) <= 1e-15
 
 
 def test_k2_corona_p2000_keeps_every_path_eigenvalue():
@@ -402,38 +403,98 @@ def test_projector_assembly_peak_memory(g, hs):
 
 
 def test_one_eigensolve_per_distinct_satellite(monkeypatch):
+    # Each distinct satellite is one row of one stacked eigensolve; the base
+    # is one more.
     calls = []
-
-    def counting(mat, *args, **kwargs):
-        calls.append(mat.shape[0])
-        return eigendecompose(mat, *args, **kwargs)
-
-    # The package's corona_spectrum function shadows the module attribute.
-    module = importlib.import_module("coronawalk.corona_spectrum")
-    monkeypatch.setattr(module, "eigendecompose", counting)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat.shape) or eigh(mat))
     g = cycle_graph(6)
     hs = equal_copies(path_graph(3), 3) + [complete_graph(3)] * 3
     for fn in (corona_spectrum, corona_eigenprojectors):
         calls.clear()
         fn(g, hs)
-        assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
+        assert calls == [(2, 3, 3), (6, 6)]  # P3 and K3, then the base
+    # 25 distinct satellites: two eigensolves, where one per satellite made 26.
+    hs = random_satellites(np.random.default_rng(5), 25, 10)
+    assert len(set(hs)) == 25
+    calls.clear()
+    corona_spectrum(cycle_graph(25), hs)
+    assert calls == [(25, 10, 10), (25, 25)]
 
 
 def test_one_adjacency_per_distinct_satellite(monkeypatch):
     # The class (b) cluster norm is read off the satellite Laplacians the
-    # eigensolves use, so no satellite adjacency is built a second time.
+    # eigensolve uses, so no satellite adjacency is built a second time.
     calls = []
+    build = graphs._adjacency_stack
 
-    def counting(g):
-        calls.append(g.n)
-        return adjacency(g)
+    def counting(gs, m):
+        calls.extend(g.n for g in gs)
+        return build(gs, m)
 
-    monkeypatch.setattr(graphs, "adjacency", counting)
+    monkeypatch.setattr(graphs, "_adjacency_stack", counting)
     corona_spectrum(cycle_graph(6), equal_copies(path_graph(3), 3) + [complete_graph(3)] * 3)
     assert sorted(calls) == [3, 3, 6]  # P3, K3 and the base
     calls.clear()
     corona_spectrum(cycle_graph(5), [empty_graph(4), path_graph(4), empty_graph(4), cycle_graph(4), path_graph(4)])
     assert sorted(calls) == [4, 4, 4, 5]
+
+
+def test_stacked_satellites_equal_eigendecompose_bit_for_bit():
+    # One stack holds O_m, K_m, P_m, C_m and sparse random satellites with
+    # isolated vertices; each row is eigendecompose(laplacian(h)), byte for
+    # byte. At m = 1 all of them are K1.
+    rng = np.random.default_rng(13)
+    for m in (1, 4, 7, 10):
+        hs = [empty_graph(m), complete_graph(m), path_graph(m)] + ([cycle_graph(m)] if m >= 3 else [])
+        hs = list(dict.fromkeys(hs + random_satellites(rng, 12, m, 0.2)))  # distinct, in order
+        sats = _satellite_decompositions(hs + hs[::-1], m)
+        assert sats.rows.tolist() == list(range(len(hs))) + list(range(len(hs)))[::-1]
+        isolated = [h for h in hs[4:] if h.edges and np.any(np.diag(laplacian(h)) == 0)]
+        assert isolated or m == 1
+        for r, h in enumerate(hs):
+            want = eigendecompose(laplacian(h))
+            a, b = sats.first[r], sats.first[r + 1]
+            assert sats.eigenvalues[a:b].tobytes() == want.eigenvalues.tobytes()
+            assert sats.vectors[r].tobytes() == want.vectors.tobytes()
+            assert tuple(sats.multiplicities[a:b].tolist()) == want.multiplicities
+        assert sats.norm == max(float(np.max(laplacian(h))) for h in hs)
+
+
+def test_class_b_pooling_and_columns_equal_the_loops():
+    # References for the stacked class (b) path: the sorted() pooling over
+    # (mu, cell, index) tuples, and one block write per entry, which the
+    # projector columns equal byte for byte.
+    rng = np.random.default_rng(19)
+    cases = [(cycle_graph(6), [path_graph(4)] * 6), (hypercube_graph(2), MIXED3)]
+    cases += [(cycle_graph(n), random_satellites(rng, n, m, p)) for n, m, p in ((7, 5, 0.5), (9, 6, 0.3), (5, 8, 0.6))]
+    cases.append((cycle_graph(4), [complete_graph(3), path_graph(3)] * 2))
+    for g, hs in cases:
+        m = hs[0].n
+        sats = _satellite_decompositions(hs, m)
+        first, rows = sats.first.tolist(), sats.rows.tolist()
+        entries = sorted(
+            (sats.eigenvalues[i], ell, i, sats.multiplicities[i])
+            for ell, r in enumerate(rows)
+            for i in range(first[r] + 1, first[r + 1])
+        )
+        pooled = _class_b_pieces(sats)
+        assert pooled.cells.tolist() == [ell for _, ell, _, _ in entries]
+        assert pooled.clusters.tolist() == [i for _, _, i, _ in entries]
+        want = _cluster(np.array([e[0] for e in entries]), sats.norm, np.array([e[3] for e in entries], int))
+        assert [x.tolist() for x in pooled[:3]] == [x.tolist() for x in want]
+
+        d = corona_eigenprojectors(g, hs)
+        stride = m + 1
+        cols = np.zeros((g.n * stride, sum(e[3] for e in entries)))
+        col = 0
+        for _, ell, i, k in entries:
+            r = rows[ell]
+            start = int(np.sum(sats.multiplicities[first[r] : i]))
+            cols[ell * stride + 1 : (ell + 1) * stride, col : col + k] = sats.vectors[r][:, start : start + k]
+            col += k
+        a_mult = corona_spectrum(g, hs).class_a.multiplicity
+        assert d.vectors[:, g.n + a_mult : g.n + a_mult + col].tobytes() == cols.tobytes()
 
 
 def test_corona_walk_returns_the_base_decomposition():
@@ -451,23 +512,23 @@ def test_corona_walk_returns_the_base_decomposition():
 @pytest.mark.parametrize(
     "fault, message",
     [
-        ({"eigenvalues": np.array([1e-6, 2.0])}, "kernel not found"),
-        ({"multiplicities": (1, 2)}, "disagrees with component count"),
+        (lambda w: w + 1e-6, "kernel not found"),
+        (lambda w: w + [0.0, 1.0, 0.0], "disagrees with component count"),
     ],
     ids=["kernel_shifted", "kernel_multiplicity"],
 )
 def test_satellite_kernel_checks(monkeypatch, fault, message):
-    # The satellite O1 + K2 has eigenvalues 0 (twice) and 2. A decomposition
-    # of it whose lowest eigenvalue sits 1e-6 off zero, or whose kernel
-    # multiplicity is not the component count, is rejected by both corona
-    # functions.
-    module = importlib.import_module("coronawalk.corona_spectrum")
+    # The satellite O1 + K2 has eigenvalues 0 (twice) and 2. A stacked
+    # satellite eigensolve whose lowest eigenvalue sits 1e-6 off zero, or
+    # whose kernel splits (0, 1, 2) so that its multiplicity is not the
+    # component count, is rejected by both corona functions.
+    eigh = np.linalg.eigh
 
     def faulty(mat):
-        d = eigendecompose(mat)
-        return dataclasses.replace(d, **fault) if d.dim == 3 else d
+        w, vecs = eigh(mat)
+        return (fault(w) if w.ndim == 2 else w), vecs
 
-    monkeypatch.setattr(module, "eigendecompose", faulty)
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
     hs = [Graph(3, frozenset({(0, 1)}))] * 2
     for fn in (corona_spectrum, corona_eigenprojectors):
         with pytest.raises(ArithmeticError, match=message):

@@ -26,7 +26,7 @@ from coronawalk import (
     walk_matrix,
 )
 from coronawalk import spectral
-from coronawalk.spectral import SUPPORT_TOL, _pair_measure
+from coronawalk.spectral import CLUSTER_TOL_SCALE, SUPPORT_TOL, _cluster, _pair_measure
 
 
 def test_k2_decomposition():
@@ -180,6 +180,73 @@ def test_near_degenerate_merging():
     assert d.multiplicities == (2,)
     d2 = eigendecompose(np.diag([0.0, 1.0]))
     assert len(d2.eigenvalues) == 2
+
+
+def loop_cluster(values, norm, mults=None):
+    """Reference for _cluster: the per-value loop it replaced, on one row."""
+    tol = CLUSTER_TOL_SCALE * max(1.0, norm)
+    values = np.asarray(values, dtype=float)
+    mults = np.ones(len(values), int) if mults is None else np.asarray(mults, dtype=int)
+    weighted = values * mults
+    vals, counts = values.tolist(), mults.tolist()
+    starts = [i for i in range(len(vals)) if i == 0 or vals[i] - vals[i - 1] > tol]
+    means, totals = [], []
+    for a, b in zip(starts, starts[1:] + [len(vals)]):
+        total = sum(counts[a:b])
+        head = weighted[a] if b - a == 1 else np.add.reduce(weighted[a:b])
+        means.append(float(head / total))
+        totals.append(total)
+    return means, totals, starts + [len(vals)]
+
+
+def chained_values(rng):
+    """Ascending values in chains of up to 40 near-equal neighbours (gaps just
+    under tol), chains apart by just over tol, with random mults and norm."""
+    norm = float(rng.choice([0.5, 3.0, 40.0]))
+    tol = CLUSTER_TOL_SCALE * max(1.0, norm)
+    steps = []
+    for size in rng.integers(1, 41, size=int(rng.integers(1, 12))).tolist():
+        steps += [float(rng.uniform(1.01, 5.0) * tol)] + rng.uniform(0.0, 0.99 * tol, size=size - 1).tolist()
+    values = float(rng.uniform(-5.0, 5.0)) + np.cumsum(steps)
+    mults = rng.integers(1, 5, size=len(values)) if rng.random() < 0.7 else None
+    return values, mults, norm
+
+
+def same_clusters(got, want) -> bool:
+    """_cluster's (means, totals, bounds) against the loop's lists; means bit
+    for bit, so the sign of a zero counts."""
+    means, totals, bounds = got
+    return means.tobytes() == np.array(want[0]).tobytes() and (totals.tolist(), bounds.tolist()) == want[1:]
+
+
+def test_cluster_equals_the_per_value_loop():
+    # Clusters past numpy's 8-term pairwise-summation block, non-unit mults
+    # and a -0.0 singleton, which a reduction would turn into +0.0: means,
+    # totals and bounds match the loop exactly, alone and as the rows of one
+    # 2-D call at one norm per row.
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        values, mults, norm = chained_values(rng)
+        assert same_clusters(_cluster(values, norm, mults), loop_cluster(values, norm, mults))
+    for mults in (None, np.array([3, 1, 2])):
+        values = np.array([-0.0, 1.0, 1.0])
+        assert same_clusters(_cluster(values, 2.0, mults), loop_cluster(values, 2.0, mults))
+    w = np.linalg.eigvalsh(laplacian(hypercube_graph(9)))  # one cluster of 126
+    got = _cluster(w, 9.0)
+    assert same_clusters(got, loop_cluster(w, 9.0)) and max(got[1]) == 126
+    for unit in (True, False):
+        rows = [chained_values(rng) for _ in range(8)]
+        length = min(len(values) for values, _, _ in rows)
+        values = np.array([values[:length] for values, _, _ in rows])
+        mults = None if unit else rng.integers(1, 5, size=values.shape)
+        norms = np.array([[norm] for _, _, norm in rows])
+        want = [loop_cluster(values[r], norms[r, 0], None if unit else mults[r]) for r in range(len(rows))]
+        flat = (
+            [x for row in want for x in row[0]],
+            [k for row in want for k in row[1]],
+            [r * length + a for r, row in enumerate(want) for a in row[2][:-1]] + [values.size],
+        )
+        assert same_clusters(_cluster(values, norms, mults), flat)
 
 
 def test_supports():
