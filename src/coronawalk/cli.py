@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .spectral import _pair_measure, eigendecompose
 from .statetransfer import (
+    PGST_FAMILIES,
     check_pst,
     corona_no_pst_witness,
     pgst_search,
@@ -61,11 +62,7 @@ _SHORTHAND = {
     "cocktail": "cocktail_party",
 }
 
-_FAMILY_ALIASES = {
-    "4pi": "four_pi_ell",
-    "four_pi_ell": "four_pi_ell",
-    "shifted": "shifted",
-}
+_FAMILY_ALIASES = {"4pi": "four_pi_ell"}
 
 
 def _fmt(x: float) -> float:
@@ -161,24 +158,19 @@ def parse_satellites(spec: str, n: int) -> list:
     return [parse_graph_spec(part) for part in parts]
 
 
-def _verdict_dict(verdict) -> dict:
-    d = dataclasses.asdict(verdict)
-    if d["t0"] is not None:
-        d["t0_over_pi"] = d["t0"] / math.pi
-    return d
-
-
-def _record_dict(record) -> dict:
+def _with_over_pi(record, key: str) -> dict:
+    """The dataclass record as a dict, with <key>_over_pi when its time key is set."""
     d = dataclasses.asdict(record)
-    d["t_over_pi"] = d["t"] / math.pi
+    if d[key] is not None:
+        d[f"{key}_over_pi"] = d[key] / math.pi
     return d
 
 
 def _search_dict(result) -> dict:
     return {
         "target_met": result.target_met,
-        "best": _record_dict(result.best),
-        "history": [_record_dict(rec) for rec in result.history],
+        "best": _with_over_pi(result.best, "t"),
+        "history": [_with_over_pi(rec, "t") for rec in result.history],
     }
 
 
@@ -215,11 +207,8 @@ def cmd_spectrum(args, config) -> tuple:
 def cmd_corona_spectrum(args, config) -> tuple:
     cs = corona_spectrum(*_corona_args(args))
     return {
-        "m": cs.m,
-        "class_a": cs.class_a,
-        "class_b": cs.class_b,
-        "class_c": cs.class_c,
-        "eigenvalues": [list(pair) for pair in cs.eigenvalue_list()],
+        **dataclasses.asdict(cs),
+        "eigenvalues": cs.eigenvalue_list(),
         "total_multiplicity": cs.total_multiplicity(),
     }, 0
 
@@ -252,7 +241,7 @@ def cmd_fidelity(args, config) -> tuple:
 def cmd_pst_check(args, config) -> tuple:
     d = eigendecompose(walk_matrix(parse_graph_spec(args.graph), "laplacian"))
     verdict = check_pst(d, args.from_vertex, args.to_vertex)
-    return {"verdict": _verdict_dict(verdict)}, 0 if verdict.pst else 2
+    return {"verdict": _with_over_pi(verdict, "t0")}, 0 if verdict.pst else 2
 
 
 def cmd_no_pst_witness(args, config) -> tuple:
@@ -263,7 +252,7 @@ def cmd_pgst_search(args, config) -> tuple:
     g, hs = _corona_args(args)
     u = args.from_vertex if args.from_vertex is not None else 0
     v = args.to_vertex if args.to_vertex is not None else g.n - 1
-    family = _FAMILY_ALIASES[args.family]
+    family = _FAMILY_ALIASES.get(args.family, args.family)
     result = pgst_search(*_corona_walk(g, hs), u, v, family, ell_max=args.ell_max, target=args.target)
     return _search_dict(result), 0 if result.target_met else 2
 
@@ -325,7 +314,7 @@ def _fig3(outdir: Path, config: dict) -> tuple:
         "target": 0.999,
         "target_met": result.target_met,
         "laplacian_best_fidelity": result.best.fidelity,
-        "laplacian_best": _record_dict(result.best),
+        "laplacian_best": _with_over_pi(result.best, "t"),
         "adjacency_max_fidelity": float(fidelities[best]),
         "adjacency_argmax_t": float(grid[cands[best]]),
         "adjacency_grid": {"t_max": 2000.0, "points": 200_000},
@@ -421,14 +410,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("pgst-search", cmd_pgst_search, "scan a PGST time family for a fidelity target")
     corona_flags(p)
-    p.add_argument("--family", choices=sorted(_FAMILY_ALIASES), required=True)
+    p.add_argument("--family", choices=sorted([*_FAMILY_ALIASES, *PGST_FAMILIES]), required=True)
     p.add_argument("--ell-max", dest="ell_max", type=int, default=10_000)
     p.add_argument("--target", type=float, default=0.99)
     p.add_argument("--from", dest="from_vertex", type=int, default=None, help="default 0")
     p.add_argument("--to", dest="to_vertex", type=int, default=None, help="default n-1")
 
     p = add("figures", cmd_figures, "reproduce the three experiment figures (CSV + JSON)")
-    p.add_argument("which", choices=["fig2", "fig3", "fig4", "all"])
+    p.add_argument("which", choices=[*_FIGURES, "all"])
     p.add_argument("--outdir", default=".", help="default the current directory")
 
     return parser

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .graphs import Graph, _index
 
 
-def common_satellite_order(g: Graph, hs) -> int:
+def _satellite_order(g: Graph, hs) -> int:
     """Check corona preconditions and return the common satellite order m."""
     hs = list(hs)
     if g.n < 1:
@@ -55,7 +55,7 @@ class CoronaGraph:
 def corona(g: Graph, hs) -> CoronaGraph:
     """Build G o (H_1, ..., H_n) for equal-order satellites (m >= 1 each)."""
     hs = tuple(hs)
-    m = common_satellite_order(g, hs)
+    m = _satellite_order(g, hs)
     stride = m + 1
     edges = set()
     for u, v in g.edges:

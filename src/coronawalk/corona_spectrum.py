@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corona import common_satellite_order
+from .corona import _satellite_order
 from .graphs import Graph, _laplacian_stack, component_count, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
 from .spectral import SpectralDecomposition, _cluster, _eigh, eigendecompose
@@ -118,15 +118,6 @@ def _class_c_arrays(lam, m: int):
     delta = np.sqrt(np.square(shifted) + 4.0 * m)
     total = m + lam + 1.0 + delta
     return delta, shifted / delta, 0.5 * total, 2.0 * lam / total
-
-
-def lambda_pm(lam: float, m: int) -> tuple[float, float]:
-    """The class (c) eigenvalue pair (lambda_plus, lambda_minus), from
-    _class_c_arrays."""
-    if m < 1:
-        raise ValueError("satellite order m must be >= 1")
-    _, _, plus, minus = _class_c_arrays(lam, m)
-    return float(plus), float(minus)
 
 
 def _class_c_entries(lams: np.ndarray, mults, m: int) -> tuple:
@@ -213,7 +204,7 @@ def _corona_parts(g: Graph, hs):
     multiplicity, the class (b) pieces and g_decomp. Class (b) pools at the
     gap eigendecompose gives the direct sum of the satellite Laplacians."""
     hs = tuple(hs)
-    m = common_satellite_order(g, hs)
+    m = _satellite_order(g, hs)
     sats = _satellite_decompositions(hs, m)
     a_mult = int(sats.multiplicities[sats.first[sats.rows]].sum()) - len(hs)
     pooled = _class_b_pieces(sats)

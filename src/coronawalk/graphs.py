@@ -19,6 +19,8 @@ import numpy as np
 
 def _index(x) -> int:
     try:
+        if isinstance(x, bool):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(x)
     except TypeError:
         raise ValueError(f"vertex counts and ids must be integers, got {x!r}") from None

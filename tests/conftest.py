@@ -1,5 +1,5 @@
-"""Seeded random generators, the frozen PGST fixture coronas and the scalar
-fidelity/phase reference shared by the test modules."""
+"""Seeded random generators, the frozen PGST fixture coronas, the class (c)
+pair and the scalar fidelity/phase reference shared by the test modules."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from coronawalk import (
     is_connected,
     path_graph,
 )
+from coronawalk.corona_spectrum import _class_c_arrays
 from coronawalk.walk import PHASE_FLOOR
 
 PGST_BOUNDS = json.loads((Path(__file__).parent / "fixtures" / "pgst_bounds.json").read_text())
@@ -35,6 +36,13 @@ def fixture_corona(name: str):
         n = int(name[len("cocktail"):-len("_k1")])
         return cocktail_party_graph(n), [complete_graph(1)] * (2 * n)
     raise ValueError(f"unknown fixture case {name!r}")
+
+
+def class_c_pair(lam: float, m: int) -> tuple:
+    """(lambda_plus, lambda_minus) of base eigenvalue lam, with the bits of
+    _class_c_arrays, the library's one class (c) evaluator."""
+    _, _, plus, minus = _class_c_arrays(lam, m)
+    return float(plus), float(minus)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:

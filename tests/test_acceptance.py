@@ -10,6 +10,7 @@ import numpy as np
 from conftest import (
     MIXED3,
     PGST_BOUNDS,
+    class_c_pair,
     fixture_corona,
     random_connected_graph,
     random_graph,
@@ -32,7 +33,6 @@ from coronawalk import (
     hypercube_graph,
     integer_eigenvalue,
     is_perfect_square,
-    lambda_pm,
     laplacian,
     path_graph,
     pgst_search,
@@ -260,7 +260,7 @@ def test_criterion_8_invariant_suites():
 
         lam = float(rng.uniform(0.0, 12.0))
         m = int(rng.integers(1, 9))
-        plus, minus = lambda_pm(lam, m)
+        plus, minus = class_c_pair(lam, m)
         delta_sq = (m + lam - 1.0) ** 2 + 4.0 * m
         ok = ok and abs(plus + minus - (m + lam + 1.0)) <= 1e-12
         ok = ok and abs(plus * minus - lam) <= 1e-12
@@ -272,5 +272,5 @@ def test_criterion_8_invariant_suites():
         8,
         ok,
         "invariants hold over 100 seeded instances: projector algebra, unitarity, "
-        "fidelity symmetry, and the lambda_pm sum/product/(1-x) identities",
+        "fidelity symmetry, and the class (c) pair's sum/product/(1-x) identities",
     )

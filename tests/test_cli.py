@@ -360,6 +360,8 @@ def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
     bad_n.write_text(json.dumps({"n": 2.9, "edges": [[0, 1]]}))
     bad_edge = tmp_path / "bad_edge.json"
     bad_edge.write_text(json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2]]}))
+    bool_edge = tmp_path / "bool_edge.json"  # operator.index reads true and false as 1 and 0
+    bool_edge.write_text(json.dumps({"n": 2, "edges": [[True, False]]}))
     malformed = []  # (argv, what the message names)
     for i, (doc, named) in enumerate((
         ([1, 2], "JSON object"),
@@ -376,6 +378,7 @@ def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
         (("pgst-search", "--g", "k2", "--h", "o6", "--family", "4pi", "--from", "-1", "--to", "1"), "range"),
         (("pst-check", "--graph", f"@{bad_edge}", "--from", "0", "--to", "2"), "integers"),
         (("pst-check", "--graph", f"@{bad_n}", "--from", "0", "--to", "1"), "integers"),
+        (("build", "--graph", f"@{bool_edge}"), "integers"),
         *malformed,
     ):
         assert main(list(argv)) == 1

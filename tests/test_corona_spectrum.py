@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import MIXED3, random_connected_graph, random_graph, random_satellites
+from conftest import MIXED3, class_c_pair, random_connected_graph, random_graph, random_satellites
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Poly, re, symbols
@@ -23,7 +23,6 @@ from coronawalk import (
     hypercube_graph,
     integer_eigenvalue,
     is_connected,
-    lambda_pm,
     laplacian,
     path_graph,
     reconstruct,
@@ -80,7 +79,7 @@ def kron_assembly(g, hs):
 
     g_decomp = eigendecompose(laplacian(g))
     for lam, mult, f_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.projectors):
-        for value in lambda_pm(float(lam), m):
+        for value in class_c_pair(float(lam), m):
             w = np.ones(stride)
             w[0] = 1.0 - value
             pieces.append((value, np.kron(f_lam, np.outer(w, w) / (w @ w)), mult))
@@ -108,15 +107,13 @@ def mult_at(pairs, value, tol=1e-9):
 
 
 def test_lambda_pm_examples():
-    assert lambda_pm(0.0, 1) == (2.0, 0.0)
-    plus, minus = lambda_pm(2.0, 1)
+    assert class_c_pair(0.0, 1) == (2.0, 0.0)
+    plus, minus = class_c_pair(2.0, 1)
     assert abs(plus - (2 + math.sqrt(2))) < 1e-12
     assert abs(minus - (2 - math.sqrt(2))) < 1e-12
-    plus, minus = lambda_pm(2.0, 6)
+    plus, minus = class_c_pair(2.0, 6)
     assert abs(plus - (9 + math.sqrt(73)) / 2) < 1e-12
     assert abs(minus - (9 - math.sqrt(73)) / 2) < 1e-12
-    with pytest.raises(ValueError):
-        lambda_pm(1.0, 0)
 
 
 def test_lambda_pm_identities():
@@ -124,7 +121,7 @@ def test_lambda_pm_identities():
     for _ in range(200):
         lam = float(rng.uniform(0.0, 12.0))
         m = int(rng.integers(1, 9))
-        plus, minus = lambda_pm(lam, m)
+        plus, minus = class_c_pair(lam, m)
         assert abs(plus + minus - (m + lam + 1)) < 1e-12
         assert abs(plus * minus - lam) < 1e-11
         assert abs((1 - plus) * (1 - minus) + m) < 1e-11
@@ -237,7 +234,7 @@ def test_base_entries_of_pair_projectors():
     d = corona_eigenprojectors(g, hs)
     g_decomp = eigendecompose(laplacian(g))
     for lam, f_lam in zip(g_decomp.eigenvalues, g_decomp.projectors):
-        for value in lambda_pm(float(lam), m):
+        for value in class_c_pair(float(lam), m):
             idx = int(np.argmin(np.abs(d.eigenvalues - value)))
             w0 = 1.0 - value
             expect = f_lam[0, 1] * w0 * w0 / (w0 * w0 + m)
@@ -533,3 +530,22 @@ def test_satellite_kernel_checks(monkeypatch, fault, message):
     for fn in (corona_spectrum, corona_eigenprojectors):
         with pytest.raises(ArithmeticError, match=message):
             fn(complete_graph(2), hs)
+
+
+def test_satellite_rows_cluster_at_their_own_tolerance(monkeypatch):
+    # Stacked with K5 (max-norm 4), P3 + O2 (max-norm 2, eigenvalues 0, 0, 0,
+    # 1, 3) is clustered at its own tol 2e-8, not the stack's 4e-8: with its
+    # eigenvalue 3 read as 1 + 3e-8, the row's multiplicities stay (3, 1, 1)
+    # where the stack's tolerance would merge them into (3, 2).
+    eigh = np.linalg.eigh
+
+    def near_degenerate(mat):
+        w, vecs = eigh(mat)
+        w[0, -1] = 1.0 + 3e-8
+        return w, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", near_degenerate)
+    sats = _satellite_decompositions([Graph(5, frozenset({(0, 1), (1, 2)})), complete_graph(5)], 5)
+    assert sats.norm == 4.0
+    assert sats.multiplicities[sats.first[0] : sats.first[1]].tolist() == [3, 1, 1]
+    assert sats.multiplicities[sats.first[1] : sats.first[2]].tolist() == [1, 4]

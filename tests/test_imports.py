@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module: the library, the
-tests, the demos and the tools."""
+"""Every name a module imports is used in that module (the library, the
+tests, the demos and the tools), every private helper has a caller, and
+every public name has a user outside the tests."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,31 @@ def test_every_private_helper_has_a_caller():
         if not refs:
             uncalled.append(f"{path.name}:{name}")
     assert not uncalled, f"private helpers nothing references: {uncalled}"
+
+
+def referenced_names(source: str) -> set:
+    """Every name, attribute and imported name the source refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """Each name in coronawalk.__all__ is used by the package itself, a demo,
+    a tool, the benchmark or the README's quick tour: a public name that only
+    tests call is a second route to something, to be deleted or made private."""
+    import coronawalk
+
+    readme = (ROOT / "README.md").read_text()
+    sources = [readme.split("```python\n", 1)[1].split("```", 1)[0]]
+    sources += [p.read_text() for p in MODULES]
+    sources += [p.read_text() for folder in ("demos", "tools", "perfbench") for p in (ROOT / folder).glob("*.py")]
+    used = set().union(*map(referenced_names, sources))
+    unused = sorted(set(coronawalk.__all__) - used)
+    assert not unused, f"public names only the tests use: {unused}"

@@ -528,6 +528,11 @@ def test_non_integer_vertices_and_orders_rejected():
         lambda: pgst_search(cs, d, 0, 1, "shifted", r=1.0),
         lambda: cocktail_pgst(2.5),
         lambda: cocktail_pgst(3, ell_max=2.5),
+        # operator.index accepts booleans; a vertex count or id does not
+        lambda: Graph(True, ()),
+        lambda: Graph(2, [(True, False)]),
+        lambda: corona_no_pst_witness(g, True, 0),
+        lambda: corona_no_pst_witness(g, 2, False),
     ):
         with pytest.raises(ValueError, match="must be integers"):
             call()
