@@ -41,7 +41,6 @@ from .statetransfer import (
 )
 from .walk import (
     WALK_KINDS,
-    _check_phase_range,
     _fidelity,
     _fidelity_phase,
     _phase_screen,
@@ -224,18 +223,14 @@ def cmd_fidelity(args, config) -> tuple:
     u, v = args.from_vertex, args.to_vertex
     if args.graph is not None:
         d = eigendecompose(walk_matrix(parse_graph_spec(args.graph), args.kind))
-        walk = functools.partial(transition_values, d)
-        scale = float(np.max(np.abs(d.eigenvalues), initial=0.0))
+        values = transition_values(d, u, v, ts)
     else:
         if args.h is None:
             raise ValueError("--g needs --h")
         if args.kind != "laplacian":
             raise ValueError("the closed-form corona curve is Laplacian-only")
-        cs, g_decomp = _corona_walk(*_corona_args(args))
-        walk = functools.partial(corona_transition_values, cs, g_decomp)
-        scale = max(entry.lam_plus for entry in cs.class_c)  # bounds t(m+1)/2, t*lam/2 and t*Delta/2
-    _check_phase_range(args.t_max, scale, f"--t-max {args.t_max:g}")
-    return _csv_text(config, ts, walk(u, v, ts)), 0
+        values = corona_transition_values(*_corona_walk(*_corona_args(args)), u, v, ts)
+    return _csv_text(config, ts, values), 0
 
 
 def cmd_pst_check(args, config) -> tuple:

@@ -127,5 +127,8 @@ def integer_eigenvalue(x: float) -> int | None:
     """Round a numeric eigenvalue to an exact integer, or None if it is not
     within INTEGRALITY_TOL of one."""
     x = float(x)
-    k = round(x)
+    try:
+        k = round(x)
+    except (OverflowError, ValueError):  # x is infinite or NaN
+        return None
     return k if abs(x - k) < INTEGRALITY_TOL else None

@@ -31,8 +31,7 @@ from .corona_spectrum import CoronaSpectrum, _class_c_arrays, _class_c_entries, 
 from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
 from .numtheory import integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
-    SUPPORT_TOL, SpectralDecomposition, _block_sums, _cospectrality, _pair_measure, _PairMeasure,
-    eigendecompose, eigenvalue_support,
+    SUPPORT_TOL, SpectralDecomposition, _block_sums, _cospectrality, _pair_measure, _PairMeasure, eigendecompose,
 )
 from .walk import (
     _check_phase_range, _corona_kernel, _fidelity, _fidelity_phase, _measure_transition_values, _phase_screen,
@@ -136,7 +135,7 @@ def _pst_verdict(measure: _PairMeasure, u: int, v: int) -> TransferVerdict:
         g, _ = support_gcd_and_valuation(ints)
 
     sign_ok = False
-    if report.strongly_cospectral and integer_support and g is not None:
+    if report.strongly_cospectral and g is not None:  # g is set only on an integer support
         sign_ok = True
         for lam, w in zip(ints, measure.uv[joint].tolist()):
             if not _signable(w):
@@ -145,9 +144,8 @@ def _pst_verdict(measure: _PairMeasure, u: int, v: int) -> TransferVerdict:
                 sign_ok = False
                 break
 
-    pst = report.strongly_cospectral and integer_support and sign_ok
     t0 = phase = fidelity = None
-    if pst:
+    if sign_ok:
         t0 = math.pi / g
         (fidelity,), (phase,) = _fidelity_phase(_measure_transition_values(measure, [t0]))
         if fidelity < 1.0 - PST_FIDELITY_TOL:
@@ -157,7 +155,7 @@ def _pst_verdict(measure: _PairMeasure, u: int, v: int) -> TransferVerdict:
     return TransferVerdict(
         u=u,
         v=v,
-        pst=pst,
+        pst=sign_ok,
         conditions=PstConditions(
             strongly_cospectral=report.strongly_cospectral,
             integer_support=integer_support,
@@ -210,13 +208,11 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
         raise ValueError(f"base vertex {base_vertex} out of range")
 
     d = eigendecompose(laplacian(g))
-    info = eigenvalue_support(d, base_vertex)
-    for idx in info.support:
-        if idx == 0:
-            continue  # the zero eigenvalue of the connected base
+    diagonal = _pair_measure(d, base_vertex, base_vertex).uv.tolist()  # <u|F_lam|u>
+    for idx in range(1, len(diagonal)):  # past lam = 0; off u's support, both weights < <u|F|u> fail
         (pair,) = _class_c_entries(d.eigenvalues[idx : idx + 1], d.multiplicities[idx : idx + 1], m)
         lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
-        weights = tuple((1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * info.weights[idx] for x in (plus, minus))
+        weights = tuple((1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * diagonal[idx] for x in (plus, minus))
         if min(weights) <= SUPPORT_TOL**2:
             continue
 

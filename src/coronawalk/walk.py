@@ -39,10 +39,12 @@ def _fidelity(values: np.ndarray) -> np.ndarray:
     return np.square(values.real) + np.square(values.imag)
 
 
-def _check_phase_range(t_max: float, scale: float, what: str) -> None:
-    """Refuse phases t*lambda past 2^52 (scale >= every |lambda|): one ulp of them is a radian or more."""
-    if abs(t_max) * scale >= 2.0**52:
-        raise ValueError(f"{what} is too large: |t_max| * max|eigenvalue| reaches 2**52")
+def _check_phase_range(t_max: float, scale: float, what: str | None = None) -> None:
+    """Refuse phases t*lambda past 2^52 (|t_max| >= every |t|, scale >= every |lambda|), where one ulp is
+    a radian or more. `not <` on Python floats refuses a NaN or infinite t_max, with no numpy warning."""
+    t_max = abs(float(t_max))
+    if not t_max * float(scale) < 2.0**52:
+        raise ValueError(f"{what or f'time {t_max:g}'} is too large: |t_max| * max|eigenvalue| reaches 2**52")
 
 
 def _phases(values: np.ndarray, fidelity) -> list:
@@ -68,6 +70,7 @@ def walk_matrix(g: Graph, kind: str = "laplacian") -> np.ndarray:
 
 def transition_values(d: SpectralDecomposition, u: int, v: int, ts) -> np.ndarray:
     """<u|U(t)|v> = sum_lam e^{-i lam t} <u|F_lam|v> on an array of times."""
+    _check_phase_range(np.abs(ts).max(initial=0.0), np.abs(d.eigenvalues).max(initial=0.0))
     return _measure_transition_values(_pair_measure(d, u, v), ts)
 
 
@@ -78,6 +81,7 @@ def _measure_transition_values(measure: _PairMeasure, ts) -> np.ndarray:
 
 def evolve_operator(d: SpectralDecomposition, t: float) -> np.ndarray:
     """The full unitary U(t) = sum_lam e^{-i lam t} F_lam = V diag(e^{-i lam t}) V^T."""
+    _check_phase_range(t, np.abs(d.eigenvalues).max(initial=0.0))
     phases = np.exp(-1j * float(t) * np.repeat(d.eigenvalues, d.multiplicities))
     return (d.vectors * phases) @ d.vectors.T
 
@@ -102,11 +106,12 @@ def corona_transition_values(
     with D = sqrt((m+lam-1)^2 + 4m), both from corona_spectrum._class_c_arrays.
     The satellites enter only through m, so the element between base
     vertices never sees their structure. A subset of ts gives the bits those
-    times have in the full call.
+    times have in the full call. _check_phase_range's scale is the largest lambda_+.
     """
     _check_base_consistency(cs, g_decomp)
     measure = _pair_measure(g_decomp, u, v)
-    delta, coef, _, _ = _class_c_arrays(measure.eigenvalues, cs.m)
+    delta, coef, pluses, _ = _class_c_arrays(measure.eigenvalues, cs.m)
+    _check_phase_range(np.abs(ts).max(initial=0.0), pluses.max())
     return _corona_kernel(cs.m, measure.eigenvalues, delta, coef, measure.uv, ts)
 
 

@@ -229,7 +229,7 @@ def test_fidelity_grid_guards(capsys, tmp_path):
     assert rc == 0 and out.splitlines()[2] == "0,0,,"
 
     # A finite t_max whose phases t*lambda are rounding noise (1e300) or
-    # overflow (1e308): refused before any evaluation.
+    # overflow (1e308): the evaluator refuses the time before evaluating it.
     curve = tmp_path / "curve.csv"
     for source, t_max, output in itertools.product(
         (["--graph", "k2"], ["--g", "k2", "--h", "o3"]), ("1e300", "1e308"), (["--output", str(curve)], [])
@@ -238,7 +238,7 @@ def test_fidelity_grid_guards(capsys, tmp_path):
         assert main(argv + output) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not curve.exists()
-        assert captured.err.startswith("error: --t-max ") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: time ") and captured.err.count("\n") == 1
     # The bound is |t_max| * max|lambda| < 2**52; K2's largest eigenvalue is 2.
     argv = ["fidelity", "--graph", "k2", "--from", "0", "--to", "1", "--steps", "3", "--t-max"]
     assert run(capsys, *argv, str(2**51 - 1))[0] == 0

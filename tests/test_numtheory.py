@@ -202,4 +202,6 @@ def test_integer_eigenvalue_threshold():
     assert integer_eigenvalue(-3.0 - 1e-9) == -3
     assert integer_eigenvalue(2.001) is None
     assert integer_eigenvalue(0.5) is None
+    for x in (math.inf, -math.inf, math.nan, np.float64("nan")):  # not within the tolerance of an integer
+        assert integer_eigenvalue(x) is None
     assert 0 < INTEGRALITY_TOL < 1e-3

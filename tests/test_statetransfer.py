@@ -95,7 +95,7 @@ def test_pst_t0_value_comes_from_transition_values(g, u, v):
     assert abs(verdict.phase - direct / abs(direct)) <= 1e-12
 
 
-def test_certified_conditions_with_a_low_t0_fidelity_raise():
+def test_certified_conditions_with_a_low_t0_fidelity_raise(monkeypatch):
     # K2 with its eigenvector rows halved: the norms stay above SUPPORT_TOL,
     # the residuals at 0 and the signs are those of K2, so every condition
     # certifies PST, but <0|U(pi/2)|1> = 1/8 + 1/8 has fidelity 1/16.
@@ -103,6 +103,12 @@ def test_certified_conditions_with_a_low_t0_fidelity_raise():
     halved = SpectralDecomposition(d.eigenvalues, d.vectors / 2.0, d.multiplicities)
     with pytest.raises(ArithmeticError, match="conditions certify PST but fidelity at t0 is 0.062500000000000"):
         check_pst(halved, 0, 1)
+    # Q3's certified antipodes, given a t0 value of fidelity 0.5.
+    d = decomp(hypercube_graph(3))
+    assert check_pst(d, 0, 7).pst
+    monkeypatch.setattr(statetransfer, "_measure_transition_values", lambda measure, ts: np.array([0.5 + 0.5j]))
+    with pytest.raises(ArithmeticError, match="^conditions certify PST but fidelity at t0 is 0.500000000000000$"):
+        check_pst(d, 0, 7)
 
 
 def test_p3_endpoints_fail_sign_pattern():
@@ -511,6 +517,18 @@ def test_witness_refuses_a_support_with_no_certified_eigenvalue(monkeypatch):
     monkeypatch.setattr(statetransfer, "eigendecompose", lambda mat: crafted)
     with pytest.raises(ArithmeticError, match="no certified positive support eigenvalue found"):
         corona_no_pst_witness(g, 1, 0)
+
+
+def test_witness_refuses_a_perfect_square_discriminant(monkeypatch):
+    # (m+lam-1)^2 + 4m is never a perfect square for integers m >= 1 and lam > 0;
+    # an entry claiming square-free part c = 1 would break the witness's proof.
+    entries = statetransfer._class_c_entries
+    assert corona_no_pst_witness(complete_graph(2), 1, 0).delta_sq == 8
+    monkeypatch.setattr(
+        statetransfer, "_class_c_entries", lambda *args: tuple(dataclasses.replace(e, c=1) for e in entries(*args))
+    )
+    with pytest.raises(ArithmeticError, match="^unexpected perfect square 8$"):
+        corona_no_pst_witness(complete_graph(2), 1, 0)
 
 
 def test_non_integer_vertices_and_orders_rejected():

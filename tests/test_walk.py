@@ -25,6 +25,7 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
+from coronawalk.corona_spectrum import _corona_walk
 from coronawalk.walk import _fidelity, _fidelity_phase, _phase_screen
 
 
@@ -301,3 +302,50 @@ def test_phase_screen_tol_is_its_stated_bound():
     # so that neither factor can drop out unnoticed.
     _, tol = _phase_screen(np.array([0.5, 0.5]), np.array([1.0, 10.0]), 0.1, 4, 1e6)
     assert tol == 64.0 * np.finfo(float).eps * 1e6 * 10.0 == 1.4210854715202004e-07
+
+
+def _evaluators() -> dict:
+    """Each public evaluator as a call on one time t: K2 for transition_values
+    and evolve_operator, K2 corona O3 between the base vertices for the corona."""
+    d = eigendecompose(laplacian(complete_graph(2)))
+    cs, gd = _corona_walk(complete_graph(2), [empty_graph(3)] * 2)
+    return {
+        "transition_values": lambda t: transition_values(d, 0, 1, [0.0, t]),
+        "evolve_operator": lambda t: evolve_operator(d, t),
+        "corona_transition_values": lambda t: corona_transition_values(cs, gd, 0, 1, [t, 1.0]),
+    }
+
+
+@pytest.mark.parametrize("t", [1e300, 1e308, -1e300, math.inf, -math.inf, math.nan])
+def test_evaluators_refuse_unusable_times(t):
+    # Phases t*lambda past 2**52 are rounding noise, and non-finite times give
+    # nan: each evaluator refuses them itself, and no numpy warning (an error
+    # under this suite's filterwarnings) comes first.
+    for call in _evaluators().values():
+        with pytest.raises(ValueError, match=r"^time \S+ is too large: .* reaches 2\*\*52$"):
+            call(t)
+
+
+def test_evaluators_refuse_from_their_own_scale():
+    # K2's largest eigenvalue is 2, the bound the CLI's fidelity test pins.
+    evaluators = _evaluators()
+    for call in (evaluators["transition_values"], evaluators["evolve_operator"]):
+        call(2.0**51 - 1)
+        call(-(2.0**51 - 1))
+        with pytest.raises(ValueError):
+            call(2.0**51)
+    # On the corona the scale is the largest lambda_+, K2 corona O3's 3 + sqrt(7)
+    # from the class (c) entries; t is the largest time with t * scale < 2**52.
+    cs, gd = _corona_walk(complete_graph(2), [empty_graph(3)] * 2)
+    scale = max(entry.lam_plus for entry in cs.class_c)
+    assert abs(scale - (3.0 + math.sqrt(7.0))) < 1e-12
+    t = 2.0**52 / scale
+    while t * scale >= 2.0**52:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) * scale < 2.0**52:
+        t = math.nextafter(t, math.inf)
+    assert np.isfinite(corona_transition_values(cs, gd, 0, 1, [t, -t])).all()
+    with pytest.raises(ValueError, match="reaches 2"):
+        corona_transition_values(cs, gd, 0, 1, [0.0, math.nextafter(t, math.inf)])
+    with pytest.raises(ValueError, match="reaches 2"):
+        corona_transition_values(cs, gd, 0, 1, [-math.nextafter(t, math.inf)])
