@@ -286,15 +286,17 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     class_c_side(minus, slice(0, n))
     col = n
     kernel_mults = sats.multiplicities[sats.first[:-1]].tolist()
+    class_a = {}  # stack row r -> its class (a) columns, shared by every cell of that satellite
     for ell, r in enumerate(sats.rows.tolist()):
         if kernel_mults[r] > 1:
-            # Class (a): the ones direction in kernel coordinates; complete it
-            # to an orthonormal basis and keep the other columns.
-            kernel = sats.vectors[r, :, : kernel_mults[r]]
-            ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
-            basis = np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
-            cells[ell, 1:, col : col + basis.shape[1]] = kernel @ basis
-            col += basis.shape[1]
+            if r not in class_a:
+                # Class (a): the ones direction in kernel coordinates; complete it
+                # to an orthonormal basis and keep the other columns.
+                kernel = sats.vectors[r, :, : kernel_mults[r]]
+                ones = kernel.T @ np.full(m, 1.0 / np.sqrt(m))
+                class_a[r] = kernel @ np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
+            cells[ell, 1:, col : col + kernel_mults[r] - 1] = class_a[r]
+            col += kernel_mults[r] - 1
     # Class (b): each entry's satellite eigenvector columns, in one write.
     # Flat stack column j is vectors[j // m, :, j % m]; a cluster's are consecutive.
     b_mults = sats.multiplicities[pooled.clusters]

@@ -34,23 +34,40 @@ class Graph:
     pairs normalized to u < v; no self-loops or duplicates. n is an integer
     too (ValueError otherwise). Instances are immutable and safe to share
     across threads.
+
+    Construction checks all edges at once, in C-level passes over the
+    flattened ends; only a faulty input is walked edge by edge, to name its
+    first faulty edge. Integer-like ends (numpy integers) are stored as plain
+    ints.
     """
 
     n: int
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _index(self.n))
-        if self.n < 0:
+        object.__setattr__(self, "n", n := _index(self.n))
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for e in self.edges:
-            u, v = map(_index, e)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            norm.add((min(u, v), max(u, v)))
+        given = list(self.edges)  # an iterator of edges is read once, and the error path reads them again
+        pairs = []  # extend keeps the pairs read before a failure: an edge that is an iterator is read once too
+        try:
+            pairs.extend(map(tuple, given))
+            ends = list(itertools.chain.from_iterable(pairs))
+            # Ends other than plain ints go through _index: numpy integers pass; bool, float and str do not.
+            ends = ends if set(map(type, ends)) <= {int} else list(map(_index, ends))
+            us, vs = ends[::2], ends[1::2]
+            lt, gt = list(map(operator.lt, us, vs)), list(map(operator.gt, us, vs))
+            ok = set(map(len, pairs)) <= {2} and all(map(operator.or_, lt, gt))  # a self-loop is neither
+            ok = ok and (not ends or 0 <= min(ends) and max(ends) < n)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:  # the first faulty edge in iteration order, in the words of a per-edge check
+            for e, p in itertools.zip_longest(given, pairs):
+                u, v = map(_index, e if p is None else p)
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"self-loop at vertex {u}" if u == v else f"edge {e} out of range for n={n}")
+        # Normalised to u < v: the pairs with u < v as given, then those with u > v reversed.
+        norm = itertools.chain(itertools.compress(zip(us, vs), lt), itertools.compress(zip(vs, us), gt))
         object.__setattr__(self, "edges", frozenset(norm))
 
     def degree(self, u: int) -> int:

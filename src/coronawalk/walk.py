@@ -40,9 +40,12 @@ def _fidelity(values: np.ndarray) -> np.ndarray:
 
 
 def _check_phase_range(t_max: float, scale: float, what: str | None = None) -> None:
-    """Refuse phases t*lambda past 2^52 (|t_max| >= every |t|, scale >= every |lambda|), where one ulp is
-    a radian or more. `not <` on Python floats refuses a NaN or infinite t_max, with no numpy warning."""
+    """Refuse a NaN or infinite time t_max, and phases t*lambda past 2^52 (|t_max| >= every |t|, scale >=
+    every |lambda|), where one ulp is a radian or more. Given `what`, the source of t_max, an infinite
+    t_max is too large as well. Both tests run on Python floats, so that no numpy warning comes first."""
     t_max = abs(float(t_max))
+    if what is None and not np.isfinite(t_max):
+        raise ValueError(f"time {t_max:g} is not finite")
     if not t_max * float(scale) < 2.0**52:
         raise ValueError(f"{what or f'time {t_max:g}'} is too large: |t_max| * max|eigenvalue| reaches 2**52")
 

@@ -419,6 +419,32 @@ def test_one_eigensolve_per_distinct_satellite(monkeypatch):
     assert calls == [(25, 10, 10), (25, 25)]
 
 
+def test_one_class_a_basis_per_distinct_satellite(monkeypatch):
+    # A disconnected satellite's class (a) columns depend only on its stack
+    # row, so equal satellites share one QR completion, however many cells
+    # hold them: C4 corona O3 used to run four, K2 corona O6 two.
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode=mode))
+    cases = [
+        (cycle_graph(4), [empty_graph(3)] * 4, [(3, 1)]),
+        (complete_graph(2), equal_copies(empty_graph(6), 2), [(6, 1)]),
+        (cycle_graph(5), [empty_graph(4), path_graph(4), empty_graph(4), Graph(4, {(0, 1)}), path_graph(4)],
+         [(4, 1), (3, 1)]),
+    ]
+    for g, hs, want in cases:
+        calls.clear()
+        d = corona_eigenprojectors(g, hs)
+        assert calls == want
+        # The shared columns are the same bits in every cell of that satellite.
+        stride, a_cols = hs[0].n + 1, slice(g.n, g.n + sum(component_count(h) - 1 for h in hs))
+        rows = [d.vectors[ell * stride + 1 : (ell + 1) * stride, a_cols] for ell in range(g.n)]
+        blocks = [r[:, np.any(r != 0.0, axis=0)] for r in rows]
+        for ell, h in enumerate(hs):
+            twin = hs.index(h)
+            assert blocks[ell].tobytes() == blocks[twin].tobytes()
+
+
 def test_one_adjacency_per_distinct_satellite(monkeypatch):
     # The class (b) cluster norm is read off the satellite Laplacians the
     # eigensolve uses, so no satellite adjacency is built a second time.

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from conftest import random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronawalk import (
     FAMILIES,
@@ -25,6 +28,7 @@ from coronawalk import (
     matching_graph,
     path_graph,
 )
+from coronawalk.graphs import _index
 
 
 def test_complete_and_empty():
@@ -50,6 +54,104 @@ def test_edge_normalization_and_validation():
     g = Graph(np.int64(3), frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
     assert g == path_graph(3) and type(g.n) is int
     assert all(type(x) is int for e in g.edges for x in e)
+
+
+def per_edge_rule(n, edges):
+    """The per-edge check Graph ran before its bulk check, kept as its
+    reference: the normalized edges, or the ValueError of the first faulty
+    edge in iteration order."""
+    norm = set()
+    for e in edges:
+        u, v = map(_index, e)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {e} out of range for n={n}")
+        norm.add((min(u, v), max(u, v)))
+    return frozenset(norm)
+
+
+INT_TYPES = (int, int, np.int64, np.int32, np.int16)
+FAULTY_ENDS = (True, False, 0.0, 1.0, 2.5, "0", "1", -1, -3, 2**64, -(2**64))
+CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset, "iterator": iter}
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges, container): loop-free pairs on n vertices, some reversed or
+    repeated, with ends of several integer types and, in about half the
+    draws, one or two faulty edges inserted anywhere. Each edge comes with
+    the form it is given in: a tuple, a list or an iterator of its ends."""
+    n = draw(st.integers(0, 7))
+    steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)) if n >= 2 else st.nothing()
+    edges = [(u, (u + d) % n) for u, d in draw(st.lists(steps, max_size=12 if n >= 2 else 0))]
+    end = st.integers(0, max(n - 1, 0))
+    faulty = st.one_of(
+        st.tuples(end, st.sampled_from(FAULTY_ENDS + (n, n + 1))),  # not an integer, or out of range
+        st.tuples(st.sampled_from(FAULTY_ENDS + (n,)), end),
+        end.map(lambda u: (u, u)),  # a self-loop
+        st.tuples(end),
+        st.tuples(end, end, end),
+    )
+    if draw(st.booleans()):
+        for bad in draw(st.lists(faulty, min_size=1, max_size=2)):
+            edges.insert(draw(st.integers(0, len(edges))), bad)
+    typed = st.sampled_from(INT_TYPES)
+    edges = [tuple(draw(typed)(x) if type(x) is int and abs(x) < 2**15 else x for x in e) for e in edges]
+    container = draw(st.sampled_from(sorted(CONTAINERS)))
+    # A list or iterator edge is no set member.
+    forms = st.sampled_from((tuple, list, iter)) if container in ("list", "tuple", "iterator") else st.just(tuple)
+    return n, [(draw(forms), e) for e in edges], container
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_inputs())
+def test_bulk_edge_check_matches_the_per_edge_rule(case):
+    n, edges, container = case
+
+    def given():  # the same edges in the same order, built anew: an iterator is read once
+        return CONTAINERS[container](form(e) for form, e in edges)
+
+    def message(exc):  # an iterator edge is named by its repr, which holds its address
+        return re.sub(r" at 0x[0-9a-f]+", "", str(exc))
+
+    try:
+        want = per_edge_rule(n, given())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            Graph(n, given())
+        assert message(info.value) == message(exc)
+        assert re.search(r"must be integers|^self-loop at vertex|out of range for n=|values to unpack", str(exc))
+        return
+    g = Graph(n, given())
+    assert g.edges == want
+    assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in g.edges)
+
+
+def test_bulk_edge_check_named_cases():
+    huge = 2**64
+    cases = [
+        ((3, [(0, 1.5)]), "vertex counts and ids must be integers, got 1.5"),
+        ((3, [(True, 2)]), "vertex counts and ids must be integers, got True"),
+        ((3, [("0", 2)]), "vertex counts and ids must be integers, got '0'"),
+        ((3, [(1, 1)]), "self-loop at vertex 1"),
+        ((3, [(np.int64(2), 2)]), "self-loop at vertex 2"),
+        ((3, [(0, 3)]), "edge (0, 3) out of range for n=3"),
+        ((3, [[-1, 0]]), "edge [-1, 0] out of range for n=3"),
+        ((3, [(0, huge)]), f"edge (0, {huge}) out of range for n=3"),
+        ((3, [(0,)]), "not enough values to unpack"),  # Python's own wording follows
+        ((3, [(0, 1, 2)]), "too many values to unpack"),
+        # The first faulty edge in iteration order names the fault.
+        ((3, [(0, 1), (2, 2), (0, 9), (0, 0.5)]), "self-loop at vertex 2"),
+        ((3, iter([(0, 1), (0, 9), (2, 2)])), "edge (0, 9) out of range for n=3"),
+        # An edge that is itself an iterator is read once and still checked.
+        ((3, [iter((0, 1)), (2, 2)]), "self-loop at vertex 2"),
+        ((3, [iter((0, 1)), iter((1, 1))]), "self-loop at vertex 1"),
+        ((3, [iter((0, 1)), iter((0, 3))]), "edge <tuple_iterator object"),
+    ]
+    for (n, edges), message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            Graph(n, edges)
 
 
 def test_graph_is_a_value_of_n_and_edges():

@@ -320,9 +320,11 @@ def _evaluators() -> dict:
 def test_evaluators_refuse_unusable_times(t):
     # Phases t*lambda past 2**52 are rounding noise, and non-finite times give
     # nan: each evaluator refuses them itself, and no numpy warning (an error
-    # under this suite's filterwarnings) comes first.
+    # under this suite's filterwarnings) comes first. A finite time is too
+    # large; a non-finite one is named as such, not as too large.
+    message = r"^time \S+ is too large: .* reaches 2\*\*52$" if math.isfinite(t) else r"^time (inf|nan) is not finite$"
     for call in _evaluators().values():
-        with pytest.raises(ValueError, match=r"^time \S+ is too large: .* reaches 2\*\*52$"):
+        with pytest.raises(ValueError, match=message):
             call(t)
 
 
