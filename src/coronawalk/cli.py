@@ -281,8 +281,9 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     adjacency walk's best fidelity over a dense grid.
 
     walk._phase_screen, the screen pgst_search uses, bounds the fidelity on
-    every grid point to within tol, in rows of _GRID_ROW points from one
-    product (the grid starts at 0, so linspace gives t_k = fl(k*grid[1])).
+    every grid point to within tol, in rows of _GRID_ROW points (the grid
+    starts at 0, so linspace gives t_k = fl(k*grid[1])), 32 rows a product
+    into one preallocated float array, so no grid-sized complex array is built.
     Only the points screened at or above max(screen) - 2*tol can hold the
     grid's maximum; transition_values evaluates those, and the first
     maximum among them is the grid's argmax. Both read _pair_measure, no stack.
@@ -297,7 +298,11 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     u, v = cg.flat_index(0, 0), cg.flat_index(1, 0)
     grid = np.linspace(0.0, 2000.0, 200_000)
     screen, tol = _phase_screen(_pair_measure(adj, u, v).uv, adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
-    screened = screen(grid[::_GRID_ROW]).ravel()[: grid.size]  # drops a ragged last row's overhang
+    starts = grid[::_GRID_ROW]
+    screened = np.empty((starts.size, _GRID_ROW))
+    for i in range(0, starts.size, 32):  # 16,384 points a product, one pgst_search screen block
+        screened[i : i + 32] = screen(starts[i : i + 32])
+    screened = screened.ravel()[: grid.size]  # drops a ragged last row's overhang
     cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
     fidelities = _fidelity(transition_values(adj, u, v, grid[cands]))
     best = int(np.argmax(fidelities))

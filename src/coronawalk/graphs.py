@@ -227,7 +227,8 @@ def graph_from_dict(data: dict) -> Graph:
     if missing:
         raise ValueError(f"a graph needs the keys 'n' and 'edges'; missing {missing}")
     edges = data["edges"]
-    if not isinstance(edges, list) or any(not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges):
+    pairs = isinstance(edges, list) and all(map(isinstance, edges, itertools.repeat((list, tuple))))
+    if not (pairs and set(map(len, edges)) <= {2}):  # C-level passes; len reads only sequences
         raise ValueError("graph edges are a list of vertex pairs [u, v]")
     return Graph(data["n"], edges)
 

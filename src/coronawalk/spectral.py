@@ -181,14 +181,22 @@ def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.linalg.eigh of (M + M^T)/2 and the max-norm of each real matrix M in
     the (..., n, n) stack mats; ValueError on a NaN or infinite entry or an
     asymmetric M. One call runs LAPACK over the whole stack, with the bits of
-    one call per matrix."""
+    one call per matrix. An exactly symmetric stack, as every one the package
+    builds, goes to LAPACK as given, since (M + M^T)/2 is M entry for entry;
+    one passing the test inexactly is symmetrised, in a copy. Besides the
+    outputs it allocates a difference array the size of mats, freed before
+    LAPACK runs, which adds its own copy of each M and 2n^2 + 6n of workspace."""
     norm = np.abs(mats).max(axis=(-2, -1), initial=0.0)
     if not math.isfinite(norm.max()):  # max(1.0, nan) would read 1.0
         raise ValueError("matrix has a NaN or infinite entry")
-    flipped = mats.swapaxes(-2, -1)
-    if (np.abs(mats - flipped).max(axis=(-2, -1), initial=0.0) > 1e-12 * np.maximum(1.0, norm)).any():
+    diff = mats - mats.swapaxes(-2, -1)
+    asym = np.abs(diff, out=diff).max(axis=(-2, -1), initial=0.0)
+    del diff  # freed before eigh allocates the eigenvectors
+    if (asym > 1e-12 * np.maximum(1.0, norm)).any():
         raise ValueError("matrix is not symmetric")
-    w, vecs = np.linalg.eigh((mats + flipped) / 2.0)
+    if asym.any():
+        mats = (mats + mats.swapaxes(-2, -1)) / 2.0
+    w, vecs = np.linalg.eigh(mats)
     return w, vecs, norm
 
 
@@ -200,7 +208,10 @@ def eigendecompose(mat: np.ndarray) -> SpectralDecomposition:
     the ascending list, where a gap <= CLUSTER_TOL_SCALE * max(1, max|mat|)
     joins two neighbours into one eigenspace, whose eigenvalue is the mean of
     its members. Raises ValueError on a complex, NaN or infinite entry, and
-    np.linalg.LinAlgError if the eigensolver fails.
+    np.linalg.LinAlgError if the eigensolver fails. Besides the dim x dim
+    vectors it allocates one dim x dim difference array, LAPACK its own copy
+    and 2 dim^2 + 6 dim of workspace, and _eigh a symmetrised copy only for
+    input that is not exactly symmetric.
     """
     if np.iscomplexobj(mat):  # a float cast would drop the imaginary parts
         raise ValueError("expected a real matrix, got complex entries")

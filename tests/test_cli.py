@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,8 @@ def test_bad_vertices_and_graph_files_exit_1(capsys, tmp_path):
         ({"edges": []}, "missing ['n']"),
         ({"n": 3, "edges": 5}, "edges"),
         ({"n": 3, "edges": [[0, 1, 2]]}, "edges"),
+        ({"n": 3, "edges": [[0, 1], 5]}, "edges"),  # len is never called on the int
+        ({"n": 3, "edges": ["01"]}, "edges"),  # a string of length 2 is not a pair
     )):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))
@@ -433,6 +436,19 @@ def test_figures_fig3_screen_finds_the_dense_grid_maximum(tmp_path):
     assert abs(summary["adjacency_max_fidelity"] - dense[idx]) <= 4 * np.spacing(dense[idx])
     assert _fmt(summary["adjacency_max_fidelity"]) == _fmt(dense[idx])
 
+
+
+def test_figures_fig3_screens_its_grid_in_row_blocks(capsys, tmp_path):
+    # 32 rows of 512 points a product into one float array: no (391, 512)
+    # complex product and no grid-sized temporaries of its squares.
+    tracemalloc.start()
+    try:
+        rc, _ = run(capsys, "figures", "fig3", "--outdir", str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 5 * 2**20
 
 def test_figures_all(capsys, tmp_path, monkeypatch):
     # Run as the benchmark's cli_figures check runs it, whose reference pins

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from coronawalk import (
     walk_matrix,
 )
 from coronawalk import spectral
-from coronawalk.spectral import CLUSTER_TOL_SCALE, SUPPORT_TOL, _cluster, _pair_measure
+from coronawalk.graphs import _laplacian_stack
+from coronawalk.spectral import CLUSTER_TOL_SCALE, SUPPORT_TOL, _cluster, _eigh, _pair_measure
 
 
 def test_k2_decomposition():
@@ -173,6 +175,37 @@ def test_input_validation():
         with pytest.raises(ValueError, match="NaN or infinite"):
             eigendecompose(np.array([[0.0, bad], [bad, 0.0]]))
 
+
+
+def test_eigendecompose_allocates_one_dim_squared_array():
+    # The vectors and the symmetry test's difference array are never alive
+    # together, and an exactly symmetric input gets no symmetrised copy.
+    n = 1000
+    mat = laplacian(cycle_graph(n))
+    tracemalloc.start()
+    try:
+        eigendecompose(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
+
+
+def test_eigh_keeps_the_bits_of_the_symmetrised_solve():
+    # (M + M^T)/2 is M entry for entry when M is exactly symmetric, so
+    # handing M to LAPACK as given changes no bit; a matrix asymmetric within
+    # the tolerance is still solved as its symmetrisation.
+    rng = np.random.default_rng(32)
+    mat = random_symmetric_int_matrix(rng, 9) / 3.0
+    stack = _laplacian_stack([cycle_graph(6), path_graph(6), complete_graph(6), empty_graph(6)], 6)
+    skewed = mat.copy()
+    skewed[0, 1] += 1e-14
+    for m in (mat, stack, skewed):
+        w, vecs, norm = _eigh(m)
+        want_w, want_vecs = np.linalg.eigh((m + m.swapaxes(-2, -1)) / 2.0)
+        assert w.tobytes() == want_w.tobytes() and vecs.tobytes() == want_vecs.tobytes()
+        assert norm.tolist() == np.abs(m).max(axis=(-2, -1)).tolist()
+    assert not np.array_equal(skewed, skewed.T)
 
 def test_near_degenerate_merging():
     d = eigendecompose(np.diag([0.0, 5e-9]))

@@ -13,8 +13,10 @@ workload of BENCHMARK.json runs PAIRS pairs; pair i runs seed
 seeds[i % len(seeds)] on both sides, and the side that runs first alternates.
 For each workload and end-to-end metric the file gives q1/median/q3 per
 side, the pairs the change wins (lower or higher is better as BENCHMARK.json
-says), the relative change of the medians against the metric's bound, and
-every raw value.
+says), the relative change of the medians against the metric's bound, whether
+a claimed gain would be met (gain_met: the change wins at least 9 in 10
+pairs, ties counting for neither side, and its median beats the parent's by
+more than the parent's q3 - q1), and every raw value.
 """
 
 from __future__ import annotations
@@ -56,20 +58,22 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(metric: dict, runs: dict) -> dict:
-    """One metric's sides, pair wins and verdict against its bound."""
+    """One metric's sides, pair wins and verdicts against its bound and as a claimed gain."""
     name, lower = metric["name"], metric["better"] == "lower"
     values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
     wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-    parent, change = (statistics.median(values[side]) for side in SIDES)
-    worse = (change - parent if lower else parent - change) / abs(parent) if parent else 0.0
+    sides = {side: {**quartiles(values[side]), "values": values[side]} for side in SIDES}
+    parent, change = (sides[side]["median"] for side in SIDES)
+    gain = parent - change if lower else change - parent
     return {
         "unit": metric["unit"],
         "better": metric["better"],
         "bound": metric["bound"],
-        **{side: {**quartiles(values[side]), "values": values[side]} for side in SIDES},
+        **sides,
         "change_wins": wins,
         "median_change": (change - parent) / abs(parent) if parent else 0.0,
-        "within_bound": worse <= metric["bound"],
+        "within_bound": (-gain / abs(parent) if parent else 0.0) <= metric["bound"],
+        "gain_met": 10 * wins >= 9 * len(values["parent"]) and gain > sides["parent"]["q3"] - sides["parent"]["q1"],
     }
 
 
