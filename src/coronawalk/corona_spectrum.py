@@ -19,12 +19,13 @@ eigenvectors span one eigenspace.
 corona_spectrum and corona_eigenprojectors share one setup, _corona_parts:
 one eigensolve of L(G), and one np.linalg.eigh over the (k, m, m) stack of
 the k distinct satellite Laplacians, each row clustered by the rule of
-eigendecompose and pooled into class (b) from those arrays.
-eigenvalue_list and corona_eigenprojectors merge values by one rule,
-_merge_pieces, so the two agree exactly. Delta, (m+lam-1)/Delta and
-lambda_pm are evaluated in one place, _class_c_arrays, for every class (c)
-reader here and in walk and statetransfer, and _class_c_entries alone builds
-ClassC entries, for corona_spectrum and the no-PST witness.
+eigendecompose and pooled into class (b) from those arrays. eigenvalue_list
+and corona_eigenprojectors merge values by one rule, _merge_pieces, so the
+two agree exactly. Delta, (m+lam-1)/Delta and lambda_pm are evaluated in one
+place, _class_c_arrays, for every class (c) reader here and in walk and
+statetransfer; ClassC entries only in _class_c_entries (corona_spectrum, the
+no-PST witness); and a base pair's measure lifted onto lambda_pm only in
+_lifted_measure (the no-PST witness, the PGST screen).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .corona import _satellite_order
 from .graphs import Graph, _laplacian_stack, component_count, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
-from .spectral import SpectralDecomposition, _cluster, _eigh, eigendecompose
+from .spectral import SpectralDecomposition, _cluster, _eigh, _PairMeasure, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,18 @@ def _class_c_arrays(lam, m: int):
     delta = np.sqrt(np.square(shifted) + 4.0 * m)
     total = m + lam + 1.0 + delta
     return delta, shifted / delta, 0.5 * total, 2.0 * lam / total
+
+
+def _lifted_measure(measure: _PairMeasure, m: int) -> _PairMeasure:
+    """The measure of base vertices (u, 0), (v, 0) in a corona of satellite order m from the base
+    pair's, on every lambda_minus, then every lambda_plus: B_lam (x) w/||w|| gives <u|F_lam|v> the
+    share (1 -/+ coef)/2 = (1 - x)^2/((1 - x)^2 + m) at x = lambda_pm, and the norms its square root.
+    The lambda_minus share is m/(Delta^2 (1 + coef)/2), as 1 - coef cancels when lam grows."""
+    delta, coef, plus, minus = _class_c_arrays(measure.eigenvalues, m)
+    share = 0.5 * (1.0 + coef)
+    share = np.concatenate((m / (np.square(delta) * share), share))
+    uv, norms = (np.concatenate((x, x), axis=-1) for x in (measure.uv, measure.norms))
+    return _PairMeasure(np.concatenate((minus, plus)), uv * share, norms * np.sqrt(share))
 
 
 def _class_c_entries(lams: np.ndarray, mults, m: int) -> tuple:

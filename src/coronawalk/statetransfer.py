@@ -10,14 +10,14 @@ is even. The minimum transfer time is then t0 = pi/g.
 Coronas over a connected base on >= 2 vertices never admit PST: each base
 vertex keeps both lambda_pm in its support, and at least one of them is
 never an integer (exact arithmetic when the base eigenvalue is integral).
-PGST can survive; the searches here scan the time families t = 4*pi*ell
-and t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity
-target. The shifted family is searched only from a base pair that
-check_pst's rule, _pst_verdict, certifies on the search's own pair measure,
-with r the 2-adic valuation of its support gcd. The first chunk of ell runs
-exactly, in three growing runs that stop at a hit.
-Past it, the screen walk._phase_screen (which the CLI's fig3 also uses)
-leaves the exact kernel only the ell that may hold a record or a hit.
+PGST can survive; the searches here scan the time families t = 4*pi*ell and
+t = (4*ell + 2^(1-r))*pi for the smallest ell meeting a fidelity target. The
+shifted family is searched only from a base pair that check_pst's rule,
+_pst_verdict, certifies on the search's own pair measure, with r the 2-adic
+valuation of its support gcd. The first chunk of ell runs exactly, in three
+growing runs that stop at a hit. Past it, the screen walk._phase_screen
+(which the CLI's fig3 also uses) leaves the exact kernel only the ell that
+may hold a record or a hit.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corona_spectrum import CoronaSpectrum, _class_c_arrays, _class_c_entries, _corona_walk
+from .corona_spectrum import CoronaSpectrum, _class_c_arrays, _class_c_entries, _corona_walk, _lifted_measure
 from .graphs import Graph, _index, cocktail_party_graph, complete_graph, is_connected, laplacian
-from .numtheory import integer_eigenvalue, support_gcd_and_valuation
+from .numtheory import MAX_EXACT, integer_eigenvalue, support_gcd_and_valuation
 from .spectral import (
     SUPPORT_TOL, SpectralDecomposition, _block_sums, _cospectrality, _pair_measure, _PairMeasure, eigendecompose,
 )
@@ -174,10 +174,10 @@ def _pst_verdict(measure: _PairMeasure, u: int, v: int) -> TransferVerdict:
 class NoPstWitness:
     """A positive base eigenvalue whose lambda_pm pair refutes corona PST.
 
-    support_weights are the diagonal projector entries
-    <(u,0)|F_{lambda_pm}|(u,0)> certifying that both values stay in the
-    support of the base vertex u inside any corona of satellite order m.
-    """
+    support_weights are the diagonal projector entries <(u,0)|F|(u,0)> at
+    (lambda_plus, lambda_minus), in that order, in any corona of satellite
+    order m; both norms ||F e_(u,0)|| exceed SUPPORT_TOL, so both values stay
+    in the support of the base vertex u."""
 
     base_vertex: int
     m: int
@@ -193,55 +193,54 @@ def corona_no_pst_witness(g: Graph, m: int, base_vertex: int) -> NoPstWitness:
     """Witness that G corona (H_1..H_n) has no Laplacian PST at base_vertex.
 
     Holds for every choice of satellites of order m: the witness eigenvalue
-    pair lambda_pm depends only on (lam, m) and its membership in the
-    support of (base_vertex, 0) follows from the class (c) projector
-    diagonal. Non-integrality is decided exactly when lam is an integer
-    ((m+lam-1)^2 + 4m is never a perfect square), and follows from
-    lambda_plus + lambda_minus = m + lam + 1 otherwise.
+    pair lambda_pm depends only on (lam, m). lam is the smallest positive
+    base eigenvalue whose lambda_pm both pass eigenvalue_support's rule,
+    lifted norm > SUPPORT_TOL, on the lifted measure of (base_vertex, 0),
+    which also gives the (lambda_plus, lambda_minus) support_weights.
+    Non-integrality is decided exactly when lam is an integer ((m+lam-1)^2 +
+    4m is never a perfect square), and follows from lambda_plus +
+    lambda_minus = m + lam + 1 otherwise. Laplacian eigenvalues are at most
+    n, so an m with (m+n-1)^2 + 4m > 2**63 - 1, past squarefree_split's
+    range, raises ValueError first.
     """
     m, base_vertex = _index(m), _index(base_vertex)
     if g.n < 2 or not is_connected(g):
         raise ValueError("witness needs a connected base graph on >= 2 vertices")
     if m < 1:
         raise ValueError("satellite order m must be >= 1")
+    if (m + g.n - 1) ** 2 + 4 * m > MAX_EXACT:
+        raise ValueError(f"satellite order m={m} is too large: (m+n-1)^2 + 4m exceeds 2**63 - 1")
     if not (0 <= base_vertex < g.n):
         raise ValueError(f"base vertex {base_vertex} out of range")
 
     d = eigendecompose(laplacian(g))
-    diagonal = _pair_measure(d, base_vertex, base_vertex).uv.tolist()  # <u|F_lam|u>
-    for idx in range(1, len(diagonal)):  # past lam = 0; off u's support, both weights < <u|F|u> fail
-        (pair,) = _class_c_entries(d.eigenvalues[idx : idx + 1], d.multiplicities[idx : idx + 1], m)
-        lam, plus, minus = pair.lam, pair.lam_plus, pair.lam_minus
-        weights = tuple((1.0 - x) ** 2 / ((1.0 - x) ** 2 + m) * diagonal[idx] for x in (plus, minus))
-        if min(weights) <= SUPPORT_TOL**2:
-            continue
-
-        if pair.delta_sq is not None:
-            if pair.c == 1:
-                raise ArithmeticError(f"unexpected perfect square {pair.delta_sq}")
-            reason = (
-                f"(m+lam-1)^2 + 4m = {pair.delta_sq} is not a perfect square, so "
-                f"lambda_pm = ({m + round(lam) + 1} +/- sqrt({pair.delta_sq}))/2 are irrational "
-                f"support eigenvalues of ({base_vertex},0)"
-            )
-        else:
-            bad = [x for x in (plus, minus) if integer_eigenvalue(x) is None]
-            reason = (
-                f"base eigenvalue {lam:.12g} is not an integer, so the support "
-                f"eigenvalue(s) {', '.join(f'{x:.12g}' for x in bad)} of "
-                f"({base_vertex},0) cannot be integers"
-            )
-        return NoPstWitness(
-            base_vertex=base_vertex,
-            m=m,
-            lam=lam,
-            lam_plus=plus,
-            lam_minus=minus,
-            delta_sq=pair.delta_sq,
-            support_weights=weights,
-            reason=reason,
+    lifted = _lifted_measure(_pair_measure(d, base_vertex, base_vertex), m)
+    # Row 0 is every lambda_minus, row 1 every lambda_plus; column 0 is lam = 0.
+    certified = np.flatnonzero((lifted.norms[0].reshape(2, -1)[:, 1:] > SUPPORT_TOL).all(axis=0))
+    if not certified.size:
+        raise ArithmeticError("no certified positive support eigenvalue found")
+    idx = int(certified[0]) + 1
+    (pair,) = _class_c_entries(d.eigenvalues[idx : idx + 1], d.multiplicities[idx : idx + 1], m)
+    if pair.delta_sq is not None:
+        if pair.c == 1:
+            raise ArithmeticError(f"unexpected perfect square {pair.delta_sq}")
+        reason = (
+            f"(m+lam-1)^2 + 4m = {pair.delta_sq} is not a perfect square, so "
+            f"lambda_pm = ({m + round(pair.lam) + 1} +/- sqrt({pair.delta_sq}))/2 are irrational "
+            f"support eigenvalues of ({base_vertex},0)"
         )
-    raise ArithmeticError("no certified positive support eigenvalue found")
+    else:
+        bad = [x for x in (pair.lam_plus, pair.lam_minus) if integer_eigenvalue(x) is None]
+        reason = (
+            f"base eigenvalue {pair.lam:.12g} is not an integer, so the support "
+            f"eigenvalue(s) {', '.join(f'{x:.12g}' for x in bad)} of "
+            f"({base_vertex},0) cannot be integers"
+        )
+    weights = tuple(lifted.uv.reshape(2, -1)[::-1, idx].tolist())  # (lambda_plus, lambda_minus)
+    return NoPstWitness(
+        base_vertex=base_vertex, m=m, lam=pair.lam, lam_plus=pair.lam_plus, lam_minus=pair.lam_minus,
+        delta_sq=pair.delta_sq, support_weights=weights, reason=reason,
+    )
 
 
 @dataclass(frozen=True)
@@ -296,18 +295,19 @@ def pgst_search(
     target. The first _SEARCH_CHUNK ell run exactly, in runs ending at
     _FIRST_RUN_ENDS, so a search that hits early evaluates only the runs
     up to its hit; a run whose largest fidelity is no record skips the
-    record pass. Past them, _fidelity_screen bounds every fidelity to
-    within tol, one product per _SCREEN_BLOCK chunks, and only the ell
-    screened at or above min(best, target) - tol (best as of the block's
-    start) run the exact kernel, a block's survivors together, in
-    ascending runs of at most _SEARCH_CHUNK. No other ell can be a record
+    record pass. Past them, walk._phase_screen on the lifted pair measure
+    bounds every fidelity to within tol, one product per _SCREEN_BLOCK
+    chunks, and only the ell screened at or above min(best, target) - tol
+    (best as of the block's start) run the exact kernel, a block's survivors
+    together, in ascending runs of at most _SEARCH_CHUNK. No other ell can be a record
     or a hit, and the kernel gives a time the bits it has in any call, so
     the result is an unscreened scan's. An ell_max whose screen has tol >= 1,
     which rules out no ell, raises ValueError before any evaluation.
 
-    float64 loses about t*eps in the phase t*Delta/2: on cocktail_party(3)
-    with pendant vertices at t = 4*pi*ell, the value errs (against 50-digit
-    mpmath) by 4e-13 at ell = 342, 3e-9 at ell = 1e6 and 7e-8 at ell = 1e7.
+    float64 loses about t*eps in the phase t*Delta/2: against 50-digit mpmath
+    on cocktail_party(3) with pendant vertices, pair (0, 3), at t = 4*pi*ell
+    for ell = 342, 1e6 and 1e7, the value errs by 1.5e-12, 3.0e-9 and 7.6e-8
+    and the fidelity by 4.1e-13, 2.9e-9 and 7.1e-8.
     """
     if family not in PGST_FAMILIES:
         raise ValueError(f"family must be one of {PGST_FAMILIES}, got {family!r}")
@@ -348,7 +348,12 @@ def pgst_search(
     ]
     deltas = delta.tolist()  # the residual loop's Python floats, the bits of delta
     if ell_max > _SEARCH_CHUNK:  # the screen past the exact runs: with tol >= 1 it would prune nothing
-        screen, tol = _fidelity_screen(lam, delta, coef, pair_weights, t_max)
+        # The lifted amplitudes a_j at lambda_-/+ = (m+1)/2 + omega_j split the kernel's value by
+        # cos(x) - i c sin(x) = ((1+c) e^{-ix} + (1-c) e^{ix})/2; the fidelity drops e^{-it(m+1)/2}; S = sum|a_j| =
+        # sum|w| as |coef| < 1. t steps 4*pi per ell, so screen(t0s) reads _SEARCH_CHUNK fidelities per chunk start t0.
+        # The O(k*eps*S^2) remainder is negligible: t_max*max|omega| > 4*pi*2048, as max|omega| >= Delta/2 >= 1.
+        omega = 0.5 * np.concatenate((lam - delta, lam + delta))
+        screen, tol = _phase_screen(_lifted_measure(measure, m).uv, omega, 4.0 * math.pi, _SEARCH_CHUNK, t_max)
         if tol >= 1.0:
             raise ValueError(f"ell_max={ell_max} is too large: the fidelity screen's tol {tol:.3g} reaches 1")
 
@@ -398,26 +403,6 @@ def pgst_search(
         if hits.size:
             break
     return PgstSearchResult(best=history[-1], history=tuple(history), target_met=best_fidelity >= target)
-
-
-def _fidelity_screen(lam, delta, coef, weights, t_max: float):
-    """walk._phase_screen along a PGST time family up to t_max: a cheap
-    stand-in for |corona_transition_values|^2 and the bound tol on its
-    distance from the exact fidelity.
-
-    Splitting cos(x) - i c sin(x) = ((1+c) e^{-ix} + (1-c) e^{ix})/2 turns
-    the element into e^{-it(m+1)/2} sum_j a_j e^{-it omega_j}, with
-    omega = (lam +/- Delta)/2 and a = w (1 +/- coef)/2; S = sum|a_j| =
-    sum|w| as |coef| < 1. The fidelity drops the prefactor, and t advances
-    by exactly 4*pi per ell on both families, so screen(t0s) reads the
-    _SEARCH_CHUNK fidelities from each chunk start t0 as one row. Its
-    O(k*eps*S^2) remainder is negligible: a screen runs only past the first
-    chunk, where t_max*max|omega| > 4*pi*2048 (max|omega| >= Delta/2 >=
-    sqrt(m) >= 1).
-    """
-    omega = 0.5 * np.concatenate((lam + delta, lam - delta))
-    amps = 0.5 * np.concatenate((weights * (1.0 + coef), weights * (1.0 - coef)))
-    return _phase_screen(amps, omega, 4.0 * math.pi, _SEARCH_CHUNK, t_max)
 
 
 def antipodal_sign_check(g: Graph) -> list:

@@ -40,6 +40,8 @@ from coronawalk import (
     walk_matrix,
 )
 from coronawalk import cli
+from coronawalk.corona_spectrum import _lifted_measure
+from coronawalk.spectral import _pair_measure
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -49,7 +51,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_closed_form_spectrum_vs_oracle():
     rng = np.random.default_rng(2026)
-    worst_eval = worst_proj = 0.0
+    worst_eval = worst_proj = worst_lift = 0.0
+    base_pairs = 0
     ok = True
     for _ in range(50):
         n = int(rng.integers(1, 7))
@@ -57,7 +60,9 @@ def test_criterion_1_closed_form_spectrum_vs_oracle():
         g = random_connected_graph(rng, n)
         hs = random_satellites(rng, n, m)
         closed = corona_eigenprojectors(g, hs)
-        oracle = eigendecompose(laplacian(corona(g, hs).flat))
+        cg = corona(g, hs)
+        flat_laplacian = laplacian(cg.flat)
+        oracle = eigendecompose(flat_laplacian)
 
         ok = ok and sum(closed.multiplicities) == n * (m + 1)
         ok = ok and corona_spectrum(g, hs).total_multiplicity() == n * (m + 1)
@@ -68,13 +73,29 @@ def test_criterion_1_closed_form_spectrum_vs_oracle():
         expanded_oracle = np.repeat(oracle.eigenvalues, oracle.multiplicities)
         worst_eval = max(worst_eval, float(np.max(np.abs(expanded_closed - expanded_oracle))))
         worst_proj = max(worst_proj, float(np.max(np.abs(closed.projectors - oracle.projectors))))
-    ok = ok and worst_eval <= 1e-9 and worst_proj <= 1e-8
+        # Base pairs: the lifted base measure is the flat measure on the lambda_pm, which
+        # come first and last in the flat order, and the flat measure vanishes elsewhere.
+        g_decomp = eigendecompose(laplacian(g))
+        k, dim_k = len(g_decomp.multiplicities), len(oracle.multiplicities)
+        lifted_at = np.r_[0:k, dim_k - k : dim_k]
+        scale = np.finfo(float).eps * float(np.abs(flat_laplacian).max())
+        for u in range(n):
+            for v in range(u, n):
+                lifted = _lifted_measure(_pair_measure(g_decomp, u, v), m)
+                flat = _pair_measure(oracle, cg.flat_index(u, 0), cg.flat_index(v, 0))
+                flat_rows = np.vstack((flat.uv, flat.norms))
+                deviation = np.abs(flat_rows[:, lifted_at] - np.vstack((lifted.uv, lifted.norms)))
+                elsewhere = np.abs(np.delete(flat_rows, lifted_at, axis=1))
+                worst_lift = max(worst_lift, float(deviation.max()) / scale, float(elsewhere.max(initial=0.0)) / scale)
+                base_pairs += 1
+    ok = ok and worst_eval <= 1e-9 and worst_proj <= 1e-8 and worst_lift <= 64.0
     report(
         1,
         ok,
         "closed-form corona spectrum matches dense oracle on 50 seeded coronas "
         f"(max eigenvalue dev {worst_eval:.2e} <= 1e-9, max projector dev {worst_proj:.2e} <= 1e-8, "
-        "multiplicities total n(m+1))",
+        f"multiplicities total n(m+1)); the lifted base measure matches the flat one on all {base_pairs} "
+        f"base pairs (max dev {worst_lift:.1f} <= 64 eps*max|L|)",
     )
 
 

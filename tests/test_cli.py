@@ -295,6 +295,12 @@ def test_no_pst_witness_command(capsys):
     assert doc["witness"]["base_vertex"] == 0
     rc, _ = run(capsys, "no-pst-witness", "--g", "o2", "--m", "1")
     assert rc == 1  # disconnected base
+    # An m past the exact range refuses itself by name, not through a helper's
+    # message about (m+lam-1)^2 + 4m.
+    assert main(["no-pst-witness", "--g", "k2", "--m", "10000000000"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: satellite order m=10000000000 is too large: (m+n-1)^2 + 4m exceeds 2**63 - 1\n"
+    )
 
 
 def test_pgst_search_command(capsys):

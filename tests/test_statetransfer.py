@@ -43,7 +43,7 @@ from coronawalk import (
     support_gcd_and_valuation,
 )
 from coronawalk import cli, spectral, statetransfer, walk
-from coronawalk.corona_spectrum import _class_c_arrays, _corona_walk
+from coronawalk.corona_spectrum import _class_c_arrays, _corona_walk, _lifted_measure
 from coronawalk.spectral import SUPPORT_TOL
 from coronawalk.walk import _fidelity, _phases, corona_transition_values, transition_values
 
@@ -447,13 +447,20 @@ def test_witness_values_are_never_integers():
 
 
 def test_witness_weights_match_assembled_projectors():
-    g, m = complete_graph(2), 3
-    w = corona_no_pst_witness(g, m, 0)
-    d = corona_eigenprojectors(g, [empty_graph(m)] * 2)
-    for value, expect in zip((w.lam_plus, w.lam_minus), w.support_weights):
-        idx = int(np.argmin(np.abs(d.eigenvalues - value)))
-        assert abs(d.eigenvalues[idx] - value) < 1e-9
-        assert abs(d.projectors[idx][0, 0] - expect) < 1e-10
+    # support_weights are (<(u,0)|F|(u,0)> at lambda_plus, at lambda_minus): the
+    # closed-form corona decomposition's diagonal, read through its pair measure.
+    k4_minus_e = Graph(4, complete_graph(4).edges - {(0, 1)})  # eigenvalue 4 is double
+    for g in (complete_graph(2), path_graph(4), cycle_graph(5), k4_minus_e, hypercube_graph(2)):
+        for m in (1, 2, 3, 5):
+            d = corona_eigenprojectors(g, [empty_graph(m)] * g.n)
+            for u in range(g.n):
+                w = corona_no_pst_witness(g, m, u)
+                diagonal = spectral._pair_measure(d, u * (m + 1), u * (m + 1)).uv
+                assert w.lam_plus > 1.0 > w.lam_minus
+                for value, weight in zip((w.lam_plus, w.lam_minus), w.support_weights):
+                    idx = int(np.argmin(np.abs(d.eigenvalues - value)))
+                    assert abs(d.eigenvalues[idx] - value) < 1e-9
+                    assert abs(diagonal[idx] - weight) < 1e-12
 
 
 def test_witness_reads_the_corona_spectrum_entry():
@@ -480,6 +487,20 @@ def test_witness_validation():
         corona_no_pst_witness(complete_graph(2), 0, 0)  # m < 1
     with pytest.raises(ValueError):
         corona_no_pst_witness(complete_graph(2), 1, 2)  # vertex range
+
+
+def test_witness_refuses_an_m_past_the_exact_range():
+    # Every Laplacian eigenvalue is at most n, so (m+n-1)^2 + 4m <= 2**63 - 1
+    # keeps every (m+lam-1)^2 + 4m in squarefree_split's range. On K2 the
+    # bound is met by lam = 2 itself: the largest m passing it still splits.
+    top = 2**63 - 1
+    m = math.isqrt(top + 8) - 3  # (m+1)^2 + 4m = (m+3)^2 - 8
+    assert (m + 1) ** 2 + 4 * m <= top < (m + 2) ** 2 + 4 * (m + 1)
+    assert corona_no_pst_witness(complete_graph(2), m, 0).delta_sq == (m + 1) ** 2 + 4 * m
+    for g, too_large in ((complete_graph(2), m + 1), (path_graph(3), m), (complete_graph(2), 10**10)):
+        message = rf"^satellite order m={too_large} is too large: \(m\+n-1\)\^2 \+ 4m exceeds 2\*\*63 - 1$"
+        with pytest.raises(ValueError, match=message):
+            corona_no_pst_witness(g, too_large, 0)
 
 
 def crafted_decomposition(g, vectors):
@@ -625,10 +646,14 @@ def refuse_evaluations(monkeypatch):
 
 
 def search_screen_tol(cs, gd, u, v, shift, ell_max):
-    """The tol of the fidelity screen pgst_search builds for ell_max."""
-    delta, coef, _, _ = _class_c_arrays(gd.eigenvalues, cs.m)
-    weights = spectral._pair_measure(gd, u, v).uv
-    _, tol = statetransfer._fidelity_screen(gd.eigenvalues, delta, coef, weights, (4.0 * ell_max + shift) * math.pi)
+    """The tol of the phase screen pgst_search builds for ell_max, from the
+    bits it hands _phase_screen: the lifted pair measure's amplitudes on
+    omega = (lam -/+ Delta)/2."""
+    delta, _, _, _ = _class_c_arrays(gd.eigenvalues, cs.m)
+    omega = 0.5 * np.concatenate((gd.eigenvalues - delta, gd.eigenvalues + delta))
+    amps = _lifted_measure(spectral._pair_measure(gd, u, v), cs.m).uv
+    t_max = (4.0 * ell_max + shift) * math.pi
+    _, tol = statetransfer._phase_screen(amps, omega, 4.0 * math.pi, statetransfer._SEARCH_CHUNK, t_max)
     return tol
 
 
@@ -898,7 +923,7 @@ def test_screen_stays_within_its_bound(monkeypatch, name):
 
     screened = {}  # first ell of a screened chunk -> the chunk's screened fidelities
     bounds = []
-    make_screen = statetransfer._fidelity_screen
+    make_screen = statetransfer._phase_screen
 
     def recording_screen(*args):
         screen, tol = make_screen(*args)
@@ -919,10 +944,11 @@ def test_screen_stays_within_its_bound(monkeypatch, name):
         exact.update(zip(map(ell_of, args[-1].tolist()), _fidelity(values).tolist()))
         return values
 
-    monkeypatch.setattr(statetransfer, "_fidelity_screen", recording_screen)
+    monkeypatch.setattr(statetransfer, "_phase_screen", recording_screen)
     monkeypatch.setattr(statetransfer, "_corona_kernel", recording_kernel)
     pgst_search(cs, gd, case["u"], case["v"], case["family"], ell_max=300_000, target=0.999999)
     (tol,) = bounds
+    assert tol == search_screen_tol(cs, gd, case["u"], case["v"], shift, 300_000)  # the helper's bits
     gaps = [
         abs(float(screened[start][ell - start]) - f)
         for ell, f in exact.items()

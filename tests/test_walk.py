@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import MIXED3, random_connected_graph, random_graph, scalar_fidelity_phase
@@ -143,6 +144,32 @@ def test_pendant_pair_element_at_revival_times():
             assert abs(got - expect) < 1e-10
             direct = transition_values(oracle, 0, m + 1, np.array([t]))[0]
             assert abs(direct - expect) < 1e-10
+
+
+def test_corona_values_against_50_digit_mpmath():
+    # cocktail_party(3) with pendant vertices, pair (0, 3), at t = 4 pi ell: the
+    # error float64 leaves in the phases t*lam/2 and t*Delta/2 grows with t.
+    # Measured: 1.5e-12 at ell = 342 (the frozen PGST hit) and 3.0e-9 at ell = 1e6.
+    # <0|F_lam|3> on CP(3): J/6 at 0, (I - P)/2 at 4 and (I + P)/2 - J/6 at 6,
+    # with P the antipodal matching.
+    g = cocktail_party_graph(3)
+    cs, g_decomp = corona_spectrum(g, [complete_graph(1)] * 6), eigendecompose(laplacian(g))
+    weights = {0: Fraction(1, 6), 4: Fraction(-1, 2), 6: Fraction(1, 3)}
+    assert np.allclose(transition_values(g_decomp, 0, 3, [0.0, 1.0]), [
+        sum(float(w) * np.exp(-1j * lam * t) for lam, w in weights.items()) for t in (0.0, 1.0)
+    ])
+    m = cs.m
+    for ell, bound in ((342, 5e-12), (10**6, 1e-8)):
+        got = corona_transition_values(cs, g_decomp, 0, 3, [4.0 * math.pi * ell])[0]
+        with mpmath.workdps(50):
+            half = 2 * mpmath.pi * ell  # t/2
+            expect = mpmath.mpc(0)
+            for lam, w in weights.items():
+                delta = mpmath.sqrt((m + lam - 1) ** 2 + 4 * m)
+                osc = mpmath.cos(half * delta) - 1j * (m + lam - 1) / delta * mpmath.sin(half * delta)
+                expect += mpmath.mpf(w.numerator) / w.denominator * mpmath.expj(-half * lam) * osc
+            error = float(abs(mpmath.mpc(got.real, got.imag) - expect * mpmath.expj(-half * (m + 1))))
+        assert error < bound, (ell, error)
 
 
 def test_regular_graph_kinds_agree_on_fidelity():
