@@ -78,7 +78,7 @@ for n in (2, 3, 4):
     print(f"\ncocktail_party({n}) antipodal matching signs:",
           antipodal_sign_check(build_named("cocktail_party", n)))
 
-record = cocktail_pgst(3, target=0.99)
+record = cocktail_pgst(3)
 print(f"cocktail_party(3) o K1: ell = {record.ell}, fidelity = {record.fidelity:.9f}")
 
 # --- Laplacian vs adjacency on the double star ---------------------------

@@ -18,14 +18,16 @@ eigenvectors span one eigenspace.
 
 corona_spectrum and corona_eigenprojectors share one setup, _corona_parts:
 one eigensolve of L(G), and one np.linalg.eigh over the (k, m, m) stack of
-the k distinct satellite Laplacians, each row clustered by the rule of
-eigendecompose and pooled into class (b) from those arrays. eigenvalue_list
-and corona_eigenprojectors merge values by one rule, _merge_pieces, so the
-two agree exactly. Delta, (m+lam-1)/Delta and lambda_pm are evaluated in one
-place, _class_c_arrays, for every class (c) reader here and in walk and
-statetransfer; ClassC entries only in _class_c_entries (corona_spectrum, the
-no-PST witness); and a base pair's measure lifted onto lambda_pm only in
-_lifted_measure (the no-PST witness, the PGST screen).
+the k distinct satellite Laplacians. Only each row's kernel is decided per
+row; class (b) is eigendecompose's rule applied once to the direct sum of
+the satellite Laplacians, clustering every cell's raw nonzero eigenvalues
+together. eigenvalue_list and corona_eigenprojectors merge values by one
+rule, _merge_pieces, so the two agree exactly. Delta, (m+lam-1)/Delta and
+lambda_pm are evaluated in one place, _class_c_arrays, for every class (c)
+reader here and in walk and statetransfer; ClassC entries only in
+_class_c_entries (corona_spectrum, the no-PST witness); and a base pair's
+measure lifted onto lambda_pm only in _lifted_measure (the no-PST witness,
+the PGST screen).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .corona import _satellite_order
 from .graphs import Graph, _laplacian_stack, component_count, laplacian
 from .numtheory import integer_eigenvalue, squarefree_split
-from .spectral import SpectralDecomposition, _cluster, _eigh, _PairMeasure, eigendecompose
+from .spectral import SpectralDecomposition, _cluster, _eigh, _gaps, _PairMeasure, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -153,73 +155,75 @@ def _class_c_entries(lams: np.ndarray, mults, m: int) -> tuple:
 
 class _Satellites(NamedTuple):
     """The distinct satellites, decomposed by one stacked eigensolve: cell
-    ell's satellite is stack row rows[ell], and row r holds
-    eigendecompose(laplacian(h)) bit for bit, as vectors[r] and the distinct
-    eigenvalues and multiplicities at first[r]:first[r + 1]. norm is the
-    largest satellite degree, the largest entry of the Laplacians."""
+    ell's satellite is stack row rows[ell], and row r holds the raw
+    np.linalg.eigh output of its Laplacian, ascending values[r] and
+    vectors[r], the bits of eigendecompose(laplacian(h)). The row's kernel is
+    its first kernel[r] columns: its first cluster at the row's own gap, as
+    eigendecompose finds it. norm is the largest satellite degree, the
+    largest entry of the Laplacians."""
 
     rows: np.ndarray
+    values: np.ndarray
     vectors: np.ndarray
-    eigenvalues: np.ndarray
-    multiplicities: np.ndarray
-    first: np.ndarray
+    kernel: np.ndarray
     norm: float
 
 
 class _Pooled(NamedTuple):
-    """The class (b) pieces. Entry e, in (mu, cell, index) order, is the
-    satellite eigenvalue clusters[e] of cell cells[e]; piece j, of value
-    mus[j] and multiplicity multiplicities[j], holds entries bounds[j]:bounds[j + 1]."""
+    """The class (b) pieces. Entry e, in (value, cell, column) order, is
+    eigenvector column columns[e] of cell cells[e]'s satellite; piece j, of
+    value mus[j] and multiplicity multiplicities[j], holds entries
+    bounds[j]:bounds[j + 1]."""
 
     mus: np.ndarray
     multiplicities: np.ndarray
     bounds: np.ndarray
     cells: np.ndarray
-    clusters: np.ndarray
+    columns: np.ndarray
 
 
 def _satellite_decompositions(hs, m: int) -> _Satellites:
     """One eigensolve over the stacked Laplacians of the distinct satellites
     (Graph equality compares n and edges), each checked to hold the zero
-    eigenvalue at index 0 with multiplicity the exact component count."""
+    eigenvalue first, with kernel size the exact component count."""
     stack_rows = {}
     rows = np.array([stack_rows.setdefault(h, len(stack_rows)) for h in hs])
     w, vectors, norm = _eigh(_laplacian_stack(list(stack_rows), m))
-    eigenvalues, mults, bounds = _cluster(w, norm[:, None])
-    first = bounds.searchsorted(np.arange(0, w.size + 1, m))  # each row starts a cluster
-    for h, zero, k in zip(stack_rows, eigenvalues[first[:-1]].tolist(), mults[first[:-1]].tolist()):
+    kernel = (~_gaps(w, norm[:, None])).cumprod(axis=1).sum(axis=1) + 1  # 1 + the leading unsplit gaps
+    for h, zero, k in zip(stack_rows, w[:, 0].tolist(), kernel.tolist()):
         if integer_eigenvalue(zero) != 0:
             raise ArithmeticError("satellite Laplacian kernel not found")
         if k != component_count(h):
             raise ArithmeticError("satellite kernel multiplicity disagrees with component count")
-    return _Satellites(rows, vectors, eigenvalues, mults, first, max(norm.tolist()))
+    return _Satellites(rows, w, vectors, kernel, max(norm.tolist()))
 
 
 def _class_b_pieces(sats: _Satellites) -> _Pooled:
-    """Nonzero satellite eigenvalues pooled across cells, sorted by
-    (mu, cell, index) and clustered on mu at the gap of max-norm sats.norm."""
-    if sats.eigenvalues.size == sats.first.size - 1:  # one eigenvalue per satellite: all edgeless
+    """eigendecompose's rule on the direct sum of the satellite Laplacians,
+    past its kernel: every cell's raw nonzero eigenvalues, one per column,
+    sorted stably by value and clustered once at the gap of max-norm
+    sats.norm."""
+    m = sats.values.shape[1]
+    if sats.kernel.min() == m:  # no nonzero eigenvalue: every satellite is edgeless
         none = np.zeros(0, dtype=int)
         return _Pooled(np.zeros(0), none, np.zeros(1, dtype=int), none, none)
-    firsts = sats.first[sats.rows]
-    counts = sats.first[sats.rows + 1] - firsts - 1  # nonzero eigenvalues per cell
-    cells, offsets = (np.arange(counts.max()) < counts[:, None]).nonzero()  # in (cell, index) order
-    clusters = firsts[cells] + offsets + 1
-    order = sats.eigenvalues[clusters].argsort(kind="stable")  # ties keep (cell, index) order
-    cells, clusters = cells[order], clusters[order]
-    means, totals, bounds = _cluster(sats.eigenvalues[clusters], sats.norm, sats.multiplicities[clusters])
-    return _Pooled(means, totals, bounds, cells, clusters)
+    cells, columns = (np.arange(m) >= sats.kernel[sats.rows, None]).nonzero()  # in (cell, column) order
+    values = sats.values[sats.rows[cells], columns]
+    order = values.argsort(kind="stable")  # ties keep (cell, column) order
+    mus, sizes, bounds = _cluster(values[order], sats.norm)
+    return _Pooled(mus, sizes, bounds, cells[order], columns[order])
 
 
 def _corona_parts(g: Graph, hs):
     """The setup of both corona functions, each step run once: the satellite
     order m, the distinct satellite decompositions, the class (a)
-    multiplicity, the class (b) pieces and g_decomp. Class (b) pools at the
-    gap eigendecompose gives the direct sum of the satellite Laplacians."""
+    multiplicity, the class (b) pieces and g_decomp. Class (b) is
+    eigendecompose's rule on the direct sum of the satellite Laplacians;
+    only each satellite's kernel is decided per row."""
     hs = tuple(hs)
     m = _satellite_order(g, hs)
     sats = _satellite_decompositions(hs, m)
-    a_mult = int(sats.multiplicities[sats.first[sats.rows]].sum()) - len(hs)
+    a_mult = int(sats.kernel[sats.rows].sum()) - len(hs)
     pooled = _class_b_pieces(sats)
     g_decomp = eigendecompose(laplacian(g))
     return m, sats, a_mult, pooled, g_decomp
@@ -271,11 +275,11 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     Writes the eigenvector columns of each class into one zeroed dim x dim
     array through its (cell, w, column) view: (a) per disconnected satellite
     cell, an orthonormal basis of its satellite kernel with the all-ones
-    direction projected out, at value 1; (b) the eigenvector block of
-    F_mu(H_l) in its cell's satellite rows, at value mu + 1; (c) B_lam (x)
-    w/||w|| with B_lam the base eigenvector block of lam and w = (1 -
-    lambda_pm, 1, ..., 1), at value lambda_pm, one broadcast per side over
-    every base column. The parts come from _corona_parts, the setup of
+    direction projected out, at value 1; (b) each pooled satellite
+    eigenvector column in its cell's satellite rows, at value mu + 1; (c)
+    B_lam (x) w/||w|| with B_lam the base eigenvector block of lam and w =
+    (1 - lambda_pm, 1, ..., 1), at value lambda_pm, one broadcast per side
+    over every base column. The parts come from _corona_parts, the setup of
     corona_spectrum, and the values are merged by _merge_pieces, the rule of
     CoronaSpectrum.eigenvalue_list. The only colliding pieces, mu = m and
     lambda_plus(0), share one eigenspace, so the result is a genuine
@@ -298,7 +302,7 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
     # adjacent pieces, so the columns are written in turn.
     class_c_side(minus, slice(0, n))
     col = n
-    kernel_mults = sats.multiplicities[sats.first[:-1]].tolist()
+    kernel_mults = sats.kernel.tolist()
     class_a = {}  # stack row r -> its class (a) columns, shared by every cell of that satellite
     for ell, r in enumerate(sats.rows.tolist()):
         if kernel_mults[r] > 1:
@@ -310,14 +314,9 @@ def corona_eigenprojectors(g: Graph, hs) -> SpectralDecomposition:
                 class_a[r] = kernel @ np.linalg.qr(ones[:, None], mode="complete")[0][:, 1:]
             cells[ell, 1:, col : col + kernel_mults[r] - 1] = class_a[r]
             col += kernel_mults[r] - 1
-    # Class (b): each entry's satellite eigenvector columns, in one write.
-    # Flat stack column j is vectors[j // m, :, j % m]; a cluster's are consecutive.
-    b_mults = sats.multiplicities[pooled.clusters]
-    starts = (sats.multiplicities.cumsum() - sats.multiplicities)[pooled.clusters]
-    source = np.arange(b_mults.sum()) + np.repeat(starts - (b_mults.cumsum() - b_mults), b_mults)
-    cols = np.arange(col, col + len(source))
-    cells[np.repeat(pooled.cells, b_mults), 1:, cols] = sats.vectors[source // m, :, source % m]
-    class_c_side(plus, slice(col + len(source), dim))
+    # Class (b): each entry's satellite eigenvector column, in one write, up to the last n columns.
+    cells[pooled.cells, 1:, np.arange(col, dim - n)] = sats.vectors[sats.rows[pooled.cells], :, pooled.columns]
+    class_c_side(plus, slice(dim - n, dim))
 
     c_values = list(zip(plus.tolist(), minus.tolist(), g_decomp.multiplicities))  # walked twice
     b_values = list(zip(pooled.mus.tolist(), pooled.multiplicities.tolist()))

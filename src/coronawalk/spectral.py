@@ -118,37 +118,39 @@ class CospectralityReport:
     signs: tuple
 
 
-def _cluster(values, norm, mults=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster ascending values by single linkage: neighbours whose gap is at
-    most tol = CLUSTER_TOL_SCALE * max(1, norm) share a cluster, so a chain of
-    small gaps is one cluster however long it gets. norm is the max-norm of
-    the matrix whose eigenvalues the values are; the rows of a 2-D values are
-    clustered apart, each at its entry of the column norm. mults defaults to
-    ones.
+def _gaps(values, norm) -> np.ndarray:
+    """Where neighbours along the last axis of ascending values split: their
+    gap exceeds CLUSTER_TOL_SCALE * max(1, norm), norm being the max-norm of
+    the matrix whose eigenvalues they are (broadcast against the gaps). The
+    one gap test of the package."""
+    return values[..., 1:] - values[..., :-1] > CLUSTER_TOL_SCALE * np.maximum(1.0, norm)
 
-    Returns (means, totals, bounds): per cluster, in row order, the
-    mults-weighted mean np.add.reduce(values[a:b] * mults[a:b]) / total
-    (a one-member cluster needs no reduction) and the total multiplicity,
-    and the flat index where each cluster starts, then values.size. This is
-    the one clustering rule of the package. The corona merge
-    (corona_spectrum._merge_pieces) needs no tolerance: it follows the class
-    order.
+
+def _cluster(values, norm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster ascending 1-D values by single linkage: neighbours that _gaps
+    does not split share a cluster, so a chain of small gaps is one cluster
+    however long it gets.
+
+    Returns (means, sizes, bounds): per cluster, its value (a singleton's
+    own, a merged cluster's np.add.reduce(values[a:b]) / size) and size, and
+    the index where each cluster starts, then values.size. This is the one
+    clustering rule of the package: eigendecompose applies it to a matrix,
+    corona_spectrum to the direct sum of the satellite Laplacians. The corona
+    merge (corona_spectrum._merge_pieces) needs no tolerance: it follows the
+    class order.
     """
-    split = values[..., 1:] - values[..., :-1] > CLUSTER_TOL_SCALE * np.maximum(1.0, norm)
-    weighted = values.ravel() if mults is None else (values * mults).ravel()  # values * 1 is values
+    split = _gaps(values, norm)
     if split.all():  # nothing merges
-        totals = np.ones(values.size, dtype=int) if mults is None else mults.ravel()
-        return weighted / totals, totals, np.arange(values.size + 1)
+        return values, np.ones(values.size, dtype=int), np.arange(values.size + 1)
     new = np.ones(values.size + 1, dtype=bool)  # True where a cluster starts, and at the end
-    new[:-1].reshape(values.shape)[..., 1:] = split
+    new[1:-1] = split
     bounds = new.nonzero()[0]
     sizes = bounds[1:] - bounds[:-1]
-    totals = sizes if mults is None else np.add.reduceat(mults.ravel(), bounds[:-1])
-    sums = weighted[bounds[:-1]]
+    sums = values[bounds[:-1]]
     merged = (sizes > 1).nonzero()[0]
     edges = bounds.tolist()
-    sums[merged] = [np.add.reduce(weighted[edges[k] : edges[k + 1]]) for k in merged.tolist()]
-    return sums / totals, totals, bounds
+    sums[merged] = [np.add.reduce(values[edges[k] : edges[k + 1]]) for k in merged.tolist()]
+    return sums / sizes, sizes, bounds
 
 
 def _block_sums(d: SpectralDecomposition, rows: np.ndarray) -> np.ndarray:

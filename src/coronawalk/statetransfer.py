@@ -177,7 +177,11 @@ class NoPstWitness:
     support_weights are the diagonal projector entries <(u,0)|F|(u,0)> at
     (lambda_plus, lambda_minus), in that order, in any corona of satellite
     order m; both norms ||F e_(u,0)|| exceed SUPPORT_TOL, so both values stay
-    in the support of the base vertex u."""
+    in the support of the base vertex u. lam_plus and lam_minus are float64
+    roundings, which near-integral values can defeat (over K2 at m = 10**8,
+    lam_plus is 100000002.99999997, within INTEGRALITY_TOL of an integer);
+    delta_sq, exact and never a perfect square when lam is an integer, and
+    reason carry the exact claim."""
 
     base_vertex: int
     m: int
@@ -340,7 +344,8 @@ def pgst_search(
 
     lam = g_decomp.eigenvalues
     delta, coef, pluses, _ = _class_c_arrays(lam, m)
-    t_max = time_of(ell_max)
+    # Every ell_max >= 2**52 fails the range check (lambda_+ > 1), and a larger int overflows a float.
+    t_max = time_of(ell_max) if ell_max < 2**52 else math.inf
     _check_phase_range(t_max, float(pluses.max()), f"ell_max={ell_max}")  # lambda_+ >= every rate
     targets = [
         (1.0 if family == "shifted" or w > 0 else -1.0) if _signable(w) else None
@@ -430,13 +435,13 @@ def antipodal_sign_check(g: Graph) -> list:
     return (residuals.max(axis=0) <= SUPPORT_TOL).tolist()
 
 
-def cocktail_pgst(n: int, ell_max: int = 10_000, target: float = 0.99) -> PgstRecord:
-    """Best t = 4*pi*ell record for the cocktail party graph on 2n vertices
-    with one pendant vertex per site, between an antipodal base pair."""
+def cocktail_pgst(n: int) -> PgstRecord:
+    """Best t = 4*pi*ell record, ell <= 10,000, toward fidelity 0.99 for the
+    cocktail party graph on 2n vertices with one pendant vertex per site,
+    between an antipodal base pair."""
     n = _index(n)
     if n < 2:
         raise ValueError("cocktail party PGST needs n >= 2")
     g = cocktail_party_graph(n)
     hs = [complete_graph(1)] * g.n
-    result = pgst_search(*_corona_walk(g, hs), 0, n, "four_pi_ell", ell_max=ell_max, target=target)
-    return result.best
+    return pgst_search(*_corona_walk(g, hs), 0, n, "four_pi_ell", ell_max=10_000, target=0.99).best

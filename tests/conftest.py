@@ -3,39 +3,25 @@ pair and the scalar fidelity/phase reference shared by the test modules."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 
-from coronawalk import (
-    Graph,
-    cocktail_party_graph,
-    complete_graph,
-    empty_graph,
-    hypercube_graph,
-    is_connected,
-    path_graph,
-)
+from coronawalk import Graph, integer_eigenvalue, is_connected, is_perfect_square
 from coronawalk.corona_spectrum import _class_c_arrays
 from coronawalk.walk import PHASE_FLOOR
 
 PGST_BOUNDS = json.loads((Path(__file__).parent / "fixtures" / "pgst_bounds.json").read_text())
 
-MIXED3 = [empty_graph(3), Graph(3, frozenset({(0, 1)})), path_graph(3), complete_graph(3)]
-
-
-def fixture_corona(name: str):
-    """(base, satellites) of a case in fixtures/pgst_bounds.json."""
-    if name.startswith("k2_empty"):
-        m = int(name[len("k2_empty"):])
-        return complete_graph(2), [empty_graph(m)] * 2
-    if name == "q2_mixed3":
-        return hypercube_graph(2), MIXED3
-    if name.startswith("cocktail") and name.endswith("_k1"):
-        n = int(name[len("cocktail"):-len("_k1")])
-        return cocktail_party_graph(n), [complete_graph(1)] * (2 * n)
-    raise ValueError(f"unknown fixture case {name!r}")
+# The fixture cases are defined once, by the tool that freezes them.
+_spec = importlib.util.spec_from_file_location(
+    "freeze_pgst_bounds", Path(__file__).parents[1] / "tools" / "freeze_pgst_bounds.py"
+)
+freeze_pgst_bounds = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(freeze_pgst_bounds)
+MIXED3, fixture_corona = freeze_pgst_bounds.MIXED3, freeze_pgst_bounds.fixture_corona
 
 
 def class_c_pair(lam: float, m: int) -> tuple:
@@ -43,6 +29,16 @@ def class_c_pair(lam: float, m: int) -> tuple:
     _class_c_arrays, the library's one class (c) evaluator."""
     _, _, plus, minus = _class_c_arrays(lam, m)
     return float(plus), float(minus)
+
+
+def witness_values_non_integral(w) -> bool:
+    """Whether a NoPstWitness's lambda_pm are no integers: exactly, as delta_sq
+    is no perfect square, where delta_sq is set (the float lam_plus comes
+    within INTEGRALITY_TOL of an integer at large m), and by
+    integer_eigenvalue on the floats where it is None."""
+    if w.delta_sq is not None:
+        return not is_perfect_square(w.delta_sq)
+    return integer_eigenvalue(w.lam_plus) is None and integer_eigenvalue(w.lam_minus) is None
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:

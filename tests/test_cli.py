@@ -320,20 +320,22 @@ def test_pgst_search_command(capsys):
 
 
 def test_pgst_search_refuses_noise_phases(capsys, monkeypatch):
-    # t = 4*pi*1e14 against lambda_+ = 3 + sqrt(5) passes 2**52: one line on
-    # stderr and exit 1 before any evaluation, where the search used to run
-    # for minutes. An evaluation fails the test at once instead.
+    # t = 4*pi*1e14 against lambda_+ = 3 + sqrt(5) passes 2**52, and so does
+    # 1e400, past float range: one line on stderr and exit 1 before any
+    # evaluation, where the search used to run for minutes (1e14) or print
+    # an OverflowError's text (1e400). An evaluation fails the test at once.
     def evaluated(*args):
         raise AssertionError("the search evaluated an ell past its range check")
 
     monkeypatch.setattr(statetransfer, "corona_transition_values", evaluated)
     monkeypatch.setattr(statetransfer, "_corona_kernel", evaluated)
-    argv = ["pgst-search", "--g", "c6", "--h", "k1", "--from", "0", "--to", "3", "--family", "4pi",
-            "--target", "0.9", "--ell-max", str(10**14)]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ell_max=100000000000000 is too large: |t_max| * max|eigenvalue| reaches 2**52\n"
+    for ell_max in (str(10**14), "1" + "0" * 400):  # 10**400 overflows a float
+        argv = ["pgst-search", "--g", "c6", "--h", "k1", "--from", "0", "--to", "3", "--family", "4pi",
+                "--target", "0.9", "--ell-max", ell_max]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ell_max={ell_max} is too large: |t_max| * max|eigenvalue| reaches 2**52\n"
 
 
 def test_pgst_search_default_pair_and_satellite_file(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -41,7 +42,10 @@ def kron_assembly(g, hs):
     """Reference for corona_eigenprojectors: the np.kron + merge assembly it
     replaced. Every piece is a dense dim x dim matrix, colliding pieces are
     summed pairwise in ascending value order, and the merged pieces are
-    stacked at the end. Returns (eigenvalues, projectors, multiplicities)."""
+    stacked at the end. Class (b) pools every satellite's raw nonzero
+    eigenvalues, one per eigenvector column, by single linkage; a pooled
+    value is a singleton's own or np.add.reduce / size, as in
+    eigendecompose. Returns (eigenvalues, projectors, multiplicities)."""
     m = hs[0].n
     stride = m + 1
     dim = g.n * stride
@@ -59,9 +63,10 @@ def kron_assembly(g, hs):
         pieces.append((1.0, proj, a_mult))
 
     entries = sorted(
-        (float(d.eigenvalues[i]), ell, i, d.multiplicities[i])
-        for ell, d in enumerate(sats)
-        for i in range(1, len(d.eigenvalues))
+        (mu, ell, j)
+        for ell, (h, d) in enumerate(zip(hs, sats))
+        for j, mu in enumerate(np.linalg.eigh(laplacian(h))[0].tolist())
+        if j >= d.multiplicities[0]
     )
     groups = []
     for entry in entries:
@@ -70,12 +75,13 @@ def kron_assembly(g, hs):
         else:
             groups.append([entry])
     for group in groups:
-        total = sum(mult for _, _, _, mult in group)
-        mu = sum(mu * mult for mu, _, _, mult in group) / total
+        mus = np.array([mu for mu, _, _ in group])
+        mu = mus[0] if len(group) == 1 else np.add.reduce(mus) / len(group)
         proj = np.zeros((dim, dim))
-        for _, ell, i, _ in group:
-            proj[cells[ell], cells[ell]] += sats[ell].projectors[i]
-        pieces.append((mu + 1.0, proj, total))
+        for _, ell, j in group:
+            column = sats[ell].vectors[:, j]
+            proj[cells[ell], cells[ell]] += np.outer(column, column)
+        pieces.append((float(mu) + 1.0, proj, len(group)))
 
     g_decomp = eigendecompose(laplacian(g))
     for lam, mult, f_lam in zip(g_decomp.eigenvalues, g_decomp.multiplicities, g_decomp.projectors):
@@ -266,17 +272,16 @@ def test_class_b_pooling_links_a_chain_like_eigendecompose():
     # cluster's running mean would split off the third.
     tol = CLUSTER_TOL_SCALE * 3.0
     chain = [3.0, 3.0 + 0.9 * tol, 3.0 + 1.8 * tol]
-    # Satellite row r has eigenvalues (0, chain[r]) at indices 2r, 2r + 1;
+    # Satellite row r has eigenvalues (0, chain[r]) and kernel size 1;
     # max-norm 3: the gap is tol.
-    eigenvalues = np.array([x for mu in chain for x in (0.0, mu)])
-    ones = np.ones(6, int)
-    sats = _Satellites(np.arange(3), np.stack([np.eye(2)] * 3), eigenvalues, ones, np.arange(0, 7, 2), 3.0)
+    values = np.array([(0.0, mu) for mu in chain])
+    sats = _Satellites(np.arange(3), values, np.stack([np.eye(2)] * 3), np.ones(3, int), 3.0)
     pooled = _class_b_pieces(sats)
     assert pooled.multiplicities.tolist() == [3] and pooled.bounds.tolist() == [0, 3]
-    assert pooled.cells.tolist() == [0, 1, 2] and pooled.clusters.tolist() == [1, 3, 5]
+    assert pooled.cells.tolist() == [0, 1, 2] and pooled.columns.tolist() == [1, 1, 1]
     d = eigendecompose(np.diag(chain))
     assert d.multiplicities == (3,)
-    assert abs(pooled.mus[0] - d.eigenvalues[0]) <= 1e-15
+    assert pooled.mus.tobytes() == d.eigenvalues.tobytes()
 
 
 def test_k2_corona_p2000_keeps_every_path_eigenvalue():
@@ -465,8 +470,10 @@ def test_one_adjacency_per_distinct_satellite(monkeypatch):
 
 def test_stacked_satellites_equal_eigendecompose_bit_for_bit():
     # One stack holds O_m, K_m, P_m, C_m and sparse random satellites with
-    # isolated vertices; each row is eigendecompose(laplacian(h)), byte for
-    # byte. At m = 1 all of them are K1.
+    # isolated vertices; each row is the raw eigh of laplacian(h), byte for
+    # byte, so clustering it at the row's own norm gives eigendecompose's
+    # eigenvalues, and the row's kernel is eigendecompose's first cluster.
+    # At m = 1 all of them are K1.
     rng = np.random.default_rng(13)
     for m in (1, 4, 7, 10):
         hs = [empty_graph(m), complete_graph(m), path_graph(m)] + ([cycle_graph(m)] if m >= 3 else [])
@@ -477,47 +484,86 @@ def test_stacked_satellites_equal_eigendecompose_bit_for_bit():
         assert isolated or m == 1
         for r, h in enumerate(hs):
             want = eigendecompose(laplacian(h))
-            a, b = sats.first[r], sats.first[r + 1]
-            assert sats.eigenvalues[a:b].tobytes() == want.eigenvalues.tobytes()
+            assert sats.values[r].tobytes() == np.linalg.eigh(laplacian(h))[0].tobytes()
             assert sats.vectors[r].tobytes() == want.vectors.tobytes()
-            assert tuple(sats.multiplicities[a:b].tolist()) == want.multiplicities
+            means, sizes, _ = _cluster(sats.values[r], float(np.max(laplacian(h))))
+            assert means.tobytes() == want.eigenvalues.tobytes() and tuple(sizes.tolist()) == want.multiplicities
+            assert sats.kernel[r] == want.multiplicities[0]
         assert sats.norm == max(float(np.max(laplacian(h))) for h in hs)
 
 
 def test_class_b_pooling_and_columns_equal_the_loops():
     # References for the stacked class (b) path: the sorted() pooling over
-    # (mu, cell, index) tuples, and one block write per entry, which the
-    # projector columns equal byte for byte.
+    # (value, cell, column) tuples of every raw nonzero satellite eigenvalue,
+    # and one column write per entry, which the projector columns equal byte
+    # for byte.
     rng = np.random.default_rng(19)
     cases = [(cycle_graph(6), [path_graph(4)] * 6), (hypercube_graph(2), MIXED3)]
     cases += [(cycle_graph(n), random_satellites(rng, n, m, p)) for n, m, p in ((7, 5, 0.5), (9, 6, 0.3), (5, 8, 0.6))]
-    cases.append((cycle_graph(4), [complete_graph(3), path_graph(3)] * 2))
+    cases += [(cycle_graph(4), [complete_graph(3), path_graph(3)] * 2), (cycle_graph(5), [complete_graph(6)] * 5)]
     for g, hs in cases:
         m = hs[0].n
         sats = _satellite_decompositions(hs, m)
-        first, rows = sats.first.tolist(), sats.rows.tolist()
+        rows = sats.rows.tolist()
         entries = sorted(
-            (sats.eigenvalues[i], ell, i, sats.multiplicities[i])
-            for ell, r in enumerate(rows)
-            for i in range(first[r] + 1, first[r + 1])
+            (sats.values[r, j], ell, j) for ell, r in enumerate(rows) for j in range(sats.kernel[r], m)
         )
         pooled = _class_b_pieces(sats)
-        assert pooled.cells.tolist() == [ell for _, ell, _, _ in entries]
-        assert pooled.clusters.tolist() == [i for _, _, i, _ in entries]
-        want = _cluster(np.array([e[0] for e in entries]), sats.norm, np.array([e[3] for e in entries], int))
-        assert [x.tolist() for x in pooled[:3]] == [x.tolist() for x in want]
+        assert pooled.cells.tolist() == [ell for _, ell, _ in entries]
+        assert pooled.columns.tolist() == [j for _, _, j in entries]
+        want = _cluster(np.array([e[0] for e in entries]), sats.norm)
+        assert [x.tobytes() for x in pooled[:3]] == [x.tobytes() for x in want]
 
         d = corona_eigenprojectors(g, hs)
         stride = m + 1
-        cols = np.zeros((g.n * stride, sum(e[3] for e in entries)))
-        col = 0
-        for _, ell, i, k in entries:
-            r = rows[ell]
-            start = int(np.sum(sats.multiplicities[first[r] : i]))
-            cols[ell * stride + 1 : (ell + 1) * stride, col : col + k] = sats.vectors[r][:, start : start + k]
-            col += k
+        cols = np.zeros((g.n * stride, len(entries)))
+        for col, (_, ell, j) in enumerate(entries):
+            cols[ell * stride + 1 : (ell + 1) * stride, col] = sats.vectors[rows[ell]][:, j]
         a_mult = corona_spectrum(g, hs).class_a.multiplicity
-        assert d.vectors[:, g.n + a_mult : g.n + a_mult + col].tobytes() == cols.tobytes()
+        assert d.vectors[:, g.n + a_mult : g.n + a_mult + len(entries)].tobytes() == cols.tobytes()
+
+
+def test_class_b_is_eigendecompose_on_the_direct_sum():
+    # Oracle: eigendecompose of the block-diagonal direct sum of the
+    # satellite Laplacians has the satellite kernels as its first cluster
+    # and class (b)'s mu with the same multiplicities after it, to within
+    # 64 eps times the largest satellite degree.
+    rng = np.random.default_rng(29)
+    cases = [BIT_EXACT_CASES[name] for name in sorted(BIT_EXACT_CASES)]
+    cases += [(cycle_graph(n), [complete_graph(m)] * n) for n, m in ((3, 5), (4, 6), (5, 7))]
+    cases += [
+        (cycle_graph(n), random_satellites(rng, n, m, p))
+        for n, m, p in itertools.product((3, 6), (2, 5, 8), (0.2, 0.5, 0.8))
+    ]
+    for g, hs in cases:
+        m = hs[0].n
+        direct = np.zeros((g.n * m, g.n * m))
+        for ell, h in enumerate(hs):
+            direct[ell * m : (ell + 1) * m, ell * m : (ell + 1) * m] = laplacian(h)
+        d = eigendecompose(direct)
+        class_b = corona_spectrum(g, hs).class_b
+        assert d.multiplicities[0] == sum(component_count(h) for h in hs)
+        assert [b.multiplicity for b in class_b] == list(d.multiplicities[1:])
+        mus = np.array([b.mu for b in class_b])
+        assert np.all(np.abs(mus - d.eigenvalues[1:]) <= 64 * np.finfo(float).eps * max(1.0, np.max(direct)))
+
+
+def test_one_class_b_clustering_per_corona_setup(monkeypatch):
+    # Class (b) is clustered once per setup, over every cell's raw nonzero
+    # eigenvalues; with every satellite edgeless there is nothing to cluster.
+    calls = []
+    module = importlib.import_module("coronawalk.corona_spectrum")  # the package attribute is the function
+    monkeypatch.setattr(module, "_cluster", lambda *args: calls.append(args) or _cluster(*args))
+    cases = [
+        (hypercube_graph(2), MIXED3, 1),
+        (cycle_graph(7), random_satellites(np.random.default_rng(31), 7, 5), 1),
+        (complete_graph(3), [empty_graph(4)] * 3, 0),
+    ]
+    for g, hs, want in cases:
+        for fn in (corona_spectrum, corona_eigenprojectors):
+            calls.clear()
+            fn(g, hs)
+            assert len(calls) == want
 
 
 def test_corona_walk_returns_the_base_decomposition():
@@ -560,18 +606,19 @@ def test_satellite_kernel_checks(monkeypatch, fault, message):
 
 def test_satellite_rows_cluster_at_their_own_tolerance(monkeypatch):
     # Stacked with K5 (max-norm 4), P3 + O2 (max-norm 2, eigenvalues 0, 0, 0,
-    # 1, 3) is clustered at its own tol 2e-8, not the stack's 4e-8: with its
-    # eigenvalue 3 read as 1 + 3e-8, the row's multiplicities stay (3, 1, 1)
-    # where the stack's tolerance would merge them into (3, 2).
+    # 1, 3) finds its kernel at its own tol 2e-8, not the stack's 4e-8: with
+    # its eigenvalue 1 read as 3e-8, the kernel stays the 3 components, where
+    # the stack's tolerance would take in a fourth column and fail the
+    # component count.
     eigh = np.linalg.eigh
 
-    def near_degenerate(mat):
+    def near_zero(mat):
         w, vecs = eigh(mat)
-        w[0, -1] = 1.0 + 3e-8
+        w[0, 3] = 3e-8
         return w, vecs
 
-    monkeypatch.setattr(np.linalg, "eigh", near_degenerate)
+    monkeypatch.setattr(np.linalg, "eigh", near_zero)
     sats = _satellite_decompositions([Graph(5, frozenset({(0, 1), (1, 2)})), complete_graph(5)], 5)
     assert sats.norm == 4.0
-    assert sats.multiplicities[sats.first[0] : sats.first[1]].tolist() == [3, 1, 1]
-    assert sats.multiplicities[sats.first[1] : sats.first[2]].tolist() == [1, 4]
+    assert sats.kernel.tolist() == [3, 1]
+    assert _class_b_pieces(sats).mus[0] == 3e-8

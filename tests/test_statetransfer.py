@@ -10,7 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import MIXED3, PGST_BOUNDS, fixture_corona, random_connected_graph, random_graph, scalar_fidelity_phase
+from conftest import (
+    MIXED3,
+    PGST_BOUNDS,
+    fixture_corona,
+    random_connected_graph,
+    random_graph,
+    scalar_fidelity_phase,
+    witness_values_non_integral,
+)
 
 from coronawalk import (
     CospectralityReport,
@@ -441,9 +449,12 @@ def test_witness_non_integer_base():
 def test_witness_values_are_never_integers():
     for g in (complete_graph(2), hypercube_graph(2), path_graph(3), cycle_graph(5)):
         for m in (1, 2, 5):
-            w = corona_no_pst_witness(g, m, 0)
-            assert integer_eigenvalue(w.lam_plus) is None
-            assert integer_eigenvalue(w.lam_minus) is None
+            assert witness_values_non_integral(corona_no_pst_witness(g, m, 0))
+    # At m = 10**8 the float lam_plus = m + 3 - 1/m + O(1/m^2) rounds to within
+    # INTEGRALITY_TOL of m + 3: only the exact delta_sq shows it is no integer.
+    w = corona_no_pst_witness(complete_graph(2), 10**8, 0)
+    assert integer_eigenvalue(w.lam_plus) == 10**8 + 3
+    assert w.delta_sq == (10**8 + 1) ** 2 + 4 * 10**8 and witness_values_non_integral(w)
 
 
 def test_witness_weights_match_assembled_projectors():
@@ -566,7 +577,6 @@ def test_non_integer_vertices_and_orders_rejected():
         lambda: pgst_search(cs, d, 0, 1, "four_pi_ell", ell_max=2.5),  # used to die in range()
         lambda: pgst_search(cs, d, 0, 1, "shifted", r=1.0),
         lambda: cocktail_pgst(2.5),
-        lambda: cocktail_pgst(3, ell_max=2.5),
         # operator.index accepts booleans; a vertex count or id does not
         lambda: Graph(True, ()),
         lambda: Graph(2, [(True, False)]),
@@ -676,7 +686,7 @@ def test_search_refuses_noise_phases_before_evaluating(monkeypatch, g, hs, u, v,
     refuse_evaluations(monkeypatch)
     cs, gd = search_setup(g, hs)
     limit = first_refused_ell(cs, shift)
-    for ell_max in (limit, 10**14):
+    for ell_max in (limit, 10**14, 2**1024, 10**400):  # the last two overflow a float
         with pytest.raises(ValueError, match=rf"^ell_max={ell_max} is too large: .* reaches 2\*\*52$"):
             pgst_search(cs, gd, u, v, family, ell_max=ell_max, target=0.9)
     with pytest.raises(ValueError, match=rf"^ell_max={limit - 1} is too large: the fidelity screen's tol"):
