@@ -278,15 +278,16 @@ def _fig2(outdir: Path, config: dict) -> tuple:
 
 def _fig3(outdir: Path, config: dict) -> tuple:
     """Double star K2 corona O6: Laplacian PGST at t = 4*pi*ell versus the
-    adjacency walk's best fidelity over a dense grid.
+    adjacency walk's best fidelity over a dense grid, times k*step with the
+    last at t_max, as linspace builds them.
 
-    walk._phase_screen, the screen pgst_search uses, bounds the fidelity on
-    every grid point to within tol, in rows of _GRID_ROW points (the grid
-    starts at 0, so linspace gives t_k = fl(k*grid[1])), 32 rows a product
-    into one preallocated float array, so no grid-sized complex array is built.
-    Only the points screened at or above max(screen) - 2*tol can hold the
-    grid's maximum; transition_values evaluates those, and the first
-    maximum among them is the grid's argmax. Both read _pair_measure, no stack.
+    walk._phase_screen, pgst_search's screen, bounds the fidelity on every
+    grid point to within tol. One pass screens rows of _GRID_ROW points, 32
+    a product, keeping the points at or above the running maximum less 2*tol
+    and pruning them as it rises: no grid-sized array is built, and those
+    left are the points at or above max(screen) - 2*tol, in grid order. Only
+    they can hold the grid's maximum; transition_values evaluates them, and
+    the first maximum among them is the argmax. Both read _pair_measure.
     """
     g = build_named("complete", 2)
     hs = [build_named("empty", 6)] * 2
@@ -296,17 +297,20 @@ def _fig3(outdir: Path, config: dict) -> tuple:
     cg = corona(g, hs)
     adj = eigendecompose(walk_matrix(cg.flat, "adjacency"))
     u, v = cg.flat_index(0, 0), cg.flat_index(1, 0)
-    grid = np.linspace(0.0, 2000.0, 200_000)
-    screen, tol = _phase_screen(_pair_measure(adj, u, v).uv, adj.eigenvalues, grid[1], _GRID_ROW, grid[-1])
-    starts = grid[::_GRID_ROW]
-    screened = np.empty((starts.size, _GRID_ROW))
-    for i in range(0, starts.size, 32):  # 16,384 points a product, one pgst_search screen block
-        screened[i : i + 32] = screen(starts[i : i + 32])
-    screened = screened.ravel()[: grid.size]  # drops a ragged last row's overhang
-    cands = np.flatnonzero(screened >= screened.max() - 2.0 * tol)
-    fidelities = _fidelity(transition_values(adj, u, v, grid[cands]))
+    t_max, points = 2000.0, 200_000
+    step = t_max / (points - 1)
+    screen, tol = _phase_screen(_pair_measure(adj, u, v).uv, adj.eigenvalues, step, _GRID_ROW, t_max)
+    top, cands, kept = -np.inf, np.empty(0, dtype=np.intp), np.empty(0)
+    for k0 in range(0, points, 32 * _GRID_ROW):  # 16,384 points a product, one pgst_search screen block
+        rows = screen(np.arange(k0, min(k0 + 32 * _GRID_ROW, points), _GRID_ROW) * step)
+        block = rows.ravel()[: points - k0]  # drops a ragged last row's overhang
+        top = max(top, block.max())
+        new, old = np.flatnonzero(block >= top - 2.0 * tol), kept >= top - 2.0 * tol
+        cands, kept = np.concatenate((cands[old], new + k0)), np.concatenate((kept[old], block[new]))
+    times = np.where(cands == points - 1, t_max, cands * step)
+    fidelities = _fidelity(transition_values(adj, u, v, times))
     best = int(np.argmax(fidelities))
-    ts = np.linspace(0.0, 2000.0, 2001)
+    ts = np.linspace(0.0, t_max, 2001)
     curve = _csv_text(config, ts, transition_values(adj, u, v, ts))
     _write_text(str(outdir / "fig3_adjacency_curve.csv"), curve)
 
@@ -316,8 +320,8 @@ def _fig3(outdir: Path, config: dict) -> tuple:
         "laplacian_best_fidelity": result.best.fidelity,
         "laplacian_best": _with_over_pi(result.best, "t"),
         "adjacency_max_fidelity": float(fidelities[best]),
-        "adjacency_argmax_t": float(grid[cands[best]]),
-        "adjacency_grid": {"t_max": 2000.0, "points": 200_000},
+        "adjacency_argmax_t": float(times[best]),
+        "adjacency_grid": {"t_max": t_max, "points": points},
     }
     files = ["fig3_laplacian_curve.csv", "fig3_adjacency_curve.csv"]
     return summary, files, result.target_met

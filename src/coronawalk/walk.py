@@ -144,9 +144,9 @@ def _phase_screen(amps, omega, step: float, width: int, t_max: float):
     Bound: the exact values a caller screens for build each term's phase
     from angles within a few roundings of t*omega_j, t the exact time. The
     PGST kernel builds it from t*lam/2 and t*Delta/2 (three roundings each,
-    Delta is shared); transition_values on a linspace grid from 0 builds
-    fl(fl(k*step)*omega_j) (two, three at the last point, which linspace
-    sets to t_max). The screen builds it from t0*omega_j and
+    Delta is shared); transition_values at times k*step from 0, as fig3 and
+    linspace both build them, builds fl(fl(k*step)*omega_j) (two, three at
+    the last point, set to t_max). The screen builds it from t0*omega_j and
     (step*i)*omega_j, two roundings each of parts whose sizes add up to at
     most t_max*max|omega|. So each angle is at most about 5 roundings from
     the other, and a term's two phases differ by under

@@ -24,9 +24,9 @@ from coronawalk import (
     transition_values,
     walk_matrix,
 )
-from coronawalk import statetransfer
+from coronawalk import cli, statetransfer
 from coronawalk.cli import _csv_text, _fig3, _fmt, _jsonable, main, parse_graph_spec, parse_satellites
-from coronawalk.walk import _fidelity
+from coronawalk.walk import _fidelity, _phase_screen
 
 
 def run(capsys, *argv):
@@ -446,9 +446,35 @@ def test_figures_fig3_screen_finds_the_dense_grid_maximum(tmp_path):
 
 
 
-def test_figures_fig3_screens_its_grid_in_row_blocks(capsys, tmp_path):
-    # 32 rows of 512 points a product into one float array: no (391, 512)
-    # complex product and no grid-sized temporaries of its squares.
+@pytest.mark.parametrize("widen", [1.0, 1e3, 1e10])
+def test_figures_fig3_evaluates_exactly_the_dense_screen_candidates(tmp_path, monkeypatch, widen):
+    # The times _fig3 passes to transition_values are the grid points of the
+    # whole screened grid at or above its max - 2*tol, in grid order, with the
+    # grid's bits. The real tol prunes 3 kept points as the running maximum
+    # rises; 1e3 * tol keeps 20 candidates and prunes 2; 1e10 * tol keeps every
+    # point, the last at t_max.
+    screens, calls = [], []
+
+    def widened(*args):
+        screen, tol = _phase_screen(*args)
+        screens.append((screen, widen * tol))
+        return screens[-1]
+
+    monkeypatch.setattr(cli, "_phase_screen", widened)
+    monkeypatch.setattr(cli, "transition_values", lambda d, u, v, ts: calls.append(ts) or transition_values(d, u, v, ts))
+    _fig3(tmp_path, {})
+    ((screen, tol),) = screens
+    grid = np.linspace(0.0, 2000.0, 200_000)
+    starts = grid[::512]
+    screened = np.concatenate([screen(starts[i : i + 32]).ravel() for i in range(0, starts.size, 32)])[: grid.size]
+    expected = grid[screened >= screened.max() - 2.0 * tol]
+    assert calls[0].tobytes() == expected.tobytes()
+    assert len(calls) == 2 and calls[1].size == 2001  # the adjacency curve
+
+
+def test_figures_fig3_builds_no_grid_sized_array(capsys, tmp_path):
+    # The screen streams 32 rows of 512 points a product and keeps only the
+    # candidates: no 200,000-point grid or screen array (1.6 MB each).
     tracemalloc.start()
     try:
         rc, _ = run(capsys, "figures", "fig3", "--outdir", str(tmp_path))
@@ -456,7 +482,8 @@ def test_figures_fig3_screens_its_grid_in_row_blocks(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < 5 * 2**20
+    assert peak < 1.5 * 2**20
+
 
 def test_figures_all(capsys, tmp_path, monkeypatch):
     # Run as the benchmark's cli_figures check runs it, whose reference pins

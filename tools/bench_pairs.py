@@ -16,7 +16,11 @@ side, the pairs the change wins (lower or higher is better as BENCHMARK.json
 says), the relative change of the medians against the metric's bound, whether
 a claimed gain would be met (gain_met: the change wins at least 9 in 10
 pairs, ties counting for neither side, and its median beats the parent's by
-more than the parent's q3 - q1), and every raw value.
+more than the parent's q3 - q1), and every raw value. A run that exits
+non-zero or whose last stdout line is not a JSON result is listed under its
+workload's `failed_runs` (side, seed, exit code, last stderr line); its side
+reads `correct: false`, its pair is left out of the wins and quartiles, and
+the sweep goes on.
 """
 
 from __future__ import annotations
@@ -44,12 +48,26 @@ def extract(revision: str, directory: Path) -> str:
     return commit
 
 
+class RunFailed(Exception):
+    """A run that exited non-zero or printed no JSON result: its exit code and last stderr line."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        super().__init__(exit_code, stderr)
+        self.exit_code, self.stderr = exit_code, stderr
+
+
 def run(directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in directory: its result line as a dict."""
+    """One benchmark run in directory: its result line as a dict, or RunFailed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    out = subprocess.run(argv, cwd=directory, env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    proc = subprocess.run(argv, cwd=directory, env=env, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        raise RunFailed(proc.returncode, (proc.stderr.splitlines() or [""])[-1])
+    return result
 
 
 def quartiles(values: list) -> dict:
@@ -102,15 +120,26 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = {side: [] for side in SIDES}
+        runs, failed, correct = {side: [] for side in SIDES}, [], dict.fromkeys(SIDES, True)
         for i, seed in enumerate(result["seeds"]):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {}
             for side in order:
-                runs[side].append(run(dirs[side], workload, seed, seconds))
+                try:
+                    pair[side] = run(dirs[side], workload, seed, seconds)
+                except RunFailed as bad:
+                    failed.append({"side": side, "seed": seed, "exit_code": bad.exit_code, "stderr": bad.stderr})
+                ok = side in pair and pair[side]["correct"] is True and pair[side]["failed"] == 0
+                correct[side] = correct[side] and ok
+            if len(pair) == len(SIDES):
+                for side in SIDES:
+                    runs[side].append(pair[side])
             print(f"# {workload} pair {i + 1}/{PAIRS} (seed {seed}, {order[0]} first)", file=sys.stderr)
         result["workloads"][workload] = {
-            "correct": {side: all(r["correct"] is True and r["failed"] == 0 for r in runs[side]) for side in SIDES},
-            "metrics": {m["name"]: summarize(m, runs) for m in spec["end_to_end"]},
+            "correct": correct,
+            "failed_runs": failed,
+            # Quartiles need two complete pairs.
+            "metrics": {m["name"]: summarize(m, runs) for m in spec["end_to_end"]} if len(runs["parent"]) > 1 else {},
         }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
